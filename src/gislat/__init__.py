@@ -21,6 +21,7 @@ from .graph import (
     forked_vertices,
     hereditary_subsets,
     index_relative,
+    is_acyclic,
     is_hereditary,
     parse_graph,
     reaches,
@@ -38,7 +39,7 @@ from .lattice import (
     is_lower_semimodular,
     is_modular,
     is_upper_semimodular,
-    nondistributivity_witness,
+    lattice_verdicts,
     order_isomorphic,
     witness_is_valid,
 )

@@ -2,9 +2,9 @@
 
 Subcommands: ``forked``, ``classify``, ``lattice``, ``semigroup``,
 ``oracle``.  Exit codes: 0 ok, 1 input error, 2 infinite-structure error
-(cyclic graph without a bound, or a semigroup past the brute-force cap),
-3 internal consistency violation (a predicted/computed or oracle
-mismatch, which would mean a bug).
+(cyclic graph without a bound, or a semigroup or graph past a brute-force
+cap), 3 internal consistency violation (a predicted/computed, verdict/
+witness or oracle mismatch, which would mean a bug).
 
 JSON output (``--json``) is the stable machine interface; the plain-text
 output is for humans and carries no stability guarantee.
@@ -18,24 +18,9 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .graph import (
-    GraphError,
-    connectivity_report,
-    enumerate_cycles,
-    forked_vertices,
-    parse_graph,
-)
-from .lattice import (
-    find_diamond,
-    find_pentagon,
-    hasse_dot,
-    is_distributive,
-    is_lower_semimodular,
-    is_modular,
-    is_upper_semimodular,
-    order_isomorphic,
-)
-from .oracle import SemigroupTooLargeError, congruence_lattice, enumerate_congruences
+from .graph import GraphError, connectivity_report, forked_vertices, is_acyclic, parse_graph
+from .lattice import hasse_dot, lattice_verdicts, order_isomorphic
+from .oracle import SemigroupTooLargeError, congruence_lattice
 from .semigroup import CyclicGraphError, finite_semigroup, render_element
 from .triples import UnboundedLatticeError, render_triple, triple_lattice, triple_to_json
 
@@ -83,7 +68,7 @@ def _graph_summary(g) -> dict:
     return {
         "vertices": len(g.vertices),
         "edges": len(g.edges),
-        "acyclic": not enumerate_cycles(g),
+        "acyclic": is_acyclic(g),
         "weak_components": len(rep.weak_components),
         "weakly_connected": rep.is_weakly_connected,
         "unilaterally_connected": rep.is_unilaterally_connected,
@@ -92,26 +77,21 @@ def _graph_summary(g) -> dict:
     }
 
 
-def _bounded_lattice(g, bound, enumerating: str):
-    cyclic = bool(enumerate_cycles(g))
-    if cyclic and bound is None:
-        raise _CliError(
-            EXIT_INFINITE, f"graph has cycles: --bound N is required for {enumerating}"
-        )
+def _bounded_lattice(g, bound):
+    """The exact triple lattice, or a bounded probe of a cyclic graph's,
+    with its verdicts and witness."""
+    cyclic = not is_acyclic(g)
     try:
         lat = triple_lattice(g, bound if cyclic else None)
     except UnboundedLatticeError as err:
+        raise _CliError(EXIT_INFINITE, f"{err} (--bound N)") from None
+    except GraphError as err:  # the hereditary-set size cap
         raise _CliError(EXIT_INFINITE, str(err)) from None
-    return lat, cyclic
-
-
-def _verdicts(lat) -> dict:
-    return {
-        "distributive": is_distributive(lat),
-        "modular": is_modular(lat),
-        "lower_semimodular": is_lower_semimodular(lat),
-        "upper_semimodular": is_upper_semimodular(lat),
-    }
+    verdicts, witness = lattice_verdicts(lat)
+    distributive = verdicts["distributive"]
+    if (witness is None) != distributive or (distributive and not verdicts["modular"]):
+        raise _CliError(EXIT_INTERNAL, "inconsistent verdicts or witness (bug)")
+    return lat, cyclic, verdicts, witness
 
 
 def _flags(d: dict) -> str:
@@ -169,16 +149,9 @@ def classify_graph(g, enumerate_lattice: bool = False, bound: int | None = None)
     )
     if not enumerate_lattice:
         return report
-    lat, bounded = _bounded_lattice(g, bound, "--enumerate")
-    computed = _verdicts(lat)
+    lat, bounded, computed, w = _bounded_lattice(g, bound)
     witness = None
-    if not computed["distributive"]:
-        w = find_pentagon(lat) or find_diamond(lat)
-        if w is None:
-            raise _CliError(
-                EXIT_INTERNAL,
-                "non-distributive lattice with no pentagon or diamond (bug)",
-            )
+    if w is not None:
         witness = {
             "kind": w.kind,
             "members": [render_triple(lat.labels[i]) for i in w.members],
@@ -227,8 +200,7 @@ def cmd_classify(args) -> int:
 
 def cmd_lattice(args) -> int:
     g = _load(args.graph_file)
-    lat, bounded = _bounded_lattice(g, args.bound, "lattice enumeration")
-    verdicts = _verdicts(lat)
+    lat, bounded, verdicts, _ = _bounded_lattice(g, args.bound)
     covers = sorted((lower, upper) for upper, lower in lat.cover_set)
     payload = {
         "elements": [triple_to_json(t) for t in lat.labels],
@@ -271,7 +243,6 @@ def cmd_oracle(args) -> int:
     g = _load(args.graph_file)
     try:
         sem = finite_semigroup(g)
-        congs = enumerate_congruences(sem, cap=args.cap)
         cong_lat = congruence_lattice(sem, cap=args.cap)
     except CyclicGraphError as err:
         raise _CliError(EXIT_INFINITE, str(err)) from None
@@ -279,21 +250,28 @@ def cmd_oracle(args) -> int:
         raise _CliError(EXIT_INFINITE, str(err)) from None
     ct_lat = triple_lattice(g)
     iso = order_isomorphic(ct_lat, cong_lat)
-    ok = iso and len(congs) == len(ct_lat)
+    ok = iso and len(cong_lat) == len(ct_lat)
     payload = {
         "semigroup_size": len(sem),
-        "congruences": len(congs),
+        "congruences": len(cong_lat),
         "triples": len(ct_lat),
         "order_isomorphic": iso,
     }
     lines = [
         f"semigroup: {len(sem)} elements",
-        f"congruences: {len(congs)}",
+        f"congruences: {len(cong_lat)}",
         f"triples: {len(ct_lat)}",
         f"order isomorphic: {'yes' if iso else 'NO (violation)'}",
     ]
     _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_INTERNAL
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", cmd_classify, "predict and optionally verify lattice verdicts")
     p.add_argument("--enumerate", action="store_true", help="build the lattice and cross-check")
-    p.add_argument("--bound", type=int, help="free-cycle value bound for cyclic graphs")
+    p.add_argument("--bound", type=positive_int, help="free-cycle value bound for cyclic graphs")
 
     p = add("lattice", cmd_lattice, "dump the congruence-triple lattice")
-    p.add_argument("--bound", type=int, help="free-cycle value bound for cyclic graphs")
+    p.add_argument("--bound", type=positive_int, help="free-cycle value bound for cyclic graphs")
     p.add_argument("--dot", metavar="PATH", help="write the Hasse diagram as DOT")
 
     add("semigroup", cmd_semigroup, "list elements and the multiplication table")

@@ -79,31 +79,12 @@ class DirectedGraph:
     def of(vertices, edges) -> "DirectedGraph":
         """Build a validated graph from vertex names and (name, src, dst)
         triples (or ready-made :class:`Edge` values)."""
-        vs: list[str] = []
-        declared: set[str] = set()
+        builder = _Builder()
         for v in vertices:
-            if not _NAME.match(v):
-                raise GraphError(f"bad vertex name {v!r}")
-            if v in declared:
-                raise GraphError(f"duplicate vertex {v!r}")
-            declared.add(v)
-            vs.append(v)
-        es: list[Edge] = []
-        edge_names: set[str] = set()
+            builder.vertex(v)
         for item in edges:
-            e = item if isinstance(item, Edge) else Edge(*item)
-            if not _NAME.match(e.name):
-                raise GraphError(f"bad edge name {e.name!r}")
-            if e.name in edge_names:
-                raise GraphError(f"duplicate edge {e.name!r}")
-            for end in (e.src, e.dst):
-                if end not in declared:
-                    raise GraphError(
-                        f"edge {e.name!r} references undeclared vertex {end!r}"
-                    )
-            edge_names.add(e.name)
-            es.append(e)
-        return DirectedGraph(tuple(vs), tuple(es))
+            builder.edge(item if isinstance(item, Edge) else Edge(*item))
+        return builder.build()
 
     @cached_property
     def vertex_set(self) -> frozenset[str]:
@@ -142,6 +123,35 @@ class DirectedGraph:
             raise UnknownVertexError(f"unknown vertex {v!r}")
 
 
+class _Builder:
+    """Declarations checked one at a time, in order: names, duplicates, and
+    edge ends that must already be declared."""
+
+    def __init__(self) -> None:
+        self.vertices: dict[str, None] = {}
+        self.edges: dict[str, Edge] = {}
+
+    def vertex(self, v: str) -> None:
+        if not _NAME.match(v):
+            raise GraphError(f"bad vertex name {v!r}")
+        if v in self.vertices:
+            raise GraphError(f"duplicate vertex {v!r}")
+        self.vertices[v] = None
+
+    def edge(self, e: Edge) -> None:
+        if not _NAME.match(e.name):
+            raise GraphError(f"bad edge name {e.name!r}")
+        if e.name in self.edges:
+            raise GraphError(f"duplicate edge {e.name!r}")
+        for end in (e.src, e.dst):
+            if end not in self.vertices:
+                raise GraphError(f"edge {e.name!r} references undeclared vertex {end!r}")
+        self.edges[e.name] = e
+
+    def build(self) -> DirectedGraph:
+        return DirectedGraph(tuple(self.vertices), tuple(self.edges.values()))
+
+
 def parse_graph(text: str) -> DirectedGraph:
     """Parse the line-oriented graph format.
 
@@ -149,10 +159,7 @@ def parse_graph(text: str) -> DirectedGraph:
     blank lines and lines starting with ``#`` are ignored.  Vertices must
     be declared before any edge uses them.
     """
-    vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    vseen: set[str] = set()
-    eseen: set[str] = set()
+    builder = _Builder()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,29 +168,18 @@ def parse_graph(text: str) -> DirectedGraph:
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise GraphParseError(line_no, "expected: vertex NAME")
-            name = parts[1]
-            if not _NAME.match(name):
-                raise GraphParseError(line_no, f"bad vertex name {name!r}")
-            if name in vseen:
-                raise GraphParseError(line_no, f"duplicate vertex {name!r}")
-            vseen.add(name)
-            vertices.append(name)
+            declare, item = builder.vertex, parts[1]
         elif parts[0] == "edge":
             if len(parts) != 4:
                 raise GraphParseError(line_no, "expected: edge NAME SRC DST")
-            name, src, dst = parts[1], parts[2], parts[3]
-            if not _NAME.match(name):
-                raise GraphParseError(line_no, f"bad edge name {name!r}")
-            if name in eseen:
-                raise GraphParseError(line_no, f"duplicate edge {name!r}")
-            for end in (src, dst):
-                if end not in vseen:
-                    raise GraphParseError(line_no, f"undeclared vertex {end!r}")
-            eseen.add(name)
-            edges.append((name, src, dst))
+            declare, item = builder.edge, Edge(*parts[1:])
         else:
             raise GraphParseError(line_no, f"unknown directive {parts[0]!r}")
-    return DirectedGraph.of(vertices, edges)
+        try:
+            declare(item)
+        except GraphError as err:
+            raise GraphParseError(line_no, str(err)) from None
+    return builder.build()
 
 
 def reaches(g: DirectedGraph, v1: str, v2: str) -> bool:
@@ -226,6 +222,24 @@ def hereditary_subsets(g: DirectedGraph) -> tuple[frozenset[str], ...]:
     return tuple(found)
 
 
+def is_acyclic(g: DirectedGraph) -> bool:
+    """True iff the graph has no directed cycle (a loop is one).  Kahn's
+    algorithm, O(V + E): peel off vertices without incoming edges."""
+    indegree = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        indegree[e.dst] += 1
+    ready = [v for v, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for e in g.out_edges[v]:
+            indegree[e.dst] -= 1
+            if indegree[e.dst] == 0:
+                ready.append(e.dst)
+    return removed == len(g.vertices)
+
+
 @cache
 def enumerate_cycles(g: DirectedGraph) -> tuple[Cycle, ...]:
     """All simple cycles (pairwise distinct edge sources), one canonical
@@ -235,6 +249,8 @@ def enumerate_cycles(g: DirectedGraph) -> tuple[Cycle, ...]:
     vertices strictly larger than the base, so every rotation class is
     emitted exactly once, already canonically rotated.
     """
+    if is_acyclic(g):
+        return ()
     found: list[Cycle] = []
     for base in sorted(g.vertices):
         path: list[Edge] = []

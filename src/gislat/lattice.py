@@ -7,9 +7,12 @@ closed-form meet/join ever enters the construction, lattices built here
 double as the poset-theoretic oracle for formula-computed meets and joins
 elsewhere in the package.
 
-Distributivity and modularity are decided by the defining identities over
-all element triples; pentagon/diamond searches provide independent
-verdicts and concrete witnesses.
+:func:`lattice_verdicts` decides the four verdicts in one pass from
+known characterisations (Grätzer, *Lattice Theory: Foundation*, ch. IV):
+semimodularity on the cover matrix, modularity as upper plus lower
+semimodularity, distributivity as every join-irreducible being
+join-prime.  A failure also gets a pentagon or diamond witness from a
+direct search, an independent route to the same verdict.
 """
 
 from __future__ import annotations
@@ -55,16 +58,16 @@ class FiniteLattice:
         self.join_t: np.ndarray = join_table
         lt = leq_matrix & ~np.eye(self.n, dtype=bool)
         between = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-        cov = lt & ~between
         # cov[a, b]: b covers a
+        self.cov: np.ndarray = lt & ~between
         self.cover_set: frozenset[tuple[int, int]] = frozenset(
-            (int(b), int(a)) for a, b in np.argwhere(cov)
+            (int(b), int(a)) for a, b in np.argwhere(self.cov)
         )
         self.lower_covers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(int(a) for a in np.flatnonzero(cov[:, b]))) for b in range(self.n)
+            tuple(np.flatnonzero(col).tolist()) for col in self.cov.T
         )
         self.upper_covers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(int(b) for b in np.flatnonzero(cov[a, :]))) for a in range(self.n)
+            tuple(np.flatnonzero(row).tolist()) for row in self.cov
         )
         self._index = {lab: i for i, lab in enumerate(labels)}
 
@@ -84,7 +87,7 @@ class FiniteLattice:
         return int(self.join_t[i, j])
 
     def covers(self, upper: int, lower: int) -> bool:
-        return (upper, lower) in self.cover_set
+        return bool(self.cov[lower, upper])
 
 
 def from_poset(labels: Sequence, leq: Callable) -> FiniteLattice:
@@ -141,55 +144,39 @@ def from_poset(labels: Sequence, leq: Callable) -> FiniteLattice:
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
-    """(a ∨ b) ∧ c == (a ∧ c) ∨ (b ∧ c) over all triples."""
-    n, m, j = lat.n, lat.meet_t, lat.join_t
-    idx = np.arange(n)
-    for a in range(n):
-        left = m[j[a][:, None], idx[None, :]]  # (b, c) -> (a∨b)∧c
-        a_meet_c = np.broadcast_to(m[a][None, :], (n, n))
-        right = j[a_meet_c, m]  # (b, c) -> (a∧c)∨(b∧c)
-        if not np.array_equal(left, right):
+    """Every join-irreducible j (exactly one lower cover) is join-prime:
+    j <= a ∨ b implies j <= a or j <= b."""
+    for j in np.flatnonzero(lat.cov.sum(axis=0) == 1):
+        above = lat.leq[j]
+        if (above[lat.join_t] & ~(above[:, None] | above[None, :])).any():
             return False
     return True
 
 
 def is_modular(lat: FiniteLattice) -> bool:
-    """a <= c implies a ∨ (b ∧ c) == (a ∨ b) ∧ c, over all triples."""
-    n, m, j = lat.n, lat.meet_t, lat.join_t
-    for a in range(n):
-        ja = j[a]
-        left = ja[m]  # (b, c) -> a∨(b∧c)
-        right = m[ja]  # (b, c) -> (a∨b)∧c
-        bad = (left != right) & lat.leq[a][None, :]
-        if bad.any():
-            return False
-    return True
+    """Upper and lower semimodular, which for finite lattices is modularity."""
+    return is_upper_semimodular(lat) and is_lower_semimodular(lat)
+
+
+def _semimodular(cov: np.ndarray, meet_t: np.ndarray, join_t: np.ndarray) -> bool:
+    """a, b both covering a ∧ b forces a ∨ b to cover both a and b, over
+    all pairs at once (``cov[x, y]``: y covers x)."""
+    idx = np.arange(len(cov))
+    a, b = idx[:, None], idx[None, :]
+    meet_covered = cov[meet_t, a] & cov[meet_t, b]
+    join_covers = cov[a, join_t] & cov[b, join_t]
+    return not (meet_covered & ~join_covers).any()
 
 
 def is_upper_semimodular(lat: FiniteLattice) -> bool:
     """a, b both covering a ∧ b forces a ∨ b to cover both a and b."""
-    cov = lat.cover_set
-    for a in range(lat.n):
-        for b in range(a + 1, lat.n):
-            m = int(lat.meet_t[a, b])
-            if (a, m) in cov and (b, m) in cov:
-                j = int(lat.join_t[a, b])
-                if (j, a) not in cov or (j, b) not in cov:
-                    return False
-    return True
+    return _semimodular(lat.cov, lat.meet_t, lat.join_t)
 
 
 def is_lower_semimodular(lat: FiniteLattice) -> bool:
-    """a ∨ b covering both a and b forces a and b to cover a ∧ b."""
-    cov = lat.cover_set
-    for a in range(lat.n):
-        for b in range(a + 1, lat.n):
-            j = int(lat.join_t[a, b])
-            if (j, a) in cov and (j, b) in cov:
-                m = int(lat.meet_t[a, b])
-                if (a, m) not in cov or (b, m) not in cov:
-                    return False
-    return True
+    """a ∨ b covering both a and b forces a and b to cover a ∧ b: upper
+    semimodularity of the dual lattice."""
+    return _semimodular(lat.cov.T, lat.join_t, lat.meet_t)
 
 
 def find_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
@@ -231,9 +218,22 @@ def find_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
     return None
 
 
-def nondistributivity_witness(lat: FiniteLattice) -> SublatticeWitness | None:
-    """A pentagon if one exists, else a diamond, else None (distributive)."""
-    return find_pentagon(lat) or find_diamond(lat)
+def lattice_verdicts(lat: FiniteLattice) -> tuple[dict[str, bool], SublatticeWitness | None]:
+    """The four verdicts, and for a non-distributive lattice the first
+    pentagon if it is not modular, else the first diamond (None if the
+    search disagrees with the verdicts)."""
+    upper = is_upper_semimodular(lat)
+    lower = is_lower_semimodular(lat)
+    verdicts = {
+        "distributive": is_distributive(lat),
+        "modular": upper and lower,
+        "lower_semimodular": lower,
+        "upper_semimodular": upper,
+    }
+    witness = None
+    if not verdicts["distributive"]:
+        witness = find_diamond(lat) if verdicts["modular"] else find_pentagon(lat)
+    return verdicts, witness
 
 
 def witness_is_valid(lat: FiniteLattice, w: SublatticeWitness) -> bool:

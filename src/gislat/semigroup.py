@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .graph import DirectedGraph, enumerate_cycles
+from .graph import DirectedGraph, is_acyclic
 
 
 class CyclicGraphError(ValueError):
@@ -140,7 +140,7 @@ def inverse_of(x: Element) -> Element:
 def enumerate_paths(g: DirectedGraph) -> tuple[Path, ...]:
     """All paths of an acyclic graph, one trivial path per vertex included,
     sorted by (length, edge names, source declaration order)."""
-    if enumerate_cycles(g):
+    if not is_acyclic(g):
         raise CyclicGraphError("path set is infinite: graph has cycles")
     acc: list[Path] = []
 

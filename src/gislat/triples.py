@@ -27,6 +27,7 @@ from .graph import (
     enumerate_cycles,
     hereditary_subsets,
     index_relative,
+    is_acyclic,
 )
 
 
@@ -257,19 +258,20 @@ def enumerate_triples(
     found inside it certifies non-modularity / non-distributivity of the
     whole lattice, while absence is evidence only.
     """
-    cycles = enumerate_cycles(g)
-    if cycles and bound is None:
+    if bound is None and not is_acyclic(g):
         raise UnboundedLatticeError(
             "graph has cycles: triple enumeration needs a bound"
         )
     if bound is not None and bound < 1:
         raise ValueError("bound must be a positive integer")
+    hereditary = hereditary_subsets(g)  # its size cap comes before the cycle search
+    cycles = enumerate_cycles(g)
     values: tuple[ExtNat, ...] = ()
     if cycles:
         values = divisors(bound) + (INF,)
 
     out: list[CongruenceTriple] = []
-    for h in hereditary_subsets(g):
+    for h in hereditary:
         index_one = sorted(
             v for v in g.vertices if v not in h and index_relative(g, v, h) == 1
         )

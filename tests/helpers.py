@@ -8,6 +8,7 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from gislat.graph import (
@@ -16,6 +17,7 @@ from gislat.graph import (
     hereditary_subsets,
     index_relative,
 )
+from gislat.lattice import FiniteLattice, from_poset
 from gislat.triples import divisors
 
 POOL = "abcdef"
@@ -97,6 +99,68 @@ def brute_lub_index(leq_rows, i: int, j: int):
     upper = [x for x in range(n) if leq_rows[i][x] and leq_rows[j][x]]
     minima = [m for m in upper if all(leq_rows[m][x] for x in upper)]
     return minima[0] if len(minima) == 1 else None
+
+
+def identity_distributive(lat: FiniteLattice) -> bool:
+    """(a ∨ b) ∧ c == (a ∧ c) ∨ (b ∧ c) over all triples."""
+    n, m, j = lat.n, lat.meet_t, lat.join_t
+    idx = np.arange(n)
+    for a in range(n):
+        left = m[j[a][:, None], idx[None, :]]  # (b, c) -> (a∨b)∧c
+        a_meet_c = np.broadcast_to(m[a][None, :], (n, n))
+        right = j[a_meet_c, m]  # (b, c) -> (a∧c)∨(b∧c)
+        if not np.array_equal(left, right):
+            return False
+    return True
+
+
+def identity_modular(lat: FiniteLattice) -> bool:
+    """a <= c implies a ∨ (b ∧ c) == (a ∨ b) ∧ c, over all triples."""
+    n, m, j = lat.n, lat.meet_t, lat.join_t
+    for a in range(n):
+        ja = j[a]
+        left = ja[m]  # (b, c) -> a∨(b∧c)
+        right = m[ja]  # (b, c) -> (a∨b)∧c
+        bad = (left != right) & lat.leq[a][None, :]
+        if bad.any():
+            return False
+    return True
+
+
+def pairwise_upper_semimodular(lat: FiniteLattice) -> bool:
+    """a, b both covering a ∧ b forces a ∨ b to cover both a and b."""
+    cov = lat.cover_set
+    for a in range(lat.n):
+        for b in range(a + 1, lat.n):
+            m = int(lat.meet_t[a, b])
+            if (a, m) in cov and (b, m) in cov:
+                j = int(lat.join_t[a, b])
+                if (j, a) not in cov or (j, b) not in cov:
+                    return False
+    return True
+
+
+def pairwise_lower_semimodular(lat: FiniteLattice) -> bool:
+    """a ∨ b covering both a and b forces a and b to cover a ∧ b."""
+    cov = lat.cover_set
+    for a in range(lat.n):
+        for b in range(a + 1, lat.n):
+            j = int(lat.join_t[a, b])
+            if (j, a) in cov and (j, b) in cov:
+                m = int(lat.meet_t[a, b])
+                if (a, m) not in cov or (b, m) not in cov:
+                    return False
+    return True
+
+
+def oracle_verdicts(lat: FiniteLattice) -> dict[str, bool]:
+    """The four verdicts from their definitions, in the CLI's key order."""
+    return {
+        "distributive": identity_distributive(lat),
+        "modular": identity_modular(lat),
+        "lower_semimodular": pairwise_lower_semimodular(lat),
+        "upper_semimodular": pairwise_upper_semimodular(lat),
+    }
 
 
 def bounded_triple_count(g: DirectedGraph, bound: int) -> int:
@@ -273,6 +337,25 @@ def small_semigroup_corpus(count: int = 20, seed: int = 512, cap: int = 60) -> t
 
 
 # ------------------------------------------------------------ hypothesis
+
+
+def closure_lattice(points: int, generators) -> FiniteLattice:
+    """The lattice of the smallest intersection-closed family of subsets
+    of ``points`` points (bitmasks) holding the full set and the
+    generators, ordered by inclusion.  Unlike triple lattices these reach
+    every verdict combination, modular but not distributive included."""
+    full = (1 << points) - 1
+    family = {full}
+    for gen in generators:
+        family |= {gen & m for m in family}
+    return from_poset(sorted(family), lambda a, b: a & b == a)
+
+
+@st.composite
+def closure_lattice_strategy(draw, max_points: int = 5, max_generators: int = 7):
+    points = draw(st.integers(1, max_points))
+    gens = draw(st.lists(st.integers(0, (1 << points) - 1), max_size=max_generators))
+    return closure_lattice(points, gens)
 
 
 @st.composite

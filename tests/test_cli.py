@@ -119,6 +119,48 @@ def test_classify_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_classify_long_ring_without_enumerate(tmp_path, capsys):
+    n = 1200
+    lines = [f"vertex v{i}" for i in range(n)]
+    lines += [f"edge e{i} v{i} v{(i + 1) % n}" for i in range(n)]
+    p = tmp_path / "ring.graph"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "classify", str(p), "--json")
+    assert code == 0
+    assert json.loads(out)["graph"]["acyclic"] is False
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("command", ["classify", "lattice"])
+def test_nonpositive_bound_is_a_usage_error(files, capsys, command, bound):
+    argv = [command, files["loop"], f"--bound={bound}"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + (["--enumerate"] if command == "classify" else []))
+    assert err.value.code == 1
+    assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n, ring, argv",
+    [
+        (21, False, ["classify", "--enumerate"]),
+        (21, False, ["lattice"]),
+        (1200, True, ["classify", "--enumerate", "--bound", "2"]),
+        (1200, True, ["lattice", "--bound", "2"]),
+    ],
+)
+def test_hereditary_cap_is_a_one_line_error(tmp_path, capsys, n, ring, argv):
+    lines = [f"vertex v{i}" for i in range(n)]
+    lines += [f"edge e{i} v{i} v{i + 1}" for i in range(n - 1)]
+    if ring:
+        lines.append(f"edge back v{n - 1} v0")
+    p = tmp_path / "graph.txt"
+    p.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, argv[0], str(p), *argv[1:])
+    assert code == 2
+    assert err.count("\n") == 1 and "20 vertices" in err
+
+
 # ------------------------------------------------------------ lattice
 
 
@@ -222,6 +264,24 @@ def test_oracle_cap(files, capsys):
     code, _, err = run(capsys, "oracle", files["g2"], "--cap", "5")
     assert code == 2
     assert "cap" in err
+
+
+def test_oracle_enumerates_congruences_once(files, capsys, monkeypatch):
+    import gislat.cli
+    import gislat.oracle
+
+    calls = []
+    original = gislat.oracle.enumerate_congruences
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (gislat.oracle, gislat.cli):
+        monkeypatch.setattr(module, "enumerate_congruences", counting, raising=False)
+    code, out, _ = run(capsys, "oracle", files["g1"], "--json")
+    assert code == 0 and json.loads(out)["congruences"] == 7
+    assert len(calls) == 1
 
 
 def test_oracle_cyclic_exits_2(files, capsys):

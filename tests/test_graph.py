@@ -11,6 +11,7 @@ from gislat.graph import (
     forked_vertices,
     hereditary_subsets,
     index_relative,
+    is_acyclic,
     is_hereditary,
     parse_graph,
     reaches,
@@ -18,10 +19,14 @@ from gislat.graph import (
 )
 
 from helpers import (
+    acyclic_corpus,
     brute_cycle_classes,
     brute_hereditary,
     brute_reach_pairs,
+    cyclic_corpus,
     graph_strategy,
+    multi_component_corpus,
+    outdeg_le1_corpus,
     rotation_class,
     unilateral_corpus,
 )
@@ -220,9 +225,29 @@ def test_cycles_invariant_under_edge_declaration_order():
 def test_cycles_match_bruteforce_rotation_classes(g):
     ours = {rotation_class(c.edges) for c in enumerate_cycles(g)}
     assert ours == brute_cycle_classes(g)
+    assert is_acyclic(g) == (not ours)
     for c in enumerate_cycles(g):
         assert c.sources[0] == min(c.sources)
         assert len(set(c.sources)) == len(c.sources)
+
+
+def test_is_acyclic_matches_cycle_enumeration_on_corpora():
+    corpora = (
+        acyclic_corpus(), cyclic_corpus(), outdeg_le1_corpus(), unilateral_corpus(),
+        multi_component_corpus(),
+    )
+    for g in (g for corpus in corpora for g in corpus):
+        assert is_acyclic(g) == (not enumerate_cycles(g)) == (not brute_cycle_classes(g))
+
+
+def test_is_acyclic_loops_and_long_graphs(loop_graph):
+    assert not is_acyclic(loop_graph)
+    n = 5000
+    names = [f"v{i}" for i in range(n)]
+    path = DirectedGraph.of(names, [(f"e{i}", names[i], names[i + 1]) for i in range(n - 1)])
+    assert is_acyclic(path)
+    ring = DirectedGraph.of(names, list(path.edges) + [("back", names[-1], names[0])])
+    assert not is_acyclic(ring)
 
 
 # ------------------------------------------------------------ forked

@@ -1,5 +1,8 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gislat.lattice import (
     NotALatticeError,
@@ -11,13 +14,21 @@ from gislat.lattice import (
     is_lower_semimodular,
     is_modular,
     is_upper_semimodular,
-    nondistributivity_witness,
+    lattice_verdicts,
     order_isomorphic,
     witness_is_valid,
 )
 from gislat.triples import render_triple, triple_lattice
 
-from helpers import acyclic_corpus, brute_glb_index, brute_lub_index
+from helpers import (
+    acyclic_corpus,
+    brute_glb_index,
+    brute_lub_index,
+    closure_lattice,
+    closure_lattice_strategy,
+    cyclic_corpus,
+    oracle_verdicts,
+)
 
 
 def lattice_from_covers(labels, cover_pairs):
@@ -204,7 +215,7 @@ def test_pentagon_witness_in_pentagon():
     lat = pentagon()
     w = find_pentagon(lat)
     assert w is not None and witness_is_valid(lat, w)
-    assert nondistributivity_witness(lat) == w
+    assert lattice_verdicts(lat)[1] == w
 
 
 def test_witness_is_valid_rejects_garbage(gamma2):
@@ -216,23 +227,33 @@ def test_witness_is_valid_rejects_garbage(gamma2):
     assert not witness_is_valid(lat, SublatticeWitness("pentagon", (0, 0, 1, 2, 3)))
 
 
+def check_verdict_pass(lat):
+    """lattice_verdicts against the definition-level oracles and the
+    forbidden-sublattice searches; returns the verdicts."""
+    verdicts, witness = lattice_verdicts(lat)
+    assert verdicts == oracle_verdicts(lat)
+    assert list(verdicts) == ["distributive", "modular", "lower_semimodular", "upper_semimodular"]
+    assert verdicts == {
+        "distributive": is_distributive(lat),
+        "modular": is_modular(lat),
+        "lower_semimodular": is_lower_semimodular(lat),
+        "upper_semimodular": is_upper_semimodular(lat),
+    }
+    pent, diam = find_pentagon(lat), find_diamond(lat)
+    assert verdicts["modular"] == (pent is None)
+    assert verdicts["distributive"] == (pent is None and diam is None)
+    assert witness == (pent or diam)
+    if witness is not None:
+        assert witness_is_valid(lat, witness)
+    return verdicts
+
+
 def test_identity_checks_agree_with_forbidden_sublattice_search(gamma1, gamma2):
-    lattices = [
-        triple_lattice(gamma1),
-        triple_lattice(gamma2),
-        pentagon(),
-        diamond(),
-        chain(6),
-    ]
-    lattices += [triple_lattice(g) for g in acyclic_corpus()[:40]]
+    lattices = [triple_lattice(gamma1), triple_lattice(gamma2), pentagon(), diamond(), chain(6)]
+    lattices += [triple_lattice(g) for g in acyclic_corpus()[:60]]
+    lattices += [triple_lattice(g, 12) for g in cyclic_corpus()]
     for lat in lattices:
-        pent = find_pentagon(lat)
-        diam = find_diamond(lat)
-        assert is_modular(lat) == (pent is None)
-        assert is_distributive(lat) == (pent is None and diam is None)
-        for w in (pent, diam):
-            if w is not None:
-                assert witness_is_valid(lat, w)
+        check_verdict_pass(lat)
 
 
 def test_implication_chain_on_corpus():
@@ -243,6 +264,24 @@ def test_implication_chain_on_corpus():
         if is_modular(lat):
             assert is_upper_semimodular(lat)
             assert is_lower_semimodular(lat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_lattice_strategy())
+def test_verdict_pass_matches_oracles_on_closure_lattices(lat):
+    check_verdict_pass(lat)
+
+
+def test_closure_lattices_reach_every_verdict_combination():
+    """The diamond branch needs modular, non-distributive lattices, which
+    no triple lattice is; seeded closure lattices reach it."""
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(600):
+        points = rng.randint(1, 5)
+        gens = [rng.randint(0, (1 << points) - 1) for _ in range(rng.randint(0, 7))]
+        seen.add(tuple(check_verdict_pass(closure_lattice(points, gens)).values()))
+    assert len(seen) == 5
 
 
 def test_table_algebra_laws(gamma1, gamma2):
