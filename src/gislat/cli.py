@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .graph import GraphError, connectivity_report, forked_vertices, is_acyclic, parse_graph
 from .lattice import hasse_dot, lattice_verdicts, order_isomorphic
-from .oracle import SemigroupTooLargeError, congruence_lattice
-from .semigroup import CyclicGraphError, finite_semigroup, render_element
+from .oracle import SemigroupTooLargeError, check_semigroup_size, congruence_lattice
+from .semigroup import CyclicGraphError, finite_semigroup, render_element, semigroup_size
 from .triples import UnboundedLatticeError, render_triple, triple_lattice, triple_to_json
 
 EXIT_OK = 0
@@ -242,6 +242,8 @@ def cmd_semigroup(args) -> int:
 def cmd_oracle(args) -> int:
     g = _load(args.graph_file)
     try:
+        # Counted in O(V + E), so the cap holds before the |S|² table is built.
+        check_semigroup_size(semigroup_size(g), args.cap)
         sem = finite_semigroup(g)
         cong_lat = congruence_lattice(sem, cap=args.cap)
     except CyclicGraphError as err:

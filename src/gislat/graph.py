@@ -7,14 +7,16 @@ to a vertex set, simple cycles up to rotation, forked vertices, and the
 usual connectivity predicates.
 
 All values are immutable after construction and iteration follows
-declaration order, so every operation is deterministic.
+declaration order, so every operation is deterministic.  Derived data
+(adjacency, reachability, cycles) is memoised on the graph itself and
+lives as long as the graph; the module keeps no memo tables.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -118,6 +120,11 @@ class DirectedGraph:
             closure[start] = frozenset(seen)
         return closure
 
+    @cached_property
+    def cycles(self) -> tuple[Cycle, ...]:
+        """:func:`enumerate_cycles` of this graph, computed once."""
+        return enumerate_cycles(self)
+
     def check_vertex(self, v: str) -> None:
         if v not in self.vertex_set:
             raise UnknownVertexError(f"unknown vertex {v!r}")
@@ -207,7 +214,6 @@ def is_hereditary(g: DirectedGraph, H) -> bool:
     return all(e.dst in members for e in g.edges if e.src in members)
 
 
-@cache
 def hereditary_subsets(g: DirectedGraph) -> tuple[frozenset[str], ...]:
     """All hereditary vertex subsets, sorted by (size, sorted names)."""
     n = len(g.vertices)
@@ -222,25 +228,30 @@ def hereditary_subsets(g: DirectedGraph) -> tuple[frozenset[str], ...]:
     return tuple(found)
 
 
-def is_acyclic(g: DirectedGraph) -> bool:
-    """True iff the graph has no directed cycle (a loop is one).  Kahn's
+def topological_order(g: DirectedGraph) -> tuple[str, ...] | None:
+    """The vertices with every edge's source before its range, or None
+    when the graph has a directed cycle (a loop is one).  Kahn's
     algorithm, O(V + E): peel off vertices without incoming edges."""
     indegree = dict.fromkeys(g.vertices, 0)
     for e in g.edges:
         indegree[e.dst] += 1
     ready = [v for v, d in indegree.items() if d == 0]
-    removed = 0
+    order: list[str] = []
     while ready:
         v = ready.pop()
-        removed += 1
+        order.append(v)
         for e in g.out_edges[v]:
             indegree[e.dst] -= 1
             if indegree[e.dst] == 0:
                 ready.append(e.dst)
-    return removed == len(g.vertices)
+    return tuple(order) if len(order) == len(g.vertices) else None
 
 
-@cache
+def is_acyclic(g: DirectedGraph) -> bool:
+    """True iff the graph has no directed cycle (a loop is one)."""
+    return topological_order(g) is not None
+
+
 def enumerate_cycles(g: DirectedGraph) -> tuple[Cycle, ...]:
     """All simple cycles (pairwise distinct edge sources), one canonical
     representative per rotation class, sorted by (length, edge names).

@@ -47,6 +47,13 @@ class SublatticeWitness:
     members: tuple[int, int, int, int, int]
 
 
+def _two_step(rel: np.ndarray) -> np.ndarray:
+    """[i, j] is True iff rel[i, k] and rel[k, j] for some k.  A boolean
+    product (or of ands) never counts paths, so it cannot wrap the way a
+    uint8 count does at 256."""
+    return rel @ rel
+
+
 class FiniteLattice:
     """Immutable element list, order matrix, meet/join tables and covers."""
 
@@ -57,7 +64,7 @@ class FiniteLattice:
         self.meet_t: np.ndarray = meet_table
         self.join_t: np.ndarray = join_table
         lt = leq_matrix & ~np.eye(self.n, dtype=bool)
-        between = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
+        between = _two_step(lt)
         # cov[a, b]: b covers a
         self.cov: np.ndarray = lt & ~between
         self.cover_set: frozenset[tuple[int, int]] = frozenset(
@@ -109,8 +116,7 @@ def from_poset(labels: Sequence, leq: Callable) -> FiniteLattice:
     off = ~np.eye(n, dtype=bool)
     if (m & m.T & off).any():
         raise ValueError("leq is not antisymmetric")
-    mi = m.astype(np.uint8)
-    if ((mi @ mi > 0) & ~m).any():
+    if (_two_step(m) & ~m).any():
         raise ValueError("leq is not transitive")
 
     # down[i] = bitmask of {j : j <= i}; a down-closed set equals down[x]

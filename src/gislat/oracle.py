@@ -108,14 +108,19 @@ def meet_congruences(c1: Congruence, c2: Congruence) -> Congruence:
     return _canonical(groups.values())
 
 
-def enumerate_congruences(sem: FiniteSemigroup, cap: int = 200) -> tuple[Congruence, ...]:
-    """All congruences: identity plus the join closure of the principal
-    congruences, sorted by partition fingerprint."""
-    n = len(sem)
+def check_semigroup_size(n: int, cap: int) -> None:
+    """Raise :class:`SemigroupTooLargeError` when n elements exceed the cap."""
     if n > cap:
         raise SemigroupTooLargeError(
             f"brute-force congruence enumeration capped at {cap} elements, got {n}"
         )
+
+
+def enumerate_congruences(sem: FiniteSemigroup, cap: int = 200) -> tuple[Congruence, ...]:
+    """All congruences: identity plus the join closure of the principal
+    congruences, sorted by partition fingerprint."""
+    n = len(sem)
+    check_semigroup_size(n, cap)
     table = sem.table
     found: set[Congruence] = {identity_congruence(n)}
     queue: list[Congruence] = []

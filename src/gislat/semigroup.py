@@ -11,9 +11,8 @@ where the path set is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
-from .graph import DirectedGraph, is_acyclic
+from .graph import DirectedGraph, is_acyclic, topological_order
 
 
 class CyclicGraphError(ValueError):
@@ -136,7 +135,6 @@ def inverse_of(x: Element) -> Element:
     return NormalForm(x.beta, x.alpha)
 
 
-@cache
 def enumerate_paths(g: DirectedGraph) -> tuple[Path, ...]:
     """All paths of an acyclic graph, one trivial path per vertex included,
     sorted by (length, edge names, source declaration order)."""
@@ -154,6 +152,20 @@ def enumerate_paths(g: DirectedGraph) -> tuple[Path, ...]:
     return tuple(sorted(acc, key=lambda p: path_key(g, p)))
 
 
+def semigroup_size(g: DirectedGraph) -> int:
+    """|S| without enumerating S: zero plus, for each vertex v, one element
+    per pair of paths ending at v.  The path counts come from one pass in
+    topological order, O(V + E)."""
+    order = topological_order(g)
+    if order is None:
+        raise CyclicGraphError("path set is infinite: graph has cycles")
+    ending = dict.fromkeys(g.vertices, 1)  # the trivial path
+    for v in order:
+        for e in g.out_edges[v]:
+            ending[e.dst] += ending[v]
+    return 1 + sum(k * k for k in ending.values())
+
+
 def element_key(g: DirectedGraph, x: Element) -> tuple:
     if isinstance(x, Zero):
         return (0,)
@@ -165,7 +177,6 @@ def element_key(g: DirectedGraph, x: Element) -> tuple:
     )
 
 
-@cache
 def enumerate_elements(g: DirectedGraph) -> tuple[Element, ...]:
     """Zero plus every normal-form pair of paths with a common range."""
     paths = enumerate_paths(g)
@@ -180,7 +191,6 @@ def enumerate_elements(g: DirectedGraph) -> tuple[Element, ...]:
     return tuple(sorted(elems, key=lambda x: element_key(g, x)))
 
 
-@cache
 def idempotents(g: DirectedGraph) -> tuple[Element, ...]:
     """Zero plus one ``alpha . alpha*`` per path."""
     elems: list[Element] = [ZERO]
@@ -216,7 +226,6 @@ class FiniteSemigroup:
         return self.table[i][j]
 
 
-@cache
 def finite_semigroup(g: DirectedGraph) -> FiniteSemigroup:
     return FiniteSemigroup(g)
 

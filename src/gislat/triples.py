@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations, product
 
 from .graph import (
     Cycle,
     DirectedGraph,
     GraphError,
-    enumerate_cycles,
     hereditary_subsets,
     index_relative,
     is_acyclic,
@@ -51,10 +50,6 @@ class _Infinity:
 INF = _Infinity()
 
 ExtNat = int | _Infinity
-
-
-def is_inf(x: ExtNat) -> bool:
-    return x is INF
 
 
 def ext_divides(a: ExtNat, b: ExtNat) -> bool:
@@ -138,7 +133,7 @@ def validate_triple(g: DirectedGraph, t: CongruenceTriple) -> tuple[str, ...]:
     violated clause.  Unknown vertex or cycle references raise instead."""
     for v in sorted(t.H | t.W):
         g.check_vertex(v)
-    cycles = enumerate_cycles(g)
+    cycles = g.cycles
     known = set(cycles)
     for c, _ in t.f.entries:
         if c not in known:
@@ -178,7 +173,7 @@ def leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
     if not t1.W - t2.H <= t2.W:
         return False
     return all(
-        ext_divides(t2.cycle_value(c), t1.cycle_value(c)) for c in enumerate_cycles(g)
+        ext_divides(t2.cycle_value(c), t1.cycle_value(c)) for c in g.cycles
     )
 
 
@@ -218,7 +213,7 @@ def set_trace(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> S
 
 def _combined_values(g, t1, t2, h, w, combine) -> CycleFunction:
     entries = {}
-    for c in enumerate_cycles(g):
+    for c in g.cycles:
         if c.source_set <= w and not c.source_set <= h:
             entries[c] = combine(t1.cycle_value(c), t2.cycle_value(c))
     return CycleFunction.of(entries.items())
@@ -243,10 +238,13 @@ def join(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> Congru
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    """The positive divisors of n, ascending; trial division up to √n,
+    each small divisor d pairing with n // d."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if d * d != n]
+    return tuple(small + large)
 
 
-@cache
 def enumerate_triples(
     g: DirectedGraph, bound: int | None = None
 ) -> tuple[CongruenceTriple, ...]:
@@ -265,7 +263,7 @@ def enumerate_triples(
     if bound is not None and bound < 1:
         raise ValueError("bound must be a positive integer")
     hereditary = hereditary_subsets(g)  # its size cap comes before the cycle search
-    cycles = enumerate_cycles(g)
+    cycles = g.cycles
     values: tuple[ExtNat, ...] = ()
     if cycles:
         values = divisors(bound) + (INF,)

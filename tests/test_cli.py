@@ -201,6 +201,17 @@ def test_lattice_single_vertex_two_chain(files, capsys):
     assert data["covers"] == [[0, 1]]
 
 
+def test_lattice_cover_count_past_256(files, capsys):
+    # bound 2·3·5·7·11·13·17·19: the free loop values form the Boolean
+    # lattice 2^8 (1024 covers) under inf, with (∅,∅) below and ({v},∅)
+    # above (3 more covers).
+    code, out, _ = run(capsys, "lattice", files["loop"], "--bound", "9699690", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["elements"]) == 259
+    assert len(data["covers"]) == 1027
+
+
 def test_lattice_cyclic_needs_bound(files, capsys):
     code, _, err = run(capsys, "lattice", files["loop"])
     assert code == 2
@@ -264,6 +275,23 @@ def test_oracle_cap(files, capsys):
     code, _, err = run(capsys, "oracle", files["g2"], "--cap", "5")
     assert code == 2
     assert "cap" in err
+
+
+def test_oracle_cap_comes_before_the_semigroup_table(tmp_path, capsys, monkeypatch):
+    import gislat.cli
+
+    def fail(g):
+        raise AssertionError("semigroup built before the cap check")
+
+    monkeypatch.setattr(gislat.cli, "finite_semigroup", fail)
+    lines = [f"vertex v{i}" for i in range(20)]
+    lines += [f"edge e{i} v{i} v{i + 1}" for i in range(19)]
+    path = tmp_path / "path20.graph"
+    path.write_text("\n".join(lines))
+    code, out, err = run(capsys, "oracle", str(path))
+    assert (code, out) == (2, "")
+    # |S| = 1 + Σ_{k=1..20} k², k paths ending at the k-th vertex
+    assert err == "error: brute-force congruence enumeration capped at 200 elements, got 2871\n"
 
 
 def test_oracle_enumerates_congruences_once(files, capsys, monkeypatch):

@@ -185,6 +185,29 @@ def test_hereditary_subsets_closed_under_union_and_intersection(g):
 # ------------------------------------------------------------ cycles
 
 
+def test_no_module_level_memo_tables():
+    import importlib
+    import pkgutil
+
+    import gislat
+
+    modules = [gislat] + [
+        importlib.import_module(f"gislat.{info.name}")
+        for info in pkgutil.iter_modules(gislat.__path__)
+    ]
+    for module in modules:
+        for name, value in vars(module).items():
+            assert not (callable(value) and hasattr(value, "cache_clear")), (
+                f"{module.__name__}.{name}"
+            )
+
+
+def test_cycles_are_memoised_on_the_graph():
+    g = parse_graph("vertex a\nvertex b\nedge e a b\nedge f b a")
+    assert g.cycles is g.cycles
+    assert g.cycles == enumerate_cycles(g)
+
+
 def test_cycles_gamma1_empty(gamma1):
     assert enumerate_cycles(gamma1) == ()
 

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import numpy as np
@@ -110,6 +111,19 @@ def test_from_poset_rejects_non_partial_orders():
     order = {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)}
     with pytest.raises(ValueError, match="transitive"):
         from_poset([1, 2, 3], lambda a, b: (a, b) in order)
+
+
+def test_from_poset_counts_paths_exactly_past_256():
+    # 256 elements lie strictly between 0 and 257, a count that wraps to 0
+    # in an 8-bit integer matrix product.
+    lat = from_poset(range(258), operator.le)
+    assert lat.cover_set == frozenset((i + 1, i) for i in range(257))
+
+    def leq(a, b):  # 0 <= k <= 257 for every k in between, but not 0 <= 257
+        return a == b or (a == 0 and b != 257) or (b == 257 and a != 0)
+
+    with pytest.raises(ValueError, match="transitive"):
+        from_poset(range(258), leq)
 
 
 def test_tables_match_bruteforce_bounds(gamma1, gamma2):

@@ -16,6 +16,7 @@ from gislat.semigroup import (
     multiply,
     path_from_edges,
     render_element,
+    semigroup_size,
     trivial_path,
     verify_inverse_semigroup,
     vertex_element,
@@ -163,15 +164,18 @@ def test_elements_cyclic_graph_rejected(loop_graph):
         enumerate_elements(loop_graph)
     with pytest.raises(CyclicGraphError):
         idempotents(loop_graph)
+    with pytest.raises(CyclicGraphError):
+        semigroup_size(loop_graph)
 
 
 def test_count_formula(gamma1, gamma2):
-    for g in (gamma1, gamma2):
+    for g in (gamma1, gamma2, *small_semigroup_corpus()):
         paths = enumerate_paths(g)
         per_range: dict[str, int] = {}
         for p in paths:
             per_range[p.range] = per_range.get(p.range, 0) + 1
         assert len(enumerate_elements(g)) == 1 + sum(k * k for k in per_range.values())
+        assert semigroup_size(g) == len(enumerate_elements(g))
 
 
 def test_elements_match_generator_closure(gamma1, gamma2):

@@ -20,6 +20,7 @@ from gislat.triples import (
     meet,
     render_triple,
     set_trace,
+    triple_lattice,
     triple_to_json,
     validate_triple,
 )
@@ -59,6 +60,25 @@ def test_ext_divisibility_is_distributive(a, b, c):
 def test_divisors():
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert divisors(1) == (1,)
+    for n in range(1, 2001):
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+    assert len(divisors(9699690)) == 256  # 2·3·5·7·11·13·17·19
+
+
+def test_triple_lattice_enumerates_cycles_once(monkeypatch):
+    import gislat.graph
+
+    calls = []
+    original = gislat.graph.enumerate_cycles
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(gislat.graph, "enumerate_cycles", counting)
+    g = parse_graph("vertex a\nvertex b\nedge e a b\nedge f b a\nedge l a a")
+    assert len(triple_lattice(g, 6)) > 1
+    assert calls == [g]
 
 
 # --------------------------------------------------------- validation
