@@ -29,6 +29,9 @@ EXIT_INPUT = 1
 EXIT_INFINITE = 2
 EXIT_INTERNAL = 3
 
+# `semigroup` prints an |S|² Cayley table: 2000 elements are 4M cells.
+SEMIGROUP_CAP = 2000
+
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
@@ -47,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _CliError(EXIT_INPUT, f"cannot read {path}: {err}") from None
     try:
         return parse_graph(text)
@@ -214,7 +217,10 @@ def cmd_lattice(args) -> int:
     lines.extend(f"  [{lo}] < [{up}]" for lo, up in covers)
     lines.append(f"verdicts: {_flags(verdicts)}" + (" (bounded probe)" if bounded else ""))
     if args.dot:
-        Path(args.dot).write_text(hasse_dot(lat, render_triple), encoding="utf-8")
+        try:
+            Path(args.dot).write_text(hasse_dot(lat, render_triple), encoding="utf-8")
+        except OSError as err:
+            raise _CliError(EXIT_INPUT, f"cannot write {args.dot}: {err}") from None
         if not args.json:
             lines.append(f"dot written to {args.dot}")
     _emit(args, payload, lines)
@@ -224,9 +230,12 @@ def cmd_lattice(args) -> int:
 def cmd_semigroup(args) -> int:
     g = _load(args.graph_file)
     try:
-        sem = finite_semigroup(g)
+        size = semigroup_size(g)  # O(V + E), so the cap holds before the table is built
     except CyclicGraphError as err:
         raise _CliError(EXIT_INFINITE, str(err)) from None
+    if size > SEMIGROUP_CAP:
+        raise _CliError(EXIT_INFINITE, f"semigroup table capped at {SEMIGROUP_CAP} elements, got {size}")
+    sem = finite_semigroup(g)
     rendered = [render_element(x) for x in sem.elements]
     payload = {"elements": rendered, "table": [list(row) for row in sem.table]}
     lines = [f"{len(sem)} elements:"]
@@ -246,9 +255,7 @@ def cmd_oracle(args) -> int:
         check_semigroup_size(semigroup_size(g), args.cap)
         sem = finite_semigroup(g)
         cong_lat = congruence_lattice(sem, cap=args.cap)
-    except CyclicGraphError as err:
-        raise _CliError(EXIT_INFINITE, str(err)) from None
-    except SemigroupTooLargeError as err:
+    except (CyclicGraphError, SemigroupTooLargeError) as err:
         raise _CliError(EXIT_INFINITE, str(err)) from None
     ct_lat = triple_lattice(g)
     iso = order_isomorphic(ct_lat, cong_lat)
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("semigroup", cmd_semigroup, "list elements and the multiplication table")
 
     p = add("oracle", cmd_oracle, "brute-force congruences and compare with triples")
-    p.add_argument("--cap", type=int, default=200, help="semigroup size cap (default 200)")
+    p.add_argument("--cap", type=positive_int, default=200, help="semigroup size cap (default 200)")
 
     return parser
 

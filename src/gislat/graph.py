@@ -215,17 +215,16 @@ def is_hereditary(g: DirectedGraph, H) -> bool:
 
 
 def hereditary_subsets(g: DirectedGraph) -> tuple[frozenset[str], ...]:
-    """All hereditary vertex subsets, sorted by (size, sorted names)."""
-    n = len(g.vertices)
-    if n > 20:
+    """All hereditary vertex subsets, sorted by (size, sorted names).
+
+    The hereditary sets are the unions of reach sets, grown one vertex at
+    a time: |V| unions per set found, not a test of all 2^|V| subsets."""
+    if len(g.vertices) > 20:
         raise GraphError("exhaustive hereditary enumeration capped at 20 vertices")
-    found: list[frozenset[str]] = []
-    for mask in range(1 << n):
-        subset = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
-        if is_hereditary(g, subset):
-            found.append(subset)
-    found.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(found)
+    found = {frozenset()}
+    for v in g.vertices:
+        found |= {h | g._reach[v] for h in found}
+    return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
 def topological_order(g: DirectedGraph) -> tuple[str, ...] | None:

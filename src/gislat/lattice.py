@@ -1,11 +1,12 @@
 """Finite lattices with explicit meet/join tables.
 
 A lattice is built from an element list and an order predicate; the
-tables are derived from the order alone (greatest lower bound = unique
-maximum of the common down-set, found via down-set bitmasks).  Because no
-closed-form meet/join ever enters the construction, lattices built here
-double as the poset-theoretic oracle for formula-computed meets and joins
-elsewhere in the package.
+tables are derived from the boolean order matrix alone (greatest lower
+bound = the common lower bound whose down-set is the whole common
+down-set, and dually for joins).  Because no closed-form meet/join ever
+enters the construction, lattices built here double as the
+poset-theoretic oracle for formula-computed meets and joins elsewhere in
+the package.
 
 :func:`lattice_verdicts` decides the four verdicts in one pass from
 known characterisations (Grätzer, *Lattice Theory: Foundation*, ch. IV):
@@ -18,6 +19,7 @@ direct search, an independent route to the same verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,36 +49,23 @@ class SublatticeWitness:
     members: tuple[int, int, int, int, int]
 
 
-def _two_step(rel: np.ndarray) -> np.ndarray:
-    """[i, j] is True iff rel[i, k] and rel[k, j] for some k.  A boolean
-    product (or of ands) never counts paths, so it cannot wrap the way a
-    uint8 count does at 256."""
-    return rel @ rel
-
-
 class FiniteLattice:
     """Immutable element list, order matrix, meet/join tables and covers."""
 
-    def __init__(self, labels, leq_matrix, meet_table, join_table) -> None:
+    def __init__(self, labels, leq_matrix, meet_table, join_table, cover_matrix) -> None:
         self.labels: tuple = labels
         self.n: int = len(labels)
         self.leq: np.ndarray = leq_matrix
         self.meet_t: np.ndarray = meet_table
         self.join_t: np.ndarray = join_table
-        lt = leq_matrix & ~np.eye(self.n, dtype=bool)
-        between = _two_step(lt)
         # cov[a, b]: b covers a
-        self.cov: np.ndarray = lt & ~between
-        self.cover_set: frozenset[tuple[int, int]] = frozenset(
-            (int(b), int(a)) for a, b in np.argwhere(self.cov)
-        )
-        self.lower_covers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(np.flatnonzero(col).tolist()) for col in self.cov.T
-        )
-        self.upper_covers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(np.flatnonzero(row).tolist()) for row in self.cov
-        )
+        self.cov: np.ndarray = cover_matrix
         self._index = {lab: i for i, lab in enumerate(labels)}
+
+    @cached_property
+    def cover_set(self) -> frozenset[tuple[int, int]]:
+        """(upper, lower) for every cover pair."""
+        return frozenset((int(b), int(a)) for a, b in np.argwhere(self.cov))
 
     def __len__(self) -> int:
         return self.n
@@ -97,56 +86,59 @@ class FiniteLattice:
         return bool(self.cov[lower, upper])
 
 
+def _glb_table(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every pair (i, j), the common lower bound with the largest
+    down-set, and whether it is the glb: its down-set lies inside the
+    common down-set, so it is the maximum exactly when the two have the
+    same size (``m[x, y]``: x <= y; pass ``m.T`` for joins)."""
+    n = len(m)
+    size = m.sum(axis=0)  # down-set sizes
+    # Columns by decreasing down-set size: the first common lower bound
+    # in a row is the one with the largest down-set.
+    order = np.argsort(-size, kind="stable")
+    below = np.ascontiguousarray(m.T[:, order])  # below[i, k]: order[k] <= i
+    table = np.empty((n, n), dtype=np.int64)
+    ok = np.empty((n, n), dtype=bool)
+    for i in range(n):
+        common = below[i] & below  # [j, k]: order[k] <= i and order[k] <= j
+        table[i] = order[common.argmax(axis=1)]
+        ok[i] = size[table[i]] == np.count_nonzero(common, axis=1)
+    return table, ok
+
+
 def from_poset(labels: Sequence, leq: Callable) -> FiniteLattice:
     """Build a lattice from elements and an order predicate.
 
     Raises ValueError if ``leq`` is not a partial order and
-    :class:`NotALatticeError` naming the first pair without a unique
-    greatest lower bound or least upper bound.
+    :class:`NotALatticeError` naming the first pair (i <= j, row-major)
+    without a unique greatest lower bound or least upper bound, the meet
+    reported before the join.
     """
     labels = tuple(labels)
     n = len(labels)
-    m = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            m[i, j] = bool(leq(a, b))
+    m = np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool)
+    m = m.reshape(n, n)  # no labels give shape (0,)
 
     if not m.diagonal().all():
         raise ValueError("leq is not reflexive")
-    off = ~np.eye(n, dtype=bool)
-    if (m & m.T & off).any():
+    lt = m & ~np.eye(n, dtype=bool)
+    if (lt & lt.T).any():
         raise ValueError("leq is not antisymmetric")
-    if (_two_step(m) & ~m).any():
+    # A boolean product ors ands: it never counts paths, so it cannot wrap.
+    # Once m is reflexive and antisymmetric, m is transitive iff lt is.
+    between = lt @ lt
+    if (between & ~m).any():
         raise ValueError("leq is not transitive")
 
-    # down[i] = bitmask of {j : j <= i}; a down-closed set equals down[x]
-    # exactly when x is its maximum, so glb lookup is one dict access.
-    down = [0] * n
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if m[j, i]:
-                down[i] |= 1 << j
-            if m[i, j]:
-                up[i] |= 1 << j
-    down_at = {mask: i for i, mask in enumerate(down)}
-    up_at = {mask: i for i, mask in enumerate(up)}
-
-    meet_t = np.zeros((n, n), dtype=np.int64)
-    join_t = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i, n):
-            lower = down[i] & down[j]
-            g = down_at.get(lower)
-            if g is None:
-                raise NotALatticeError((labels[i], labels[j]), "meet")
-            upper = up[i] & up[j]
-            u = up_at.get(upper)
-            if u is None:
-                raise NotALatticeError((labels[i], labels[j]), "join")
-            meet_t[i, j] = meet_t[j, i] = g
-            join_t[i, j] = join_t[j, i] = u
-    return FiniteLattice(labels, m, meet_t, join_t)
+    meet_t, meet_ok = _glb_table(m)
+    join_t, join_ok = _glb_table(m.T)
+    # Failures are symmetric, so the first in row-major order has i <= j.
+    bad = np.argwhere(~(meet_ok & join_ok))
+    if len(bad):
+        i, j = bad[0]
+        which = "join" if meet_ok[i, j] else "meet"
+        raise NotALatticeError((labels[i], labels[j]), which)
+    return FiniteLattice(labels, m, meet_t, join_t, lt & ~between)
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
@@ -280,25 +272,18 @@ def witness_is_valid(lat: FiniteLattice, w: SublatticeWitness) -> bool:
 
 def _stable_signatures(lat: FiniteLattice) -> list[int]:
     """Order-invariant element colors, refined until the partition is stable."""
-    down_counts = lat.leq.sum(axis=0)
-    up_counts = lat.leq.sum(axis=1)
-    raw = [
-        (
-            int(down_counts[i]),
-            int(up_counts[i]),
-            len(lat.lower_covers[i]),
-            len(lat.upper_covers[i]),
-        )
-        for i in range(lat.n)
-    ]
+    lower_covers = [np.flatnonzero(col).tolist() for col in lat.cov.T]
+    upper_covers = [np.flatnonzero(row).tolist() for row in lat.cov]
+    # down-set size, up-set size, lower and upper cover counts
+    raw = list(zip(*(x.sum(axis=k).tolist() for x in (lat.leq, lat.cov) for k in (0, 1))))
     ranks = {s: r for r, s in enumerate(sorted(set(raw)))}
     sig = [ranks[s] for s in raw]
     for _ in range(lat.n):
         raw2 = [
             (
                 sig[i],
-                tuple(sorted(sig[j] for j in lat.lower_covers[i])),
-                tuple(sorted(sig[j] for j in lat.upper_covers[i])),
+                tuple(sorted(sig[j] for j in lower_covers[i])),
+                tuple(sorted(sig[j] for j in upper_covers[i])),
             )
             for i in range(lat.n)
         ]

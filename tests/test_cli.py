@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gislat.cli import main
 
@@ -119,6 +125,14 @@ def test_classify_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes(b"vertex caf\xe9\n")
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_classify_long_ring_without_enumerate(tmp_path, capsys):
     n = 1200
     lines = [f"vertex v{i}" for i in range(n)]
@@ -178,6 +192,13 @@ def test_lattice_gamma2(files, capsys, tmp_path):
     dot = dot_path.read_text()
     assert dot.startswith("digraph hasse {")
     assert dot.count(" -> ") == 7
+
+
+def test_lattice_dot_into_missing_directory(files, capsys, tmp_path):
+    dot_path = tmp_path / "missing" / "out.dot"
+    code, out, err = run(capsys, "lattice", files["g2"], "--dot", str(dot_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {dot_path}: ") and err.count("\n") == 1
 
 
 def test_lattice_gamma1_cover_count(files, capsys):
@@ -244,6 +265,23 @@ def test_semigroup_cyclic_exits_2(files, capsys):
     assert "cycle" in err
 
 
+def test_semigroup_cap_comes_before_the_table(tmp_path, capsys, monkeypatch):
+    import gislat.cli
+
+    def fail(g):
+        raise AssertionError("semigroup built before the cap check")
+
+    monkeypatch.setattr(gislat.cli, "finite_semigroup", fail)
+    lines = [f"vertex v{i}" for i in range(1100)]
+    lines += [f"edge e{i} v{i} v{i + 1}" for i in range(1099)]
+    path = tmp_path / "path1100.graph"
+    path.write_text("\n".join(lines))
+    code, out, err = run(capsys, "semigroup", str(path))
+    assert (code, out) == (2, "")
+    # |S| = 1 + Σ_{k=1..1100} k²
+    assert err == "error: semigroup table capped at 2000 elements, got 444271851\n"
+
+
 # ------------------------------------------------------------ oracle
 
 
@@ -275,6 +313,14 @@ def test_oracle_cap(files, capsys):
     code, _, err = run(capsys, "oracle", files["g2"], "--cap", "5")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nonpositive_cap_is_a_usage_error(files, capsys, cap):
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", files["g2"], "--cap", cap])
+    assert err.value.code == 1
+    assert f"must be a positive integer, got {cap}" in capsys.readouterr().err
 
 
 def test_oracle_cap_comes_before_the_semigroup_table(tmp_path, capsys, monkeypatch):
@@ -346,3 +392,66 @@ def test_unknown_subcommand_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate", "x"])
     assert err.value.code == 1
+
+
+# ------------------------------------------------------------ fuzz
+
+NAMES = st.sampled_from("abcde")  # at most five vertices
+FLAG_VALUES = st.sampled_from(["-5", "0", "1", "2", "6", "x"])
+EDGE_LINES = st.builds("edge e{} {} {}".format, st.integers(0, 3), NAMES, NAMES)
+ODD_LINES = st.sampled_from(
+    ["", "# note", "vertex", "vertex a", "vertex a b", "edge e a", "node a", "vertex a-b"]
+)
+COMMAND_FLAGS = {
+    "forked": ["--json"],
+    "classify": ["--json", "--enumerate", "--bound"],
+    "lattice": ["--json", "--bound", "--dot"],
+    "semigroup": ["--json"],
+    "oracle": ["--json", "--cap"],
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """Graph file bytes (at times not UTF-8) and an argv for them; edge
+    names e0..e3 keep every graph small enough to answer at once."""
+    lines = [f"vertex {v}" for v in draw(st.lists(NAMES, unique=True))]
+    lines += draw(st.lists(EDGE_LINES, max_size=4))
+    for odd in draw(st.lists(ODD_LINES, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    text = "\n".join(lines)
+    data = text.encode() + draw(st.sampled_from([b"", b"\n", b"\xff\n"]))
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), unique=True)):
+        argv.append(flag)
+        if flag in ("--bound", "--cap"):
+            argv.append(draw(FLAG_VALUES))
+        elif flag == "--dot":
+            argv.append(draw(st.sampled_from(["out.dot", "missing/out.dot"])))
+    return data, argv
+
+
+@settings(max_examples=300, deadline=10_000)
+@given(cli_calls())
+def test_cli_fuzz_ends_with_an_exit_code_and_one_error_line(call):
+    data, argv = call
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp, "g.graph")
+        graph.write_bytes(data)
+        argv = [argv[0], str(graph)] + [
+            str(Path(tmp, a)) if a.endswith(".dot") else a for a in argv[1:]
+        ]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as usage:  # argparse: usage lines, then one error line
+                assert usage.code == 1
+                assert err.getvalue().count("error:") == 1
+                return
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == ""

@@ -91,10 +91,11 @@ def test_from_poset_gamma2_matches_reference_diagram(gamma2):
 
 
 def test_from_poset_trivial():
-    lat = from_poset(["x"], lambda a, b: True)
-    assert len(lat) == 1
-    assert lat.meet(0, 0) == 0 and lat.join(0, 0) == 0
-    assert lat.cover_set == frozenset()
+    for labels in ([], ["x"]):
+        lat = from_poset(labels, lambda a, b: True)
+        assert len(lat) == len(labels)
+        assert all(lat.meet(i, i) == i and lat.join(i, i) == i for i in range(len(labels)))
+        assert lat.cover_set == frozenset()
 
 
 def test_from_poset_antichain_is_not_a_lattice():
@@ -124,6 +125,56 @@ def test_from_poset_counts_paths_exactly_past_256():
 
     with pytest.raises(ValueError, match="transitive"):
         from_poset(range(258), leq)
+
+
+def random_poset(rng):
+    """Shuffled labels and the order of a random DAG's transitive closure;
+    half the time with a bottom and a top, so lattices come up often."""
+    n = rng.randint(1, 9)
+    p = rng.random()
+    above = [{i} | {j for j in range(i + 1, n) if rng.random() < p} for i in range(n)]
+    if rng.random() < 0.5:
+        above[0] = set(range(n))
+        for up in above:
+            up.add(n - 1)
+    for i in reversed(range(n)):  # every successor of i is larger, hence closed
+        for j in list(above[i]):
+            above[i] |= above[j]
+    return rng.sample(range(n), n), lambda a, b: b in above[a]
+
+
+def test_from_poset_matches_bruteforce_bounds_on_random_posets():
+    rng = random.Random(4)
+    seen = {"lattice": 0, "meet": 0, "join": 0}
+    for _ in range(400):
+        labels, leq = random_poset(rng)
+        rows = [[leq(a, b) for b in labels] for a in labels]
+        n = len(labels)
+        first_failure = next(
+            (
+                ((labels[i], labels[j]), which)
+                for i in range(n)
+                for j in range(i, n)
+                for which, bound in (("meet", brute_glb_index), ("join", brute_lub_index))
+                if bound(rows, i, j) is None
+            ),
+            None,
+        )
+        if first_failure is None:
+            lat = from_poset(labels, leq)
+            assert lat.meet_t.tolist() == [
+                [brute_glb_index(rows, i, j) for j in range(n)] for i in range(n)
+            ]
+            assert lat.join_t.tolist() == [
+                [brute_lub_index(rows, i, j) for j in range(n)] for i in range(n)
+            ]
+            seen["lattice"] += 1
+        else:
+            with pytest.raises(NotALatticeError) as err:
+                from_poset(labels, leq)
+            assert (err.value.pair, err.value.which) == first_failure
+            seen[first_failure[1]] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_tables_match_bruteforce_bounds(gamma1, gamma2):
