@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .graph import GraphError, connectivity_report, forked_vertices, is_acyclic, parse_graph
@@ -159,10 +159,8 @@ def classify_graph(g, enumerate_lattice: bool = False, bound: int | None = None)
             "kind": w.kind,
             "members": [render_triple(lat.labels[i]) for i in w.members],
         }
-    return ClassificationReport(
-        graph=report.graph,
-        forked_vertices=forked,
-        predicted=predicted,
+    return replace(
+        report,
         computed=computed,
         lattice_size=len(lat),
         bounded=bounded,

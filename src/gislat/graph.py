@@ -218,7 +218,7 @@ def hereditary_subsets(g: DirectedGraph) -> tuple[frozenset[str], ...]:
     """All hereditary vertex subsets, sorted by (size, sorted names).
 
     The hereditary sets are the unions of reach sets, grown one vertex at
-    a time: |V| unions per set found, not a test of all 2^|V| subsets."""
+    a time: |V| unions per set found."""
     if len(g.vertices) > 20:
         raise GraphError("exhaustive hereditary enumeration capped at 20 vertices")
     found = {frozenset()}
@@ -314,7 +314,11 @@ class ConnectivityReport:
 
 def connectivity_report(g: DirectedGraph) -> ConnectivityReport:
     """Weak components (union-find on the underlying undirected graph) and
-    the weak/unilateral/strong connectivity flags."""
+    the weak/unilateral/strong connectivity flags.
+
+    b reaches a iff reach(a) ⊆ reach(b), so the graph is unilateral iff
+    its reach sets form a chain under inclusion (each inside the next
+    once sorted by size), and strong iff every reach set is all of V."""
     parent = {v: v for v in g.vertices}
 
     def find(v: str) -> str:
@@ -333,21 +337,12 @@ def connectivity_report(g: DirectedGraph) -> ConnectivityReport:
         sorted((tuple(sorted(members)) for members in groups.values()))
     )
 
-    unilateral = True
-    strong = True
-    for i, a in enumerate(g.vertices):
-        for b in g.vertices[i + 1 :]:
-            ab = b in g._reach[a]
-            ba = a in g._reach[b]
-            if not (ab or ba):
-                unilateral = False
-            if not (ab and ba):
-                strong = False
+    reach = sorted(g._reach.values(), key=len)
     return ConnectivityReport(
         weak_components=components,
         is_weakly_connected=len(components) <= 1,
-        is_unilaterally_connected=unilateral,
-        is_strongly_connected=strong,
+        is_unilaterally_connected=all(a <= b for a, b in zip(reach, reach[1:])),
+        is_strongly_connected=all(len(r) == len(g.vertices) for r in reach),
     )
 
 

@@ -199,20 +199,23 @@ def find_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
 
 
 def find_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
-    """First diamond in lexicographic (atom, atom, atom) index order:
-    three distinct elements with all pairwise meets equal and all pairwise
-    joins equal."""
+    """First diamond in lexicographic (atom, atom, atom) index order.
+
+    Three distinct elements whose pairwise (meet, join) keys are equal
+    are pairwise incomparable, so with their common meet and join they
+    form a diamond.  For each x, one boolean matrix over the indices
+    y < z after x finds the first such (y, z) in row-major order.
+    """
     n, m, j = lat.n, lat.meet_t, lat.join_t
+    key = m.astype(np.int64) * n + j.astype(np.int64)
     for x in range(n):
-        mx, jx = m[x], j[x]
-        for y in range(x + 1, n):
-            o = m[x, y]
-            i = j[x, y]
-            cond = (mx == o) & (m[y] == o) & (jx == i) & (j[y] == i)
-            cond[: y + 1] = False
-            z = int(np.argmax(cond))
-            if cond[z]:
-                return SublatticeWitness("diamond", (int(o), x, y, z, int(i)))
+        kx = key[x, x + 1 :]
+        # [y, z]: key(x, y) == key(x, z) == key(y, z), indices x < y < z
+        eq = np.triu((kx[:, None] == kx) & (key[x + 1 :, x + 1 :] == kx), k=1)
+        hits = np.argwhere(eq)
+        if hits.size:
+            y, z = (x + 1 + int(v) for v in hits[0])
+            return SublatticeWitness("diamond", (int(m[x, y]), x, y, z, int(j[x, y])))
     return None
 
 

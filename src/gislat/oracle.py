@@ -44,10 +44,6 @@ class Congruence:
         bo = other.block_of
         return all(len({bo[x] for x in blk}) == 1 for blk in self.blocks)
 
-    @property
-    def num_elements(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
 
 def _canonical(blocks) -> Congruence:
     return Congruence(tuple(sorted(tuple(sorted(b)) for b in blocks)))
@@ -117,23 +113,23 @@ def check_semigroup_size(n: int, cap: int) -> None:
 
 
 def enumerate_congruences(sem: FiniteSemigroup, cap: int = 200) -> tuple[Congruence, ...]:
-    """All congruences: identity plus the join closure of the principal
-    congruences, sorted by partition fingerprint."""
+    """All congruences: identity plus the join closure of the distinct
+    principal congruences, sorted by partition fingerprint.
+
+    Every congruence is a join of principal ones, so each congruence
+    found is joined with the distinct principal congruences only, not
+    with every congruence found so far (Freese, "Computing congruences
+    efficiently", Algebra Universalis 59, 2008)."""
     n = len(sem)
     check_semigroup_size(n, cap)
     table = sem.table
-    found: set[Congruence] = {identity_congruence(n)}
-    queue: list[Congruence] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = _closure(table, n, [(i, j)])
-            if c not in found:
-                found.add(c)
-                queue.append(c)
+    principals = {_closure(table, n, [(i, j)]) for i in range(n) for j in range(i + 1, n)}
+    found = {identity_congruence(n)} | principals
+    queue = list(principals)
     while queue:
         c = queue.pop()
-        for d in list(found):
-            joined = join_congruences(sem, c, d)
+        for p in principals:
+            joined = join_congruences(sem, c, p)
             if joined not in found:
                 found.add(joined)
                 queue.append(joined)

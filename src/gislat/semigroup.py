@@ -222,9 +222,6 @@ class FiniteSemigroup:
         except KeyError:
             raise ValueError(f"element {render_element(x)!r} not in semigroup") from None
 
-    def product(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
 
 def finite_semigroup(g: DirectedGraph) -> FiniteSemigroup:
     return FiniteSemigroup(g)

@@ -17,8 +17,8 @@ from gislat.graph import (
     hereditary_subsets,
     index_relative,
 )
-from gislat.lattice import FiniteLattice, from_poset
-from gislat.triples import divisors
+from gislat.lattice import FiniteLattice, SublatticeWitness, from_poset
+from gislat.triples import CongruenceTriple, divisors, ext_divides
 
 POOL = "abcdef"
 
@@ -54,6 +54,16 @@ def brute_reach_pairs(g: DirectedGraph) -> set[tuple[str, str]]:
                     pairs.add((a, d))
                     changed = True
     return pairs
+
+
+def definition_connectivity(g: DirectedGraph) -> tuple[bool, bool]:
+    """(unilateral, strong) from the pairwise definition: every two
+    vertices are joined by a path in at least one (both) directions."""
+    pairs = brute_reach_pairs(g)
+    vs = g.vertices
+    unilateral = all((a, b) in pairs or (b, a) in pairs for a in vs for b in vs)
+    strong = all((a, b) in pairs for a in vs for b in vs)
+    return unilateral, strong
 
 
 def rotation_class(names: tuple[str, ...]) -> tuple[str, ...]:
@@ -99,6 +109,28 @@ def brute_lub_index(leq_rows, i: int, j: int):
     upper = [x for x in range(n) if leq_rows[i][x] and leq_rows[j][x]]
     minima = [m for m in upper if all(leq_rows[m][x] for x in upper)]
     return minima[0] if len(minima) == 1 else None
+
+
+def definition_leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
+    """The triple order from its definition: H1 ⊆ H2, W1 \\ H2 ⊆ W2, and
+    f2(c) divides f1(c) on every cycle of the graph."""
+    return (
+        t1.H <= t2.H
+        and t1.W - t2.H <= t2.W
+        and all(ext_divides(t2.cycle_value(c), t1.cycle_value(c)) for c in g.cycles)
+    )
+
+
+def brute_first_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
+    """First diamond in lexicographic (x, y, z) order by direct scan: x,
+    y, z with one common pairwise meet o and one common pairwise join i,
+    all five elements distinct."""
+    m, j = lat.meet_t.tolist(), lat.join_t.tolist()
+    for x, y, z in combinations(range(lat.n), 3):
+        o, i = m[x][y], j[x][y]
+        if m[x][z] == m[y][z] == o and j[x][z] == j[y][z] == i and len({o, x, y, z, i}) == 5:
+            return SublatticeWitness("diamond", (o, x, y, z, i))
+    return None
 
 
 def identity_distributive(lat: FiniteLattice) -> bool:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from gislat.graph import (
     DirectedGraph,
@@ -24,6 +24,7 @@ from helpers import (
     brute_hereditary,
     brute_reach_pairs,
     cyclic_corpus,
+    definition_connectivity,
     graph_strategy,
     multi_component_corpus,
     outdeg_le1_corpus,
@@ -324,6 +325,14 @@ def test_connectivity_two_components():
     assert not rep.is_weakly_connected
     assert not rep.is_unilaterally_connected
     assert not rep.is_strongly_connected
+
+
+@settings(max_examples=200)
+@given(graph_strategy())
+@example(DirectedGraph.of([], []))
+def test_connectivity_flags_match_pairwise_definition(g):
+    rep = connectivity_report(g)
+    assert (rep.is_unilaterally_connected, rep.is_strongly_connected) == definition_connectivity(g)
 
 
 def test_weak_component_subgraphs():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from gislat.lattice import (
     NotALatticeError,
+    SublatticeWitness,
     find_diamond,
     find_pentagon,
     from_poset,
@@ -23,6 +24,7 @@ from gislat.triples import render_triple, triple_lattice
 
 from helpers import (
     acyclic_corpus,
+    brute_first_diamond,
     brute_glb_index,
     brute_lub_index,
     closure_lattice,
@@ -274,6 +276,7 @@ def test_diamond_witness():
     w = find_diamond(lat)
     assert w is not None and w.kind == "diamond"
     assert witness_is_valid(lat, w)
+    assert w == brute_first_diamond(lat) == SublatticeWitness("diamond", (0, 1, 2, 3, 4))
 
 
 def test_pentagon_witness_in_pentagon():
@@ -285,8 +288,6 @@ def test_pentagon_witness_in_pentagon():
 
 def test_witness_is_valid_rejects_garbage(gamma2):
     lat = triple_lattice(gamma2)
-    from gislat.lattice import SublatticeWitness
-
     assert not witness_is_valid(lat, SublatticeWitness("pentagon", (0, 1, 2, 3, 4)))
     assert not witness_is_valid(lat, SublatticeWitness("diamond", (0, 1, 2, 3, 5)))
     assert not witness_is_valid(lat, SublatticeWitness("pentagon", (0, 0, 1, 2, 3)))
@@ -339,14 +340,21 @@ def test_verdict_pass_matches_oracles_on_closure_lattices(lat):
 
 def test_closure_lattices_reach_every_verdict_combination():
     """The diamond branch needs modular, non-distributive lattices, which
-    no triple lattice is; seeded closure lattices reach it."""
+    no triple lattice is; seeded closure lattices reach it.  find_diamond
+    must also name the same first diamond as a direct scan."""
     rng = random.Random(2024)
     seen = set()
+    diamonds = 0
     for _ in range(600):
         points = rng.randint(1, 5)
         gens = [rng.randint(0, (1 << points) - 1) for _ in range(rng.randint(0, 7))]
-        seen.add(tuple(check_verdict_pass(closure_lattice(points, gens)).values()))
+        lat = closure_lattice(points, gens)
+        seen.add(tuple(check_verdict_pass(lat).values()))
+        w = find_diamond(lat)
+        assert w == brute_first_diamond(lat)
+        diamonds += w is not None
     assert len(seen) == 5
+    assert diamonds >= 10
 
 
 def test_table_algebra_laws(gamma1, gamma2):

@@ -25,7 +25,7 @@ from gislat.triples import (
     validate_triple,
 )
 
-from helpers import acyclic_corpus, cyclic_corpus
+from helpers import acyclic_corpus, cyclic_corpus, definition_leq
 
 
 def T(h=(), w=(), f=None):
@@ -160,6 +160,16 @@ def test_leq_is_partial_order_on_enumerations(gamma1, gamma2, loop_graph):
                 for c in ts:
                     if leq(g, a, b) and leq(g, b, c):
                         assert leq(g, a, c)
+
+
+def test_leq_matches_definition_on_corpus_lattices():
+    """The stored-free-cycle check against the all-cycles definition, on
+    every ordered pair of each bounded cyclic and acyclic corpus lattice."""
+    cases = [(g, triple_lattice(g, 12)) for g in cyclic_corpus()]
+    cases += [(g, triple_lattice(g)) for g in acyclic_corpus()]
+    for g, lat in cases:
+        ts = lat.labels
+        assert lat.leq.tolist() == [[definition_leq(g, a, b) for b in ts] for a in ts]
 
 
 # --------------------------------------------------------- meet / join
