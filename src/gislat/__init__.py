@@ -41,7 +41,6 @@ from .lattice import (
     is_upper_semimodular,
     lattice_verdicts,
     order_isomorphic,
-    witness_is_valid,
 )
 from .oracle import (
     Congruence,
@@ -65,7 +64,6 @@ from .semigroup import (
     inverse_of,
     multiply,
     render_element,
-    verify_inverse_semigroup,
 )
 from .triples import (
     INF,

@@ -251,11 +251,13 @@ def cmd_oracle(args) -> int:
     try:
         # Counted in O(V + E), so the cap holds before the |S|² table is built.
         check_semigroup_size(semigroup_size(g), args.cap)
+        # The triple side first: its hereditary-set cap must stop a graph
+        # before the brute force, which is exponential in the vertex count.
+        ct_lat = triple_lattice(g)
         sem = finite_semigroup(g)
         cong_lat = congruence_lattice(sem, cap=args.cap)
-    except (CyclicGraphError, SemigroupTooLargeError) as err:
+    except (CyclicGraphError, SemigroupTooLargeError, GraphError) as err:
         raise _CliError(EXIT_INFINITE, str(err)) from None
-    ct_lat = triple_lattice(g)
     iso = order_isomorphic(ct_lat, cong_lat)
     ok = iso and len(cong_lat) == len(ct_lat)
     payload = {

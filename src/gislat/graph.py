@@ -257,7 +257,9 @@ def enumerate_cycles(g: DirectedGraph) -> tuple[Cycle, ...]:
 
     Each cycle is found from its smallest source: the search only visits
     vertices strictly larger than the base, so every rotation class is
-    emitted exactly once, already canonically rotated.
+    emitted exactly once, already canonically rotated.  The walk keeps an
+    explicit stack of out-edge iterators, one per vertex on the path, so
+    long cycles cannot exhaust the interpreter's recursion limit.
     """
     if is_acyclic(g):
         return ()
@@ -265,24 +267,24 @@ def enumerate_cycles(g: DirectedGraph) -> tuple[Cycle, ...]:
     for base in sorted(g.vertices):
         path: list[Edge] = []
         visited = {base}
-
-        def walk(current: str) -> None:
-            for e in g.out_edges[current]:
-                if e.dst == base:
-                    found.append(
-                        Cycle(
-                            tuple(x.name for x in path) + (e.name,),
-                            tuple(x.src for x in path) + (e.src,),
-                        )
+        stack = [iter(g.out_edges[base])]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if path:
+                    visited.remove(path.pop().dst)
+            elif e.dst == base:
+                found.append(
+                    Cycle(
+                        tuple(x.name for x in path) + (e.name,),
+                        tuple(x.src for x in path) + (e.src,),
                     )
-                elif e.dst > base and e.dst not in visited:
-                    visited.add(e.dst)
-                    path.append(e)
-                    walk(e.dst)
-                    path.pop()
-                    visited.remove(e.dst)
-
-        walk(base)
+                )
+            elif e.dst > base and e.dst not in visited:
+                visited.add(e.dst)
+                path.append(e)
+                stack.append(iter(g.out_edges[e.dst]))
     return tuple(sorted(found, key=Cycle.sort_key))
 
 

@@ -237,42 +237,6 @@ def lattice_verdicts(lat: FiniteLattice) -> tuple[dict[str, bool], SublatticeWit
     return verdicts, witness
 
 
-def witness_is_valid(lat: FiniteLattice, w: SublatticeWitness) -> bool:
-    """Check the exact five-element configuration and sublattice closure."""
-    members = w.members
-    if len(set(members)) != 5:
-        return False
-    o, a, b, c, i = members
-    lt = lambda x, y: x != y and lat.leq_idx(x, y)
-    if w.kind == "pentagon":
-        config = (
-            lt(o, a)
-            and lt(a, b)
-            and lt(b, i)
-            and lt(o, c)
-            and lt(c, i)
-            and lat.meet(a, c) == o
-            and lat.meet(b, c) == o
-            and lat.join(a, c) == i
-            and lat.join(b, c) == i
-        )
-    elif w.kind == "diamond":
-        config = all(lt(o, x) and lt(x, i) for x in (a, b, c)) and all(
-            lat.meet(x, y) == o and lat.join(x, y) == i
-            for x, y in ((a, b), (a, c), (b, c))
-        )
-    else:
-        return False
-    if not config:
-        return False
-    inside = set(members)
-    return all(
-        lat.meet(x, y) in inside and lat.join(x, y) in inside
-        for x in inside
-        for y in inside
-    )
-
-
 def _stable_signatures(lat: FiniteLattice) -> list[int]:
     """Order-invariant element colors, refined until the partition is stable."""
     lower_covers = [np.flatnonzero(col).tolist() for col in lat.cov.T]

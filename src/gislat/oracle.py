@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .lattice import FiniteLattice, from_poset
-from .semigroup import Element, FiniteSemigroup, render_element
+from .semigroup import Element, FiniteSemigroup
 
 
 class SemigroupTooLargeError(ValueError):
@@ -35,9 +35,6 @@ class Congruence:
     @cached_property
     def block_of(self) -> dict[int, int]:
         return {x: b for b, blk in enumerate(self.blocks) for x in blk}
-
-    def relates(self, i: int, j: int) -> bool:
-        return self.block_of[i] == self.block_of[j]
 
     def refines(self, other: "Congruence") -> bool:
         """True iff every block of self lies inside one block of other."""
@@ -96,14 +93,6 @@ def join_congruences(sem: FiniteSemigroup, c1: Congruence, c2: Congruence) -> Co
     return _closure(sem.table, len(sem), seeds)
 
 
-def meet_congruences(c1: Congruence, c2: Congruence) -> Congruence:
-    """Common refinement (intersection of the relations)."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for x in c1.block_of:
-        groups.setdefault((c1.block_of[x], c2.block_of[x]), []).append(x)
-    return _canonical(groups.values())
-
-
 def check_semigroup_size(n: int, cap: int) -> None:
     """Raise :class:`SemigroupTooLargeError` when n elements exceed the cap."""
     if n > cap:
@@ -143,26 +132,3 @@ def congruence_lattice(sem: FiniteSemigroup, cap: int = 200) -> FiniteLattice:
     internal inconsistency and is allowed to propagate."""
     congs = enumerate_congruences(sem, cap)
     return from_poset(congs, lambda a, b: a.refines(b))
-
-
-def is_compatible(sem: FiniteSemigroup, c: Congruence) -> bool:
-    """Full compatibility check of a partition against the table."""
-    t = sem.table
-    n = len(sem)
-    if sorted(x for blk in c.blocks for x in blk) != list(range(n)):
-        return False
-    for blk in c.blocks:
-        for x in blk:
-            for y in blk:
-                for s in range(n):
-                    if not c.relates(t[s][x], t[s][y]):
-                        return False
-                    if not c.relates(t[x][s], t[y][s]):
-                        return False
-    return True
-
-
-def congruence_to_json(sem: FiniteSemigroup, c: Congruence) -> list[list[str]]:
-    """Sorted list of sorted blocks of element renderings."""
-    rendered = [sorted(render_element(sem.elements[x]) for x in blk) for blk in c.blocks]
-    return sorted(rendered)

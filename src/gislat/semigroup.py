@@ -227,33 +227,6 @@ def finite_semigroup(g: DirectedGraph) -> FiniteSemigroup:
     return FiniteSemigroup(g)
 
 
-def verify_inverse_semigroup(g: DirectedGraph) -> bool:
-    """Exhaustively check the inverse-semigroup axioms on the enumerated
-    set: associativity, x x' x = x for the path-swap inverse, and pairwise
-    commuting idempotents."""
-    sem = finite_semigroup(g)
-    t = sem.table
-    n = len(sem)
-    for i in range(n):
-        ti = t[i]
-        for j in range(n):
-            row_ij = t[ti[j]]
-            tj = t[j]
-            for k in range(n):
-                if row_ij[k] != ti[tj[k]]:
-                    return False
-    inv = [sem.element_index(inverse_of(x)) for x in sem.elements]
-    for i in range(n):
-        if t[t[i][inv[i]]][i] != i:
-            return False
-    idem = [i for i in range(n) if t[i][i] == i]
-    for a in idem:
-        for b in idem:
-            if t[a][b] != t[b][a]:
-                return False
-    return True
-
-
 def render_path(p: Path) -> str:
     return p.source if p.is_trivial else ".".join(p.edges)
 

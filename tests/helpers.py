@@ -18,6 +18,8 @@ from gislat.graph import (
     index_relative,
 )
 from gislat.lattice import FiniteLattice, SublatticeWitness, from_poset
+from gislat.oracle import Congruence
+from gislat.semigroup import FiniteSemigroup, finite_semigroup, inverse_of, render_element
 from gislat.triples import CongruenceTriple, divisors, ext_divides
 
 POOL = "abcdef"
@@ -133,6 +135,42 @@ def brute_first_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
     return None
 
 
+def witness_is_valid(lat: FiniteLattice, w: SublatticeWitness) -> bool:
+    """Check the exact five-element configuration and sublattice closure."""
+    members = w.members
+    if len(set(members)) != 5:
+        return False
+    o, a, b, c, i = members
+    lt = lambda x, y: x != y and lat.leq_idx(x, y)
+    if w.kind == "pentagon":
+        config = (
+            lt(o, a)
+            and lt(a, b)
+            and lt(b, i)
+            and lt(o, c)
+            and lt(c, i)
+            and lat.meet(a, c) == o
+            and lat.meet(b, c) == o
+            and lat.join(a, c) == i
+            and lat.join(b, c) == i
+        )
+    elif w.kind == "diamond":
+        config = all(lt(o, x) and lt(x, i) for x in (a, b, c)) and all(
+            lat.meet(x, y) == o and lat.join(x, y) == i
+            for x, y in ((a, b), (a, c), (b, c))
+        )
+    else:
+        return False
+    if not config:
+        return False
+    inside = set(members)
+    return all(
+        lat.meet(x, y) in inside and lat.join(x, y) in inside
+        for x in inside
+        for y in inside
+    )
+
+
 def identity_distributive(lat: FiniteLattice) -> bool:
     """(a ∨ b) ∧ c == (a ∧ c) ∨ (b ∧ c) over all triples."""
     n, m, j = lat.n, lat.meet_t, lat.join_t
@@ -193,6 +231,65 @@ def oracle_verdicts(lat: FiniteLattice) -> dict[str, bool]:
         "lower_semimodular": pairwise_lower_semimodular(lat),
         "upper_semimodular": pairwise_upper_semimodular(lat),
     }
+
+
+def verify_inverse_semigroup(g: DirectedGraph) -> bool:
+    """Exhaustively check the inverse-semigroup axioms on the enumerated
+    set: associativity, x x' x = x for the path-swap inverse, and pairwise
+    commuting idempotents."""
+    sem = finite_semigroup(g)
+    t = sem.table
+    n = len(sem)
+    for i in range(n):
+        ti = t[i]
+        for j in range(n):
+            row_ij = t[ti[j]]
+            tj = t[j]
+            for k in range(n):
+                if row_ij[k] != ti[tj[k]]:
+                    return False
+    inv = [sem.element_index(inverse_of(x)) for x in sem.elements]
+    for i in range(n):
+        if t[t[i][inv[i]]][i] != i:
+            return False
+    idem = [i for i in range(n) if t[i][i] == i]
+    for a in idem:
+        for b in idem:
+            if t[a][b] != t[b][a]:
+                return False
+    return True
+
+
+def is_compatible(sem: FiniteSemigroup, c: Congruence) -> bool:
+    """Full compatibility check of a partition against the table."""
+    t = sem.table
+    n = len(sem)
+    if sorted(x for blk in c.blocks for x in blk) != list(range(n)):
+        return False
+    block = c.block_of
+    for blk in c.blocks:
+        for x in blk:
+            for y in blk:
+                for s in range(n):
+                    if block[t[s][x]] != block[t[s][y]]:
+                        return False
+                    if block[t[x][s]] != block[t[y][s]]:
+                        return False
+    return True
+
+
+def meet_congruences(c1: Congruence, c2: Congruence) -> Congruence:
+    """Common refinement (intersection of the relations)."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for x in c1.block_of:
+        groups.setdefault((c1.block_of[x], c2.block_of[x]), []).append(x)
+    return Congruence(tuple(sorted(tuple(sorted(b)) for b in groups.values())))
+
+
+def congruence_to_json(sem: FiniteSemigroup, c: Congruence) -> list[list[str]]:
+    """Sorted list of sorted blocks of element renderings."""
+    rendered = [sorted(render_element(sem.elements[x]) for x in blk) for blk in c.blocks]
+    return sorted(rendered)
 
 
 def bounded_triple_count(g: DirectedGraph, bound: int) -> int:

@@ -26,10 +26,9 @@ from gislat.lattice import (
     is_modular,
     is_upper_semimodular,
     order_isomorphic,
-    witness_is_valid,
 )
 from gislat.oracle import congruence_lattice, enumerate_congruences
-from gislat.semigroup import enumerate_elements, finite_semigroup, verify_inverse_semigroup
+from gislat.semigroup import enumerate_elements, finite_semigroup
 from gislat.triples import (
     EMPTY_CYCLE_FUNCTION,
     INF,
@@ -50,6 +49,8 @@ from helpers import (
     outdeg_le1_corpus,
     small_semigroup_corpus,
     unilateral_corpus,
+    verify_inverse_semigroup,
+    witness_is_valid,
 )
 
 

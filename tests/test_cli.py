@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,18 @@ def test_hereditary_cap_is_a_one_line_error(tmp_path, capsys, n, ring, argv):
     code, _, err = run(capsys, argv[0], str(p), *argv[1:])
     assert code == 2
     assert err.count("\n") == 1 and "20 vertices" in err
+
+
+def test_oracle_checks_hereditary_cap_before_brute_force(tmp_path, capsys):
+    # |S| = 22 is under the default --cap, but 21 isolated vertices have
+    # 2^21 congruences: the 20-vertex cap must end the run first.
+    p = tmp_path / "isolated.graph"
+    p.write_text("".join(f"vertex v{i}\n" for i in range(21)))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "oracle", str(p))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and "20 vertices" in err
 
 
 # ------------------------------------------------------------ lattice

@@ -274,6 +274,16 @@ def test_is_acyclic_loops_and_long_graphs(loop_graph):
     assert not is_acyclic(ring)
 
 
+def test_cycles_of_a_long_ring():
+    # Deeper than the default recursion limit: the walk must not recurse.
+    n = 1200
+    names = [f"v{i}" for i in range(n)]
+    ring = DirectedGraph.of(names, [(f"e{i}", names[i], names[(i + 1) % n]) for i in range(n)])
+    (c,) = enumerate_cycles(ring)
+    assert len(c.edges) == n
+    assert c.sources[0] == min(names)
+
+
 # ------------------------------------------------------------ forked
 
 

@@ -18,7 +18,6 @@ from gislat.lattice import (
     is_upper_semimodular,
     lattice_verdicts,
     order_isomorphic,
-    witness_is_valid,
 )
 from gislat.triples import render_triple, triple_lattice
 
@@ -31,6 +30,7 @@ from helpers import (
     closure_lattice_strategy,
     cyclic_corpus,
     oracle_verdicts,
+    witness_is_valid,
 )
 
 

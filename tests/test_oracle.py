@@ -11,18 +11,15 @@ from gislat.lattice import (
 from gislat.oracle import (
     SemigroupTooLargeError,
     congruence_lattice,
-    congruence_to_json,
     enumerate_congruences,
     identity_congruence,
-    is_compatible,
     join_congruences,
-    meet_congruences,
     principal_congruence,
 )
 from gislat.semigroup import ZERO, NormalForm, finite_semigroup, path_from_edges, trivial_path, vertex_element
 from gislat.triples import triple_lattice
 
-from helpers import small_semigroup_corpus
+from helpers import congruence_to_json, is_compatible, meet_congruences, small_semigroup_corpus
 
 
 def test_principal_congruence_of_equal_pair_is_identity(gamma2):
@@ -57,7 +54,8 @@ def test_enumerate_congruences_counts(gamma1, gamma2):
 
 
 def test_congruences_are_compatible_and_closed(gamma1, gamma2):
-    for g in (gamma1, gamma2):
+    # count=4 keeps the brute-force enumeration under a second.
+    for g in (gamma1, gamma2, *small_semigroup_corpus(count=4)):
         sem = finite_semigroup(g)
         congs = enumerate_congruences(sem)
         members = set(congs)

@@ -18,11 +18,10 @@ from gislat.semigroup import (
     render_element,
     semigroup_size,
     trivial_path,
-    verify_inverse_semigroup,
     vertex_element,
 )
 
-from helpers import graph_strategy, small_semigroup_corpus
+from helpers import graph_strategy, small_semigroup_corpus, verify_inverse_semigroup
 
 
 def closure_of_generators(g):
