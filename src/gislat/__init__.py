@@ -69,6 +69,7 @@ from .triples import (
     INF,
     CongruenceTriple,
     CycleFunction,
+    LatticeTooLargeError,
     SetTrace,
     UnboundedLatticeError,
     enumerate_triples,

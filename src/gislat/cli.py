@@ -88,7 +88,7 @@ def _bounded_lattice(g, bound):
         lat = triple_lattice(g, bound if cyclic else None)
     except UnboundedLatticeError as err:
         raise _CliError(EXIT_INFINITE, f"{err} (--bound N)") from None
-    except GraphError as err:  # the hereditary-set size cap
+    except GraphError as err:  # the hereditary-set and triple caps
         raise _CliError(EXIT_INFINITE, str(err)) from None
     verdicts, witness = lattice_verdicts(lat)
     distributive = verdicts["distributive"]

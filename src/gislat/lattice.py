@@ -1,10 +1,11 @@
 """Finite lattices with explicit meet/join tables.
 
-A lattice is built from an element list and an order predicate; the
-tables are derived from the boolean order matrix alone (greatest lower
-bound = the common lower bound whose down-set is the whole common
-down-set, and dually for joins).  Because no closed-form meet/join ever
-enters the construction, lattices built here double as the
+A lattice is built from an element list and its order, as a predicate
+or a boolean matrix; the tables come from that matrix alone.  a ∧ b is
+the largest c ∧ b over the lower covers c of a, kept only if its down-set
+is as large as the set of common lower bounds (exact bit-packed counts);
+joins are the same on the dual order.  Because no closed-form meet/join
+ever enters the construction, lattices built here double as the
 poset-theoretic oracle for formula-computed meets and joins elsewhere in
 the package.
 
@@ -86,28 +87,41 @@ class FiniteLattice:
         return bool(self.cov[lower, upper])
 
 
-def _glb_table(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For every pair (i, j), the common lower bound with the largest
-    down-set, and whether it is the glb: its down-set lies inside the
-    common down-set, so it is the maximum exactly when the two have the
-    same size (``m[x, y]``: x <= y; pass ``m.T`` for joins)."""
-    n = len(m)
-    size = m.sum(axis=0)  # down-set sizes
-    # Columns by decreasing down-set size: the first common lower bound
-    # in a row is the one with the largest down-set.
-    order = np.argsort(-size, kind="stable")
-    below = np.ascontiguousarray(m.T[:, order])  # below[i, k]: order[k] <= i
-    table = np.empty((n, n), dtype=np.int64)
-    ok = np.empty((n, n), dtype=bool)
-    for i in range(n):
-        common = below[i] & below  # [j, k]: order[k] <= i and order[k] <= j
-        table[i] = order[common.argmax(axis=1)]
-        ok[i] = size[table[i]] == np.count_nonzero(common, axis=1)
+def _counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``c[i, j]``: how many k have a[i, k] and b[j, k].  Exact and in one
+    thread: popcounts of rows packed into 64-bit words, a block at a time."""
+    pa, pb = (np.packbits(np.ascontiguousarray(x), axis=1) for x in (a, b))
+    pa, pb = (np.pad(p, ((0, 0), (0, -p.shape[1] % 8))).view(np.uint64) for p in (pa, pb))
+    c = np.empty((len(a), len(b)), dtype=np.int32)
+    step = max(1, (1 << 14) // max(1, pb.size))
+    for s in range(0, len(a), step):
+        c[s : s + step] = np.bitwise_count(pa[s : s + step, None] & pb).sum(axis=2)
+    return c
+
+
+def _meet_table(m: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate glb of every pair, and whether counts confirm it (``m[x, y]``:
+    x <= y, ``cov[x, y]``: y covers x; pass both transposed for joins).
+
+    Rows go by increasing down-set size.  If a <= b the glb is a; else it is
+    the ``glb(c, b)`` with the largest down-set over the lower covers c of a.
+    A common lower bound is the glb iff its down-set is as large as the set
+    of common lower bounds."""
+    size = m.sum(axis=0, dtype=np.int32)  # down-set sizes
+    table = np.empty(m.shape, dtype=np.int64)
+    cols = np.arange(len(m))
+    for a in np.argsort(size, kind="stable"):
+        cand = table[np.flatnonzero(cov[:, a])]  # the rows of a's lower covers
+        # A minimal a keeps itself, which fails the check wherever a ≰ b.
+        table[a] = cand[size[cand].argmax(axis=0), cols] if len(cand) else a
+        table[a, m[a]] = a
+    ok = m[table, cols[:, None]] & m[table, cols] & (size[table] == _counts(m.T, m.T))
     return table, ok
 
 
-def from_poset(labels: Sequence, leq: Callable) -> FiniteLattice:
-    """Build a lattice from elements and an order predicate.
+def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
+    """Build a lattice from elements and their order, as a predicate
+    ``leq(a, b)`` or an n × n boolean matrix (bounds: :func:`_meet_table`).
 
     Raises ValueError if ``leq`` is not a partial order and
     :class:`NotALatticeError` naming the first pair (i <= j, row-major)
@@ -116,29 +130,33 @@ def from_poset(labels: Sequence, leq: Callable) -> FiniteLattice:
     """
     labels = tuple(labels)
     n = len(labels)
-    m = np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool)
-    m = m.reshape(n, n)  # no labels give shape (0,)
+    if callable(leq):
+        leq = [[bool(leq(a, b)) for b in labels] for a in labels]
+    m = np.array(leq, dtype=bool).reshape(n, n)  # no labels give shape (0,)
 
     if not m.diagonal().all():
         raise ValueError("leq is not reflexive")
     lt = m & ~np.eye(n, dtype=bool)
     if (lt & lt.T).any():
         raise ValueError("leq is not antisymmetric")
-    # A boolean product ors ands: it never counts paths, so it cannot wrap.
     # Once m is reflexive and antisymmetric, m is transitive iff lt is.
-    between = lt @ lt
+    between = _counts(lt, lt.T) > 0
     if (between & ~m).any():
         raise ValueError("leq is not transitive")
+    cov = lt & ~between
 
-    meet_t, meet_ok = _glb_table(m)
-    join_t, join_ok = _glb_table(m.T)
-    # Failures are symmetric, so the first in row-major order has i <= j.
-    bad = np.argwhere(~(meet_ok & join_ok))
-    if len(bad):
-        i, j = bad[0]
-        which = "join" if meet_ok[i, j] else "meet"
-        raise NotALatticeError((labels[i], labels[j]), which)
-    return FiniteLattice(labels, m, meet_t, join_t, lt & ~between)
+    meet_t, meet_ok = _meet_table(m, cov)
+    join_t, join_ok = _meet_table(m.T, cov.T)
+    # A candidate may come from a pair without a glb, so a failed count only
+    # flags a pair for the exact rule (the common bound with the largest
+    # down-set holds them all).  Failures are symmetric: the first has i <= j.
+    exact = (("meet", meet_ok, m.T, m.sum(axis=0)), ("join", join_ok, m, m.sum(axis=1)))
+    for i, j in np.argwhere(np.triu(~(meet_ok & join_ok))):
+        for which, ok, bounds, size in exact:
+            common = bounds[i] & bounds[j]
+            if not ok[i, j] and size[common].max(initial=-1) != np.count_nonzero(common):
+                raise NotALatticeError((labels[i], labels[j]), which)
+    return FiniteLattice(labels, m, meet_t, join_t, cov)
 
 
 def is_distributive(lat: FiniteLattice) -> bool:

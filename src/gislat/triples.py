@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
+
+import numpy as np
 
 from .graph import (
     Cycle,
@@ -29,6 +31,8 @@ from .graph import (
     is_acyclic,
 )
 
+TRIPLE_CAP = 4096  # chain12 (2^12 triples) still fits
+
 
 class UnboundedLatticeError(ValueError):
     """Triple enumeration over a cyclic graph needs an explicit bound."""
@@ -36,6 +40,10 @@ class UnboundedLatticeError(ValueError):
 
 class UnknownCycleError(GraphError):
     """A cycle that does not occur in the graph (or is not canonical)."""
+
+
+class LatticeTooLargeError(GraphError):
+    """More triples than :data:`TRIPLE_CAP` to build a lattice from."""
 
 
 class _Infinity:
@@ -179,6 +187,23 @@ def leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
     return all(ext_divides(t2.cycle_value(c), v) for c, v in t1.f.entries)
 
 
+def leq_matrix(g: DirectedGraph, ts: tuple[CongruenceTriple, ...]) -> np.ndarray:
+    """``m[i, j] = leq(g, ts[i], ts[j])``, broadcast over H and W as vertex
+    bitmasks and gathered, per cycle, from the divisibility table of its
+    distinct full values (a cycle inside H1 but not H2 fails the H test
+    anyway, and inf is divisible by everything)."""
+    bit = {v: 1 << i for v, i in g.vertex_index.items()}
+    h = np.array([sum(bit[v] for v in t.H) for t in ts], dtype=np.int32)  # at most 20 vertices
+    w = np.array([sum(bit[v] for v in t.W) for t in ts], dtype=np.int32)
+    m = ((h[:, None] & ~h) == 0) & ((w[:, None] & ~(h | w)) == 0)
+    for c in g.cycles:
+        pos: dict = {}  # distinct full values of c, in order of appearance
+        k = np.array([pos.setdefault(t.cycle_value(c), len(pos)) for t in ts], dtype=np.intp)
+        divides = np.array([[ext_divides(a, b) for b in pos] for a in pos], dtype=bool)
+        m &= divides.reshape(len(pos), len(pos))[k, k[:, None]]  # f_j divides f_i
+    return m
+
+
 @dataclass(frozen=True)
 class SetTrace:
     """Auxiliary vertex sets for a pair of triples.
@@ -258,6 +283,10 @@ def enumerate_triples(
     found inside it certifies non-modularity / non-distributivity of the
     whole lattice, while absence is evidence only.
     """
+    return tuple(_triples(g, bound))
+
+
+def _triples(g: DirectedGraph, bound: int | None):
     if bound is None and not is_acyclic(g):
         raise UnboundedLatticeError(
             "graph has cycles: triple enumeration needs a bound"
@@ -270,7 +299,6 @@ def enumerate_triples(
     if cycles:
         values = divisors(bound) + (INF,)
 
-    out: list[CongruenceTriple] = []
     for h in hereditary:
         index_one = sorted(
             v for v in g.vertices if v not in h and index_relative(g, v, h) == 1
@@ -279,23 +307,21 @@ def enumerate_triples(
             for chosen in combinations(index_one, size):
                 w = frozenset(chosen)
                 free = [c for c in cycles if c.source_set <= w and not c.source_set <= h]
-                if not free:
-                    out.append(CongruenceTriple(h, w))
-                    continue
                 for combo in product(values, repeat=len(free)):
-                    out.append(
-                        CongruenceTriple(h, w, CycleFunction.of(zip(free, combo)))
-                    )
-    return tuple(out)
+                    yield CongruenceTriple(h, w, CycleFunction.of(zip(free, combo)))
 
 
 def triple_lattice(g: DirectedGraph, bound: int | None = None):
-    """The enumerated triples as a finite lattice, with meets and joins
-    derived from the order alone (not from the closed-form formulas)."""
+    """The enumerated triples as a finite lattice: ``from_poset`` derives
+    meets and joins from :func:`leq_matrix` alone, not from the closed-form
+    formulas.  Past :data:`TRIPLE_CAP` triples the enumeration stops and
+    :class:`LatticeTooLargeError` is raised."""
     from .lattice import from_poset
 
-    ts = enumerate_triples(g, bound)
-    return from_poset(ts, lambda a, b: leq(g, a, b))
+    ts = tuple(islice(_triples(g, bound), TRIPLE_CAP + 1))
+    if len(ts) > TRIPLE_CAP:
+        raise LatticeTooLargeError(f"triple lattice capped at {TRIPLE_CAP} elements")
+    return from_poset(ts, leq_matrix(g, ts))
 
 
 def render_triple(t: CongruenceTriple) -> str:

@@ -188,6 +188,18 @@ def test_oracle_checks_hereditary_cap_before_brute_force(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and "20 vertices" in err
 
 
+def test_triple_cap_is_a_one_line_error(tmp_path, capsys):
+    # Three disjoint loops under --bound 10^7 have 67^3 = 300,763 triples.
+    p = tmp_path / "loops3.graph"
+    p.write_text("vertex a\nvertex b\nvertex c\nedge x a a\nedge y b b\nedge z c c\n")
+    for argv in (["classify", "--enumerate"], ["lattice"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:], "--bound", "10000000")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "4096 elements" in err
+
+
 # ------------------------------------------------------------ lattice
 
 

@@ -129,10 +129,10 @@ def test_from_poset_counts_paths_exactly_past_256():
         from_poset(range(258), leq)
 
 
-def random_poset(rng):
+def random_poset(rng, sizes=(1, 9)):
     """Shuffled labels and the order of a random DAG's transitive closure;
     half the time with a bottom and a top, so lattices come up often."""
-    n = rng.randint(1, 9)
+    n = rng.randint(*sizes)
     p = rng.random()
     above = [{i} | {j for j in range(i + 1, n) if rng.random() < p} for i in range(n)]
     if rng.random() < 0.5:
@@ -145,38 +145,81 @@ def random_poset(rng):
     return rng.sample(range(n), n), lambda a, b: b in above[a]
 
 
+def random_closure_poset(rng):
+    """20 to 40 subsets of six points, closed under intersection and holding
+    the full set: a lattice under inclusion whose elements have several
+    lower covers.  Half the time one to three sets are dropped, which often
+    leaves a non-lattice.  Shuffled, as bitmask labels."""
+    family = {63}
+    while not 20 <= len(family) <= 40:
+        family = {63}
+        for _ in range(rng.randint(3, 9)):
+            s = rng.randrange(64)
+            family |= {s & t for t in family} | {s}
+    family = list(family)
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            family.remove(rng.choice(family))
+    return rng.sample(family, len(family)), lambda a, b: a & b == a
+
+
+def check_against_bruteforce(labels, leq):
+    """from_poset on the predicate and on the ready matrix: the brute-force
+    meet and join tables for a lattice, else the first pair (i <= j,
+    row-major, meet before join) without a bound.  Returns "lattice",
+    "meet" or "join"."""
+    rows = [[leq(a, b) for b in labels] for a in labels]
+    n = len(labels)
+    first_failure = next(
+        (
+            ((labels[i], labels[j]), which)
+            for i in range(n)
+            for j in range(i, n)
+            for which, bound in (("meet", brute_glb_index), ("join", brute_lub_index))
+            if bound(rows, i, j) is None
+        ),
+        None,
+    )
+    if first_failure is None:
+        meets = [[brute_glb_index(rows, i, j) for j in range(n)] for i in range(n)]
+        joins = [[brute_lub_index(rows, i, j) for j in range(n)] for i in range(n)]
+    for order in (leq, np.array(rows, dtype=bool).reshape(n, n)):
+        if first_failure is None:
+            lat = from_poset(labels, order)
+            assert lat.meet_t.tolist() == meets
+            assert lat.join_t.tolist() == joins
+        else:
+            with pytest.raises(NotALatticeError) as err:
+                from_poset(labels, order)
+            assert (err.value.pair, err.value.which) == first_failure
+    return "lattice" if first_failure is None else first_failure[1]
+
+
 def test_from_poset_matches_bruteforce_bounds_on_random_posets():
     rng = random.Random(4)
     seen = {"lattice": 0, "meet": 0, "join": 0}
     for _ in range(400):
-        labels, leq = random_poset(rng)
-        rows = [[leq(a, b) for b in labels] for a in labels]
-        n = len(labels)
-        first_failure = next(
-            (
-                ((labels[i], labels[j]), which)
-                for i in range(n)
-                for j in range(i, n)
-                for which, bound in (("meet", brute_glb_index), ("join", brute_lub_index))
-                if bound(rows, i, j) is None
-            ),
-            None,
-        )
-        if first_failure is None:
-            lat = from_poset(labels, leq)
-            assert lat.meet_t.tolist() == [
-                [brute_glb_index(rows, i, j) for j in range(n)] for i in range(n)
-            ]
-            assert lat.join_t.tolist() == [
-                [brute_lub_index(rows, i, j) for j in range(n)] for i in range(n)
-            ]
-            seen["lattice"] += 1
-        else:
-            with pytest.raises(NotALatticeError) as err:
-                from_poset(labels, leq)
-            assert (err.value.pair, err.value.which) == first_failure
-            seen[first_failure[1]] += 1
+        seen[check_against_bruteforce(*random_poset(rng))] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_from_poset_matches_bruteforce_bounds_on_larger_posets():
+    # Elements with several lower covers exercise the cover recursion, and
+    # near-lattices the exact recheck of pairs whose candidate failed.
+    rng = random.Random(11)
+    seen = {"lattice": 0, "meet": 0, "join": 0}
+    for k in range(100):
+        poset = random_closure_poset(rng) if k % 2 else random_poset(rng, (20, 40))
+        seen[check_against_bruteforce(*poset)] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_boolean_lattice_on_512_elements():
+    i = np.arange(512)
+    lat = from_poset(i.tolist(), (i[:, None] & i) == i[:, None])
+    assert (lat.meet_t == (i[:, None] & i)).all()
+    assert (lat.join_t == (i[:, None] | i)).all()
+    assert len(lat.cover_set) == lat.cov.sum() == 9 * 2**8
 
 
 def test_tables_match_bruteforce_bounds(gamma1, gamma2):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +8,10 @@ from gislat.graph import UnknownVertexError, enumerate_cycles, index_relative, p
 from gislat.triples import (
     EMPTY_CYCLE_FUNCTION,
     INF,
+    TRIPLE_CAP,
     CongruenceTriple,
     CycleFunction,
+    LatticeTooLargeError,
     UnboundedLatticeError,
     UnknownCycleError,
     divisors,
@@ -17,6 +21,7 @@ from gislat.triples import (
     ext_lcm,
     join,
     leq,
+    leq_matrix,
     meet,
     render_triple,
     set_trace,
@@ -163,13 +168,19 @@ def test_leq_is_partial_order_on_enumerations(gamma1, gamma2, loop_graph):
 
 
 def test_leq_matches_definition_on_corpus_lattices():
-    """The stored-free-cycle check against the all-cycles definition, on
-    every ordered pair of each bounded cyclic and acyclic corpus lattice."""
+    """The stored-free-cycle check and the vectorised order matrix against
+    the all-cycles definition, on every ordered pair of each bounded cyclic
+    and acyclic corpus lattice (and on the triples in reverse order, which
+    renumbers each cycle's distinct values)."""
     cases = [(g, triple_lattice(g, 12)) for g in cyclic_corpus()]
     cases += [(g, triple_lattice(g)) for g in acyclic_corpus()]
     for g, lat in cases:
         ts = lat.labels
-        assert lat.leq.tolist() == [[definition_leq(g, a, b) for b in ts] for a in ts]
+        definition = [[definition_leq(g, a, b) for b in ts] for a in ts]
+        assert [[leq(g, a, b) for b in ts] for a in ts] == definition
+        assert leq_matrix(g, ts).tolist() == definition
+        assert leq_matrix(g, ts[::-1]).tolist() == [row[::-1] for row in definition[::-1]]
+        assert lat.leq.tolist() == definition
 
 
 # --------------------------------------------------------- meet / join
@@ -298,6 +309,23 @@ def test_enumerate_counts_match_formula():
 def test_enumerate_cyclic_needs_bound(loop_graph):
     with pytest.raises(UnboundedLatticeError):
         enumerate_triples(loop_graph)
+
+
+def test_triple_lattice_cap(gamma2, monkeypatch):
+    import gislat.triples
+
+    monkeypatch.setattr(gislat.triples, "TRIPLE_CAP", 6)
+    assert len(triple_lattice(gamma2)) == 6
+    monkeypatch.setattr(gislat.triples, "TRIPLE_CAP", 5)
+    with pytest.raises(LatticeTooLargeError, match="capped at 5 elements"):
+        triple_lattice(gamma2)
+    monkeypatch.undo()
+    # 67^3 = 300,763 triples: the enumeration stops at the 4097th.
+    g = parse_graph("vertex a\nvertex b\nvertex c\nedge x a a\nedge y b b\nedge z c c")
+    t0 = time.perf_counter()
+    with pytest.raises(LatticeTooLargeError, match=f"capped at {TRIPLE_CAP} elements"):
+        triple_lattice(g, 10_000_000)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_bounded_enumeration_closed_under_meet_join(loop_graph):
