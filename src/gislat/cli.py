@@ -2,9 +2,9 @@
 
 Subcommands: ``forked``, ``classify``, ``lattice``, ``semigroup``,
 ``oracle``.  Exit codes: 0 ok, 1 input error, 2 infinite-structure error
-(cyclic graph without a bound, or a semigroup or graph past a brute-force
-cap), 3 internal consistency violation (a predicted/computed, verdict/
-witness or oracle mismatch, which would mean a bug).
+(cyclic graph without a bound, or a bound, semigroup or graph past a
+brute-force cap), 3 internal consistency violation (a predicted/computed,
+verdict/witness or oracle mismatch, which would mean a bug).
 
 JSON output (``--json``) is the stable machine interface; the plain-text
 output is for humans and carries no stability guarantee.
@@ -88,7 +88,7 @@ def _bounded_lattice(g, bound):
         lat = triple_lattice(g, bound if cyclic else None)
     except UnboundedLatticeError as err:
         raise _CliError(EXIT_INFINITE, f"{err} (--bound N)") from None
-    except GraphError as err:  # the hereditary-set and triple caps
+    except GraphError as err:  # the hereditary-set, triple and bound caps
         raise _CliError(EXIT_INFINITE, str(err)) from None
     verdicts, witness = lattice_verdicts(lat)
     distributive = verdicts["distributive"]

@@ -8,8 +8,9 @@ usual connectivity predicates.
 
 All values are immutable after construction and iteration follows
 declaration order, so every operation is deterministic.  Derived data
-(adjacency, reachability, cycles) is memoised on the graph itself and
-lives as long as the graph; the module keeps no memo tables.
+(adjacency, one condensation from a single SCC pass, cycles) is memoised
+on the graph itself and lives as long as the graph; the module keeps no
+memo tables.
 """
 
 from __future__ import annotations
@@ -104,21 +105,47 @@ class DirectedGraph:
         return {v: tuple(es) for v, es in out.items()}
 
     @cached_property
-    def _reach(self) -> dict[str, frozenset[str]]:
-        """For each vertex the set of vertices reachable by a path
-        (every vertex reaches itself by the trivial path)."""
-        closure: dict[str, frozenset[str]] = {}
-        for start in self.vertices:
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for e in self.out_edges[v]:
-                    if e.dst not in seen:
-                        seen.add(e.dst)
-                        frontier.append(e.dst)
-            closure[start] = frozenset(seen)
-        return closure
+    def condensation(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """One representative vertex per strongly connected component, each
+        component after every component it reaches, and each vertex's reach
+        set as a bitmask over ``vertex_index`` (trivial paths count).
+
+        One iterative Tarjan pass.  A vertex is numbered by its stack
+        position, which holds while it is on the stack, the only time the
+        number is read.  A component's mask is its own bits OR-ed with the
+        masks of the components its edges enter, all popped before it."""
+        succ = [[self.vertex_index[e.dst] for e in self.out_edges[v]] for v in self.vertices]
+        found, low, reach = [-1] * len(succ), [0] * len(succ), [0] * len(succ)
+        stack: list[int] = []
+        roots: list[str] = []
+        for start in range(len(succ)):
+            work = [(start, iter(succ[start]))] if found[start] < 0 else []
+            while work:
+                v, out = work[-1]
+                if found[v] < 0:
+                    found[v] = low[v] = len(stack)
+                    stack.append(v)
+                for w in out:
+                    if found[w] < 0:
+                        work.append((w, iter(succ[w])))
+                        break
+                    if not reach[w]:  # w is still on the stack
+                        low[v] = min(low[v], found[w])
+                else:
+                    work.pop()
+                    if work:
+                        low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                    if low[v] == found[v]:
+                        members = stack[found[v]:]
+                        del stack[found[v]:]
+                        mask = sum(1 << w for w in members)
+                        for w in members:
+                            for x in succ[w]:
+                                mask |= reach[x]
+                        for w in members:
+                            reach[w] = mask
+                        roots.append(self.vertices[v])
+        return tuple(roots), tuple(reach)
 
     @cached_property
     def cycles(self) -> tuple[Cycle, ...]:
@@ -194,7 +221,7 @@ def reaches(g: DirectedGraph, v1: str, v2: str) -> bool:
     so ``reaches(g, v, v)`` always holds)."""
     g.check_vertex(v1)
     g.check_vertex(v2)
-    return v2 in g._reach[v1]
+    return bool(g.condensation[1][g.vertex_index[v1]] >> g.vertex_index[v2] & 1)
 
 
 def index_relative(g: DirectedGraph, v: str, H) -> int:
@@ -217,38 +244,21 @@ def is_hereditary(g: DirectedGraph, H) -> bool:
 def hereditary_subsets(g: DirectedGraph) -> tuple[frozenset[str], ...]:
     """All hereditary vertex subsets, sorted by (size, sorted names).
 
-    The hereditary sets are the unions of reach sets, grown one vertex at
-    a time: |V| unions per set found."""
+    The hereditary sets are the unions of the condensation's reach masks,
+    grown one distinct mask at a time: one union per set found and mask."""
     if len(g.vertices) > 20:
         raise GraphError("exhaustive hereditary enumeration capped at 20 vertices")
-    found = {frozenset()}
-    for v in g.vertices:
-        found |= {h | g._reach[v] for h in found}
-    return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
-
-
-def topological_order(g: DirectedGraph) -> tuple[str, ...] | None:
-    """The vertices with every edge's source before its range, or None
-    when the graph has a directed cycle (a loop is one).  Kahn's
-    algorithm, O(V + E): peel off vertices without incoming edges."""
-    indegree = dict.fromkeys(g.vertices, 0)
-    for e in g.edges:
-        indegree[e.dst] += 1
-    ready = [v for v, d in indegree.items() if d == 0]
-    order: list[str] = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for e in g.out_edges[v]:
-            indegree[e.dst] -= 1
-            if indegree[e.dst] == 0:
-                ready.append(e.dst)
-    return tuple(order) if len(order) == len(g.vertices) else None
+    found = {0}
+    for r in set(g.condensation[1]):
+        found |= {h | r for h in found}
+    sets = (frozenset(v for v, i in g.vertex_index.items() if h >> i & 1) for h in found)
+    return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
 def is_acyclic(g: DirectedGraph) -> bool:
-    """True iff the graph has no directed cycle (a loop is one)."""
-    return topological_order(g) is not None
+    """True iff the graph has no directed cycle (a loop is one): every
+    strongly connected component is one vertex and no edge is a loop."""
+    return len(g.condensation[0]) == len(g.vertices) and all(e.src != e.dst for e in g.edges)
 
 
 def enumerate_cycles(g: DirectedGraph) -> tuple[Cycle, ...]:
@@ -315,36 +325,27 @@ class ConnectivityReport:
 
 
 def connectivity_report(g: DirectedGraph) -> ConnectivityReport:
-    """Weak components (union-find on the underlying undirected graph) and
-    the weak/unilateral/strong connectivity flags.
+    """Weak components (the strong components of the graph with every edge
+    doubled back, grouped by reach mask) and the weak/unilateral/strong
+    connectivity flags.
 
     b reaches a iff reach(a) ⊆ reach(b), so the graph is unilateral iff
-    its reach sets form a chain under inclusion (each inside the next
-    once sorted by size), and strong iff every reach set is all of V."""
-    parent = {v: v for v in g.vertices}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in g.edges:
-        parent[find(e.src)] = find(e.dst)
-
-    groups: dict[str, list[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), []).append(v)
+    its reach masks form a chain under inclusion (each inside the next
+    once sorted by size), and strong iff it has at most one strong component."""
+    back = tuple(Edge(e.name, e.dst, e.src) for e in g.edges)
+    groups: dict[int, list[str]] = {}
+    for v, mask in zip(g.vertices, DirectedGraph(g.vertices, g.edges + back).condensation[1]):
+        groups.setdefault(mask, []).append(v)
     components = tuple(
         sorted((tuple(sorted(members)) for members in groups.values()))
     )
 
-    reach = sorted(g._reach.values(), key=len)
+    masks = sorted(g.condensation[1], key=int.bit_count)
     return ConnectivityReport(
         weak_components=components,
         is_weakly_connected=len(components) <= 1,
-        is_unilaterally_connected=all(a <= b for a, b in zip(reach, reach[1:])),
-        is_strongly_connected=all(len(r) == len(g.vertices) for r in reach),
+        is_unilaterally_connected=all(a & ~b == 0 for a, b in zip(masks, masks[1:])),
+        is_strongly_connected=len(g.condensation[0]) <= 1,
     )
 
 

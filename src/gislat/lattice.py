@@ -108,7 +108,7 @@ def _meet_table(m: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     A common lower bound is the glb iff its down-set is as large as the set
     of common lower bounds."""
     size = m.sum(axis=0, dtype=np.int32)  # down-set sizes
-    table = np.empty(m.shape, dtype=np.int64)
+    table = np.empty(m.shape, dtype=np.int32)
     cols = np.arange(len(m))
     for a in np.argsort(size, kind="stable"):
         cand = table[np.flatnonzero(cov[:, a])]  # the rows of a's lower covers

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DirectedGraph, is_acyclic, topological_order
+from .graph import DirectedGraph, is_acyclic
 
 
 class CyclicGraphError(ValueError):
@@ -155,12 +155,11 @@ def enumerate_paths(g: DirectedGraph) -> tuple[Path, ...]:
 def semigroup_size(g: DirectedGraph) -> int:
     """|S| without enumerating S: zero plus, for each vertex v, one element
     per pair of paths ending at v.  The path counts come from one pass in
-    topological order, O(V + E)."""
-    order = topological_order(g)
-    if order is None:
+    topological order: the condensation's components, in reverse."""
+    if not is_acyclic(g):
         raise CyclicGraphError("path set is infinite: graph has cycles")
     ending = dict.fromkeys(g.vertices, 1)  # the trivial path
-    for v in order:
+    for v in reversed(g.condensation[0]):
         for e in g.out_edges[v]:
             ending[e.dst] += ending[v]
     return 1 + sum(k * k for k in ending.values())

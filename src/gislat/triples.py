@@ -32,6 +32,7 @@ from .graph import (
 )
 
 TRIPLE_CAP = 4096  # chain12 (2^12 triples) still fits
+BOUND_CAP = 10**12  # trial division up to √BOUND_CAP takes well under a second
 
 
 class UnboundedLatticeError(ValueError):
@@ -43,7 +44,8 @@ class UnknownCycleError(GraphError):
 
 
 class LatticeTooLargeError(GraphError):
-    """More triples than :data:`TRIPLE_CAP` to build a lattice from."""
+    """More triples than :data:`TRIPLE_CAP` to build a lattice from, or a
+    cycle-value bound past :data:`BOUND_CAP`."""
 
 
 class _Infinity:
@@ -297,6 +299,8 @@ def _triples(g: DirectedGraph, bound: int | None):
     cycles = g.cycles
     values: tuple[ExtNat, ...] = ()
     if cycles:
+        if bound > BOUND_CAP:
+            raise LatticeTooLargeError(f"cycle-value bound capped at {BOUND_CAP}")
         values = divisors(bound) + (INF,)
 
     for h in hereditary:

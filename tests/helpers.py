@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gislat.graph import (
     DirectedGraph,
+    Edge,
     enumerate_cycles,
     hereditary_subsets,
     index_relative,
@@ -56,6 +57,16 @@ def brute_reach_pairs(g: DirectedGraph) -> set[tuple[str, str]]:
                     pairs.add((a, d))
                     changed = True
     return pairs
+
+
+def definition_weak_components(g: DirectedGraph) -> tuple[tuple[str, ...], ...]:
+    """The classes of the undirected closure: reachability in the graph
+    with every edge also present reversed, each class sorted, classes in
+    sorted order."""
+    back = [Edge(f"{e.name}_back", e.dst, e.src) for e in g.edges]
+    pairs = brute_reach_pairs(DirectedGraph(g.vertices, g.edges + tuple(back)))
+    classes = {tuple(sorted(b for b in g.vertices if (a, b) in pairs)) for a in g.vertices}
+    return tuple(sorted(classes))
 
 
 def definition_connectivity(g: DirectedGraph) -> tuple[bool, bool]:

@@ -145,6 +145,26 @@ def test_classify_long_ring_without_enumerate(tmp_path, capsys):
     assert json.loads(out)["graph"]["acyclic"] is False
 
 
+@pytest.mark.parametrize("ring", [False, True])
+@pytest.mark.parametrize("command", ["classify", "forked"])
+def test_cheap_commands_on_5000_vertex_graphs(tmp_path, capsys, command, ring):
+    # The cheap path stays polynomial: one SCC pass, not a search per vertex.
+    n = 5000
+    lines = [f"vertex v{i}" for i in range(n)]
+    lines += [f"edge e{i} v{i} v{i + 1}" for i in range(n - 1)]
+    if ring:
+        lines.append(f"edge back v{n - 1} v0")
+    p = tmp_path / "long.graph"
+    p.write_text("\n".join(lines) + "\n")
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, command, str(p), "--json")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert json.loads(out)["forked_vertices"] == []
+    if command == "classify":
+        assert json.loads(out)["graph"]["acyclic"] is not ring
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 @pytest.mark.parametrize("command", ["classify", "lattice"])
 def test_nonpositive_bound_is_a_usage_error(files, capsys, command, bound):
@@ -198,6 +218,17 @@ def test_triple_cap_is_a_one_line_error(tmp_path, capsys):
         assert time.perf_counter() - t0 < 1.0
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "4096 elements" in err
+
+
+@pytest.mark.parametrize("argv", [["classify", "--enumerate"], ["lattice"]])
+def test_bound_cap_comes_before_the_divisors(files, capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, argv[0], files["loop"], *argv[1:], "--bound", str(10**18))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(10**12) in err
+    code, _, _ = run(capsys, argv[0], files["loop"], *argv[1:], "--bound", str(10**12))
+    assert code == 0
 
 
 # ------------------------------------------------------------ lattice

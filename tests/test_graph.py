@@ -25,6 +25,7 @@ from helpers import (
     brute_reach_pairs,
     cyclic_corpus,
     definition_connectivity,
+    definition_weak_components,
     graph_strategy,
     multi_component_corpus,
     outdeg_le1_corpus,
@@ -83,6 +84,26 @@ def test_of_rejects_bad_input():
 
 
 # ------------------------------------------------------------ reachability
+
+
+@settings(max_examples=200)
+@given(graph_strategy())
+@example(DirectedGraph.of([], []))
+def test_condensation_matches_bruteforce_reachability(g):
+    roots, reach = g.condensation
+    pairs = brute_reach_pairs(g)
+    index = g.vertex_index
+    assert {
+        (a, b) for a in g.vertices for b in g.vertices if reach[index[a]] >> index[b] & 1
+    } == pairs
+    # One component per class of mutual reachability, one root in each.
+    mutual = {
+        a: frozenset(b for b in g.vertices if {(a, b), (b, a)} <= pairs) for a in g.vertices
+    }
+    assert len(roots) == len(set(mutual.values())) == len({mutual[r] for r in roots})
+    # Each component comes after every component it reaches.
+    for i, r in enumerate(roots):
+        assert not any((r, later) in pairs for later in roots[i + 1 :])
 
 
 def test_reaches_examples(gamma1):
@@ -343,6 +364,13 @@ def test_connectivity_two_components():
 def test_connectivity_flags_match_pairwise_definition(g):
     rep = connectivity_report(g)
     assert (rep.is_unilaterally_connected, rep.is_strongly_connected) == definition_connectivity(g)
+
+
+@settings(max_examples=200)
+@given(graph_strategy())
+@example(DirectedGraph.of([], []))
+def test_weak_components_match_undirected_closure(g):
+    assert connectivity_report(g).weak_components == definition_weak_components(g)
 
 
 def test_weak_component_subgraphs():
