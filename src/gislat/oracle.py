@@ -2,7 +2,8 @@
 
 Congruences are generated from below: every principal congruence (the
 least congruence identifying one pair) is computed by a union-find
-closure that propagates merges through the multiplication table, and the
+closure that propagates merges through left and right multiplication by
+the semigroup's generators (vertices, edges and ghost edges), and the
 full congruence set is the join closure of the principal ones plus the
 identity.  The resulting lattice, ordered by refinement, is computed with
 no reference to congruence triples and therefore serves as an independent
@@ -50,10 +51,20 @@ def identity_congruence(n: int) -> Congruence:
     return Congruence(tuple((i,) for i in range(n)))
 
 
-def _closure(table, n: int, seeds) -> Congruence:
-    """Least congruence containing the seed pairs: union-find plus a
-    worklist that propagates every merge through left and right products."""
+def _closure(table, n: int, seeds, gens, start: Congruence | None = None) -> Congruence:
+    """Least congruence containing the seed pairs (and ``start``, itself a
+    congruence): union-find plus a worklist that propagates every merge
+    through left and right products with the generators ``gens`` only.
+
+    Every nonzero element is a product of generators and zero absorbs,
+    so an equivalence compatible on both sides with each generator is a
+    congruence (R. Freese, "Computing congruences efficiently", Algebra
+    Universalis 59, 2008).  The blocks of ``start`` need no propagation."""
     parent = list(range(n))
+    if start is not None:
+        for blk in start.blocks:
+            for x in blk:
+                parent[x] = blk[0]
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -68,10 +79,13 @@ def _closure(table, n: int, seeds) -> Congruence:
         if rx == ry:
             continue
         parent[ry] = rx
-        for s in range(n):
+        row_x, row_y = table[rx], table[ry]
+        for s in gens:
             row_s = table[s]
-            pending.append((row_s[rx], row_s[ry]))
-            pending.append((table[rx][s], table[ry][s]))
+            if row_s[rx] != row_s[ry]:
+                pending.append((row_s[rx], row_s[ry]))
+            if row_x[s] != row_y[s]:
+                pending.append((row_x[s], row_y[s]))
     groups: dict[int, list[int]] = {}
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
@@ -82,15 +96,15 @@ def principal_congruence(sem: FiniteSemigroup, a: Element, b: Element) -> Congru
     """The least congruence identifying a and b."""
     i = sem.element_index(a)
     j = sem.element_index(b)
-    return _closure(sem.table, len(sem), [(i, j)])
+    return _closure(sem.table, len(sem), [(i, j)], sem.generators)
 
 
 def join_congruences(sem: FiniteSemigroup, c1: Congruence, c2: Congruence) -> Congruence:
-    """Least congruence containing both: closure of the union."""
-    seeds = []
-    for blk in c1.blocks + c2.blocks:
-        seeds.extend((blk[0], x) for x in blk[1:])
-    return _closure(sem.table, len(sem), seeds)
+    """Least congruence containing both: the closure grows from c1's
+    blocks, already a congruence, and propagates only c2's merges through
+    the generators (see :func:`_closure`)."""
+    seeds = [(blk[0], x) for blk in c2.blocks for x in blk[1:]]
+    return _closure(sem.table, len(sem), seeds, sem.generators, c1)
 
 
 def check_semigroup_size(n: int, cap: int) -> None:
@@ -111,8 +125,8 @@ def enumerate_congruences(sem: FiniteSemigroup, cap: int = 200) -> tuple[Congrue
     efficiently", Algebra Universalis 59, 2008)."""
     n = len(sem)
     check_semigroup_size(n, cap)
-    table = sem.table
-    principals = {_closure(table, n, [(i, j)]) for i in range(n) for j in range(i + 1, n)}
+    table, gens = sem.table, sem.generators
+    principals = {_closure(table, n, [(i, j)], gens) for i in range(n) for j in range(i + 1, n)}
     found = {identity_congruence(n)} | principals
     queue = list(principals)
     while queue:

@@ -11,6 +11,7 @@ where the path set is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import DirectedGraph, is_acyclic
 
@@ -214,6 +215,17 @@ class FiniteSemigroup:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Indices of the vertices, then of each edge and its ghost: every
+        nonzero element is a product of these, and zero absorbs."""
+        g = self.graph
+        gens = [self._index[vertex_element(v)] for v in g.vertices]
+        for e in g.edges:
+            x = edge_element(g, e.name)
+            gens += (self._index[x], self._index[inverse_of(x)])
+        return tuple(gens)
 
     def element_index(self, x: Element) -> int:
         try:

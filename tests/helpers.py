@@ -289,6 +289,34 @@ def is_compatible(sem: FiniteSemigroup, c: Congruence) -> bool:
     return True
 
 
+def table_closure(table, n: int, seeds) -> Congruence:
+    """Least congruence containing the seed pairs, by the definition:
+    union-find that propagates every merge through all left and right
+    products, generators or not."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pending = list(seeds)
+    while pending:
+        x, y = pending.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[ry] = rx
+        for s in range(n):
+            pending.append((table[s][rx], table[s][ry]))
+            pending.append((table[rx][s], table[ry][s]))
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return Congruence(tuple(sorted(tuple(sorted(b)) for b in groups.values())))
+
+
 def meet_congruences(c1: Congruence, c2: Congruence) -> Congruence:
     """Common refinement (intersection of the relations)."""
     groups: dict[tuple[int, int], list[int]] = {}

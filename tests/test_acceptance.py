@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from gislat.graph import (
+    DirectedGraph,
     connectivity_report,
     enumerate_cycles,
     forked_vertices,
@@ -147,7 +148,22 @@ def test_criterion_04_oracle_cross_check(gamma1, gamma2):
     # The 15 vs 10 element-listing discrepancy: unique normal forms give
     # 15 elements for the three-edge graph; the congruence count of 6 is
     # unaffected either way and is asserted as stated.
-    for num_elements, num_congs, g in ((15, 6, gamma2), (10, 7, gamma1)):
+    def chain(k):
+        return DirectedGraph.of(
+            [f"v{i}" for i in range(k)], [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(k - 1)]
+        )
+
+    fan4 = DirectedGraph.of(
+        ["c", *(f"l{i}" for i in range(4))], [(f"e{i}", "c", f"l{i}") for i in range(4)]
+    )
+    cases = (
+        (15, 6, gamma2),
+        (10, 7, gamma1),
+        (31, 16, chain(4)),
+        (18, 21, fan4),
+        (56, 32, chain(5)),
+    )
+    for num_elements, num_congs, g in cases:
         with criterion(4, 5.0):
             sem = finite_semigroup(g)
             assert len(sem) == num_elements

@@ -19,7 +19,13 @@ from gislat.oracle import (
 from gislat.semigroup import ZERO, NormalForm, finite_semigroup, path_from_edges, trivial_path, vertex_element
 from gislat.triples import triple_lattice
 
-from helpers import congruence_to_json, is_compatible, meet_congruences, small_semigroup_corpus
+from helpers import (
+    congruence_to_json,
+    is_compatible,
+    meet_congruences,
+    small_semigroup_corpus,
+    table_closure,
+)
 
 
 def test_principal_congruence_of_equal_pair_is_identity(gamma2):
@@ -53,9 +59,25 @@ def test_enumerate_congruences_counts(gamma1, gamma2):
     assert len(congs) == 2
 
 
+def test_generator_closure_matches_table_closure(gamma1, gamma2):
+    for g in (gamma1, gamma2, *small_semigroup_corpus(count=6)):
+        sem = finite_semigroup(g)
+        n = len(sem)
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = principal_congruence(sem, sem.elements[i], sem.elements[j])
+                assert c == table_closure(sem.table, n, [(i, j)])
+        congs = enumerate_congruences(sem)
+        for a in congs:
+            for b in congs:
+                seeds = [(blk[0], x) for c in (a, b) for blk in c.blocks for x in blk[1:]]
+                assert join_congruences(sem, a, b) == table_closure(sem.table, n, seeds)
+
+
 def test_congruences_are_compatible_and_closed(gamma1, gamma2):
-    # count=4 keeps the brute-force enumeration under a second.
-    for g in (gamma1, gamma2, *small_semigroup_corpus(count=4)):
+    # count=10 keeps the brute-force enumeration and the compatibility
+    # scans to a few seconds.
+    for g in (gamma1, gamma2, *small_semigroup_corpus(count=10)):
         sem = finite_semigroup(g)
         congs = enumerate_congruences(sem)
         members = set(congs)

@@ -177,15 +177,38 @@ def test_count_formula(gamma1, gamma2):
         assert semigroup_size(g) == len(enumerate_elements(g))
 
 
+def check_generator_indices(g):
+    """``generators`` indexes exactly V, E and E*, and closing those
+    indices under the Cayley table reaches every nonzero element."""
+    sem = finite_semigroup(g)
+    expected = [vertex_element(v) for v in g.vertices]
+    for e in g.edges:
+        expected += (edge_element(g, e.name), inverse_of(edge_element(g, e.name)))
+    assert [sem.elements[i] for i in sem.generators] == expected
+    reached = set(sem.generators)
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for s in sem.generators:
+            p = sem.table[x][s]
+            if p not in reached:
+                reached.add(p)
+                frontier.append(p)
+    zero = sem.element_index(ZERO)
+    assert reached - {zero} == set(range(len(sem))) - {zero}
+
+
 def test_elements_match_generator_closure(gamma1, gamma2):
     for g in (gamma1, gamma2):
         assert set(enumerate_elements(g)) == closure_of_generators(g)
+        check_generator_indices(g)
 
 
 @settings(max_examples=25)
 @given(graph_strategy(max_vertices=4, max_edges=4, acyclic=True))
 def test_elements_match_generator_closure_random(g):
     assert set(enumerate_elements(g)) == closure_of_generators(g)
+    check_generator_indices(g)
 
 
 def test_normal_forms_unique_and_closed(gamma2):
