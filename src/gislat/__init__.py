@@ -15,6 +15,7 @@ from .graph import (
     Edge,
     GraphError,
     GraphParseError,
+    LimitError,
     UnknownVertexError,
     connectivity_report,
     enumerate_cycles,

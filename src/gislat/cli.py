@@ -3,8 +3,10 @@
 Subcommands: ``forked``, ``classify``, ``lattice``, ``semigroup``,
 ``oracle``.  Exit codes: 0 ok, 1 input error, 2 infinite-structure error
 (cyclic graph without a bound, or a bound, semigroup or graph past a
-brute-force cap), 3 internal consistency violation (a predicted/computed,
-verdict/witness or oracle mismatch, which would mean a bug).
+brute-force cap: every such refusal is a :class:`~gislat.graph.LimitError`,
+caught in :func:`main` alone), 3 internal consistency violation (a
+predicted/computed, verdict/witness or oracle mismatch, which would mean a
+bug).
 
 JSON output (``--json``) is the stable machine interface; the plain-text
 output is for humans and carries no stability guarantee.
@@ -15,14 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .graph import GraphError, connectivity_report, forked_vertices, is_acyclic, parse_graph
+from .graph import (
+    GraphError, LimitError, connectivity_report, forked_vertices, is_acyclic, parse_graph
+)
 from .lattice import hasse_dot, lattice_verdicts, order_isomorphic
-from .oracle import SemigroupTooLargeError, check_semigroup_size, congruence_lattice
-from .semigroup import CyclicGraphError, finite_semigroup, render_element, semigroup_size
-from .triples import UnboundedLatticeError, render_triple, triple_lattice, triple_to_json
+from .oracle import check_semigroup_size, congruence_lattice
+from .semigroup import finite_semigroup, render_element, semigroup_size
+from .triples import render_triple, triple_lattice, triple_to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -37,7 +40,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,12 +86,7 @@ def _bounded_lattice(g, bound):
     """The exact triple lattice, or a bounded probe of a cyclic graph's,
     with its verdicts and witness."""
     cyclic = not is_acyclic(g)
-    try:
-        lat = triple_lattice(g, bound if cyclic else None)
-    except UnboundedLatticeError as err:
-        raise _CliError(EXIT_INFINITE, f"{err} (--bound N)") from None
-    except GraphError as err:  # the hereditary-set, triple and bound caps
-        raise _CliError(EXIT_INFINITE, str(err)) from None
+    lat = triple_lattice(g, bound if cyclic else None)
     verdicts, witness = lattice_verdicts(lat)
     distributive = verdicts["distributive"]
     if (witness is None) != distributive or (distributive and not verdicts["modular"]):
@@ -108,95 +105,49 @@ def cmd_forked(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """What `classify` reports: the structural prediction, the verdicts
-    computed from an enumerated lattice when one was built, and whether
-    the two agree (None until enumeration runs, "inconclusive" when a
-    bounded probe cannot certify a predicted failure)."""
-
-    graph: dict
-    forked_vertices: list
-    predicted: dict
-    computed: dict | None = None
-    lattice_size: int | None = None
-    bounded: bool | None = None
-    witness: dict | None = None
-    agreement: object = None
-
-
 def _agreement(predicted: dict, computed: dict, bounded: bool):
-    """Exact lattices must match the forked-vertex prediction outright.
-    A bounded probe only certifies failures: a pentagon or diamond in a
-    sublattice is one in the full lattice, but their absence proves
-    nothing, so a distributive probe under a non-distributive prediction
-    is inconclusive rather than a violation."""
-    if not bounded:
-        return computed == predicted
-    if predicted["distributive"]:
+    """Whether the computed verdicts agree with the prediction: `classify`
+    reports None when it enumerates nothing.  Exact lattices must match
+    the forked-vertex prediction outright.  A bounded probe only certifies
+    failures: a pentagon or diamond in a sublattice is one in the full
+    lattice, but their absence proves nothing, so a distributive probe
+    under a non-distributive prediction is "inconclusive" rather than a
+    violation."""
+    if not bounded or predicted["distributive"]:
         return computed == predicted
     return True if not computed["distributive"] else "inconclusive"
 
 
-def classify_graph(g, enumerate_lattice: bool = False, bound: int | None = None) -> ClassificationReport:
-    forked = sorted(forked_vertices(g))
-    no_forks = not forked
-    predicted = {
-        "distributive": no_forks,
-        "modular": no_forks,
-        "lower_semimodular": no_forks,
-        "upper_semimodular": True,
-    }
-    report = ClassificationReport(
-        graph=_graph_summary(g), forked_vertices=forked, predicted=predicted
-    )
-    if not enumerate_lattice:
-        return report
-    lat, bounded, computed, w = _bounded_lattice(g, bound)
-    witness = None
-    if w is not None:
-        witness = {
-            "kind": w.kind,
-            "members": [render_triple(lat.labels[i]) for i in w.members],
-        }
-    return replace(
-        report,
-        computed=computed,
-        lattice_size=len(lat),
-        bounded=bounded,
-        witness=witness,
-        agreement=_agreement(predicted, computed, bounded),
-    )
-
-
 def cmd_classify(args) -> int:
     g = _load(args.graph_file)
-    report = classify_graph(g, enumerate_lattice=args.enumerate, bound=args.bound)
-    summary = report.graph
+    forked = sorted(forked_vertices(g))
+    predicted = dict.fromkeys(("distributive", "modular", "lower_semimodular"), not forked)
+    predicted["upper_semimodular"] = True
+    report = {"graph": _graph_summary(g), "forked_vertices": forked, "predicted": predicted}
+    # The enumeration's keys, None unless --enumerate fills them in.
+    report |= dict.fromkeys(("computed", "lattice_size", "bounded", "witness", "agreement"))
+    summary = report["graph"]
     lines = [
         f"graph: {summary['vertices']} vertices, {summary['edges']} edges, "
         f"{'acyclic' if summary['acyclic'] else 'cyclic'}, "
         f"{summary['weak_components']} weak component(s)",
-        f"forked vertices: {' '.join(report.forked_vertices) if report.forked_vertices else '(none)'}",
-        f"predicted: {_flags(report.predicted)}",
+        f"forked vertices: {' '.join(forked) if forked else '(none)'}",
+        f"predicted: {_flags(predicted)}",
     ]
-    if report.computed is not None:
-        kind = f"bounded probe (bound {args.bound})" if report.bounded else "exact lattice"
-        lines.append(
-            f"computed ({kind}, {report.lattice_size} elements): {_flags(report.computed)}"
-        )
-        if report.witness is not None:
-            lines.append(
-                f"witness: {report.witness['kind']} " + " ".join(report.witness["members"])
-            )
-        shown = (
-            report.agreement
-            if isinstance(report.agreement, str)
-            else ("yes" if report.agreement else "VIOLATION")
-        )
+    if args.enumerate:
+        lat, bounded, computed, w = _bounded_lattice(g, args.bound)
+        report.update(computed=computed, lattice_size=len(lat), bounded=bounded)
+        report["agreement"] = agreement = _agreement(predicted, computed, bounded)
+        kind = f"bounded probe (bound {args.bound})" if bounded else "exact lattice"
+        lines.append(f"computed ({kind}, {len(lat)} elements): {_flags(computed)}")
+        if w is not None:
+            members = [render_triple(lat.labels[i]) for i in w.members]
+            report["witness"] = {"kind": w.kind, "members": members}
+            lines.append(f"witness: {w.kind} " + " ".join(members))
+        shown = agreement if isinstance(agreement, str) else ("yes" if agreement else "VIOLATION")
         lines.append(f"agreement: {shown}")
-    _emit(args, asdict(report), lines)
-    return EXIT_INTERNAL if report.agreement is False else EXIT_OK
+    _emit(args, report, lines)
+    return EXIT_INTERNAL if report["agreement"] is False else EXIT_OK
 
 
 def cmd_lattice(args) -> int:
@@ -227,12 +178,9 @@ def cmd_lattice(args) -> int:
 
 def cmd_semigroup(args) -> int:
     g = _load(args.graph_file)
-    try:
-        size = semigroup_size(g)  # O(V + E), so the cap holds before the table is built
-    except CyclicGraphError as err:
-        raise _CliError(EXIT_INFINITE, str(err)) from None
+    size = semigroup_size(g)  # O(V + E), so the cap holds before the table is built
     if size > SEMIGROUP_CAP:
-        raise _CliError(EXIT_INFINITE, f"semigroup table capped at {SEMIGROUP_CAP} elements, got {size}")
+        raise LimitError(f"semigroup table capped at {SEMIGROUP_CAP} elements, got {size}")
     sem = finite_semigroup(g)
     rendered = [render_element(x) for x in sem.elements]
     payload = {"elements": rendered, "table": [list(row) for row in sem.table]}
@@ -248,18 +196,14 @@ def cmd_semigroup(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load(args.graph_file)
-    try:
-        # Counted in O(V + E), so the cap holds before the |S|² table is built.
-        check_semigroup_size(semigroup_size(g), args.cap)
-        # The triple side first: its hereditary-set cap must stop a graph
-        # before the brute force, which is exponential in the vertex count.
-        ct_lat = triple_lattice(g)
-        sem = finite_semigroup(g)
-        cong_lat = congruence_lattice(sem, cap=args.cap)
-    except (CyclicGraphError, SemigroupTooLargeError, GraphError) as err:
-        raise _CliError(EXIT_INFINITE, str(err)) from None
-    iso = order_isomorphic(ct_lat, cong_lat)
-    ok = iso and len(cong_lat) == len(ct_lat)
+    # Counted in O(V + E), so the cap holds before the |S|² table is built.
+    check_semigroup_size(semigroup_size(g), args.cap)
+    # The triple side first: its hereditary-set cap must stop a graph
+    # before the brute force, which is exponential in the vertex count.
+    ct_lat = triple_lattice(g)
+    sem = finite_semigroup(g)
+    cong_lat = congruence_lattice(sem, cap=args.cap)
+    iso = order_isomorphic(ct_lat, cong_lat)  # False on a size mismatch too
     payload = {
         "semigroup_size": len(sem),
         "congruences": len(cong_lat),
@@ -273,7 +217,7 @@ def cmd_oracle(args) -> int:
         f"order isomorphic: {'yes' if iso else 'NO (violation)'}",
     ]
     _emit(args, payload, lines)
-    return EXIT_OK if ok else EXIT_INTERNAL
+    return EXIT_OK if iso else EXIT_INTERNAL
 
 
 def positive_int(text: str) -> int:
@@ -316,10 +260,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as err:
-        print(f"error: {err.message}", file=sys.stderr)
-        return err.code
+    except (LimitError, _CliError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return err.code if isinstance(err, _CliError) else EXIT_INFINITE
 
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -26,6 +26,11 @@ class GraphError(ValueError):
     """Invalid graph construction or lookup."""
 
 
+class LimitError(GraphError):
+    """A refused request: the structure asked for is infinite or past a
+    size cap.  The command line reports every one with exit code 2."""
+
+
 class GraphParseError(GraphError):
     """Malformed graph file; the message carries the 1-based line number."""
 
@@ -247,7 +252,7 @@ def hereditary_subsets(g: DirectedGraph) -> tuple[frozenset[str], ...]:
     The hereditary sets are the unions of the condensation's reach masks,
     grown one distinct mask at a time: one union per set found and mask."""
     if len(g.vertices) > 20:
-        raise GraphError("exhaustive hereditary enumeration capped at 20 vertices")
+        raise LimitError("exhaustive hereditary enumeration capped at 20 vertices")
     found = {0}
     for r in set(g.condensation[1]):
         found |= {h | r for h in found}

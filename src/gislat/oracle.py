@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .graph import LimitError
 from .lattice import FiniteLattice, from_poset
 from .semigroup import Element, FiniteSemigroup
 
 
-class SemigroupTooLargeError(ValueError):
+class SemigroupTooLargeError(LimitError):
     """The semigroup exceeds the configured brute-force cap."""
 
 

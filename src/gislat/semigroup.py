@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import DirectedGraph, is_acyclic
+from .graph import DirectedGraph, LimitError, is_acyclic
 
 
-class CyclicGraphError(ValueError):
+class CyclicGraphError(LimitError):
     """The requested enumeration is infinite because the graph has cycles."""
 
 
@@ -141,15 +141,9 @@ def enumerate_paths(g: DirectedGraph) -> tuple[Path, ...]:
     sorted by (length, edge names, source declaration order)."""
     if not is_acyclic(g):
         raise CyclicGraphError("path set is infinite: graph has cycles")
-    acc: list[Path] = []
-
-    def extend(p: Path) -> None:
-        acc.append(p)
-        for e in g.out_edges[p.range]:
-            extend(Path(p.source, e.dst, p.edges + (e.name,)))
-
-    for v in g.vertices:
-        extend(trivial_path(v))
+    acc = [trivial_path(v) for v in g.vertices]
+    for p in acc:  # the list grows as it is read, so each path is extended once
+        acc.extend(Path(p.source, e.dst, p.edges + (e.name,)) for e in g.out_edges[p.range])
     return tuple(sorted(acc, key=lambda p: path_key(g, p)))
 
 

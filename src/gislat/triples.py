@@ -26,6 +26,8 @@ from .graph import (
     Cycle,
     DirectedGraph,
     GraphError,
+    LimitError,
+    enumerate_cycles,
     hereditary_subsets,
     index_relative,
     is_acyclic,
@@ -35,7 +37,7 @@ TRIPLE_CAP = 4096  # chain12 (2^12 triples) still fits
 BOUND_CAP = 10**12  # trial division up to √BOUND_CAP takes well under a second
 
 
-class UnboundedLatticeError(ValueError):
+class UnboundedLatticeError(LimitError):
     """Triple enumeration over a cyclic graph needs an explicit bound."""
 
 
@@ -43,7 +45,7 @@ class UnknownCycleError(GraphError):
     """A cycle that does not occur in the graph (or is not canonical)."""
 
 
-class LatticeTooLargeError(GraphError):
+class LatticeTooLargeError(LimitError):
     """More triples than :data:`TRIPLE_CAP` to build a lattice from, or a
     cycle-value bound past :data:`BOUND_CAP`."""
 
@@ -191,14 +193,15 @@ def leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
 
 def leq_matrix(g: DirectedGraph, ts: tuple[CongruenceTriple, ...]) -> np.ndarray:
     """``m[i, j] = leq(g, ts[i], ts[j])``, broadcast over H and W as vertex
-    bitmasks and gathered, per cycle, from the divisibility table of its
-    distinct full values (a cycle inside H1 but not H2 fails the H test
-    anyway, and inf is divisible by everything)."""
+    bitmasks and gathered, per cycle stored in some triple, from the
+    divisibility table of its distinct full values.  A cycle stored in no
+    triple is 1 inside H and inf elsewhere: one inside H1 but not H2 fails
+    the H test anyway, and inf is divisible by everything."""
     bit = {v: 1 << i for v, i in g.vertex_index.items()}
     h = np.array([sum(bit[v] for v in t.H) for t in ts], dtype=np.int32)  # at most 20 vertices
     w = np.array([sum(bit[v] for v in t.W) for t in ts], dtype=np.int32)
     m = ((h[:, None] & ~h) == 0) & ((w[:, None] & ~(h | w)) == 0)
-    for c in g.cycles:
+    for c in dict.fromkeys(c for t in ts for c, _ in t.f.entries):
         pos: dict = {}  # distinct full values of c, in order of appearance
         k = np.array([pos.setdefault(t.cycle_value(c), len(pos)) for t in ts], dtype=np.intp)
         divides = np.array([[ext_divides(a, b) for b in pos] for a in pos], dtype=bool)
@@ -291,14 +294,14 @@ def enumerate_triples(
 def _triples(g: DirectedGraph, bound: int | None):
     if bound is None and not is_acyclic(g):
         raise UnboundedLatticeError(
-            "graph has cycles: triple enumeration needs a bound"
+            "graph has cycles: triple enumeration needs a bound (--bound N)"
         )
     if bound is not None and bound < 1:
         raise ValueError("bound must be a positive integer")
-    hereditary = hereditary_subsets(g)  # its size cap comes before the cycle search
-    cycles = g.cycles
+    hereditary = hereditary_subsets(g)  # its size cap comes before the bound cap
+    cyclic = not is_acyclic(g)
     values: tuple[ExtNat, ...] = ()
-    if cycles:
+    if cyclic:
         if bound > BOUND_CAP:
             raise LatticeTooLargeError(f"cycle-value bound capped at {BOUND_CAP}")
         values = divisors(bound) + (INF,)
@@ -307,10 +310,17 @@ def _triples(g: DirectedGraph, bound: int | None):
         index_one = sorted(
             v for v in g.vertices if v not in h and index_relative(g, v, h) == 1
         )
+        # A free cycle leaves H at each source, by that source's one exit
+        # edge, so the free cycles are the cycles of the exit edges.
+        cycles = ()
+        if cyclic:
+            inside = set(index_one)
+            exits = tuple(e for v in index_one for e in g.out_edges[v] if e.dst in inside)
+            cycles = enumerate_cycles(DirectedGraph(tuple(index_one), exits))
         for size in range(len(index_one) + 1):
             for chosen in combinations(index_one, size):
                 w = frozenset(chosen)
-                free = [c for c in cycles if c.source_set <= w and not c.source_set <= h]
+                free = [c for c in cycles if c.source_set <= w]
                 for combo in product(values, repeat=len(free)):
                     yield CongruenceTriple(h, w, CycleFunction.of(zip(free, combo)))
 

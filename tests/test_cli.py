@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gislat
 from gislat.cli import main
 
 from conftest import GAMMA1_TEXT, GAMMA2_TEXT, LOOP_TEXT
@@ -229,6 +233,90 @@ def test_bound_cap_comes_before_the_divisors(files, capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ") and str(10**12) in err
     code, _, _ = run(capsys, argv[0], files["loop"], *argv[1:], "--bound", str(10**12))
     assert code == 0
+
+
+def _complete_digraph(n: int) -> str:
+    lines = [f"vertex v{i}" for i in range(n)]
+    lines += [f"edge e{i}_{j} v{i} v{j}" for i in range(n) for j in range(n) if i != j]
+    return "\n".join(lines) + "\n"
+
+
+def test_complete_digraph_probe_needs_no_graph_wide_cycle_search(tmp_path, capsys):
+    # K12 has billions of simple cycles; its hereditary sets are ∅ and V,
+    # and no vertex has index 1 relative to either.
+    p = tmp_path / "K12.graph"
+    p.write_text(_complete_digraph(12))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "classify", str(p), "--enumerate", "--bound", "6", "--json")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and json.loads(out)["lattice_size"] == 2
+
+
+def test_bound_cap_refuses_a_complete_digraph_at_once(tmp_path, capsys):
+    p = tmp_path / "K9.graph"
+    p.write_text(_complete_digraph(9))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "classify", str(p), "--enumerate", "--bound", str(10**18))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, err) == (2, "", "error: cycle-value bound capped at 1000000000000\n")
+
+
+PATH20_TEXT = "".join(f"vertex v{i}\n" for i in range(20)) + "".join(
+    f"edge e{i} v{i} v{i + 1}\n" for i in range(19)
+)
+ISOLATED21_TEXT = "".join(f"vertex v{i}\n" for i in range(21))
+LOOPS3_TEXT = "vertex a\nvertex b\nvertex c\nedge x a a\nedge y b b\nedge z c c\n"
+
+# One input per refusal, with the exact line each one ends with.
+REFUSALS = [
+    (LOOP_TEXT, "classify --enumerate", "graph has cycles: triple enumeration needs a bound (--bound N)"),
+    (LOOP_TEXT, f"classify --enumerate --bound {10**18}", "cycle-value bound capped at 1000000000000"),
+    (ISOLATED21_TEXT, "classify --enumerate", "exhaustive hereditary enumeration capped at 20 vertices"),
+    (LOOPS3_TEXT, f"lattice --bound {10**7}", "triple lattice capped at 4096 elements"),
+    (LOOP_TEXT, "semigroup", "path set is infinite: graph has cycles"),
+    (PATH20_TEXT, "semigroup", "semigroup table capped at 2000 elements, got 2871"),
+    (GAMMA2_TEXT, "oracle --cap 5", "brute-force congruence enumeration capped at 5 elements, got 15"),
+    (LOOP_TEXT, "oracle", "path set is infinite: graph has cycles"),
+]
+
+
+@pytest.mark.parametrize("text, argv, message", REFUSALS)
+def test_every_refusal_is_exit_2_and_one_line(tmp_path, capsys, text, argv, message):
+    p = tmp_path / "g.graph"
+    p.write_text(text)
+    command, *flags = argv.split()
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, command, str(p), *flags, *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        gislat.UnboundedLatticeError,
+        gislat.LatticeTooLargeError,
+        gislat.CyclicGraphError,
+        gislat.SemigroupTooLargeError,
+        gislat.LimitError,
+    ],
+)
+def test_refusals_share_one_base_class(error):
+    assert issubclass(error, gislat.LimitError)
+    assert issubclass(error, gislat.GraphError)
+
+
+def test_python_dash_m_runs_the_cli(files):
+    # The package's own source directory, so the child imports this code.
+    src = str(Path(gislat.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gislat.cli", "forked", files["g1"], "--json"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"forked_vertices": ["v1"]}
 
 
 # ------------------------------------------------------------ lattice

@@ -30,7 +30,13 @@ from gislat.triples import (
     validate_triple,
 )
 
-from helpers import acyclic_corpus, cyclic_corpus, definition_leq
+from helpers import (
+    acyclic_corpus,
+    bounded_triple_count,
+    cyclic_corpus,
+    definition_leq,
+    outdeg_le1_corpus,
+)
 
 
 def T(h=(), w=(), f=None):
@@ -70,20 +76,21 @@ def test_divisors():
     assert len(divisors(9699690)) == 256  # 2·3·5·7·11·13·17·19
 
 
-def test_triple_lattice_enumerates_cycles_once(monkeypatch):
-    import gislat.graph
-
-    calls = []
-    original = gislat.graph.enumerate_cycles
-
-    def counting(g):
-        calls.append(g)
-        return original(g)
-
-    monkeypatch.setattr(gislat.graph, "enumerate_cycles", counting)
+def test_triple_lattice_never_builds_graph_cycles():
+    # The free cycles of each hereditary set come from its exit edges;
+    # the graph-wide cycle list is never built.
     g = parse_graph("vertex a\nvertex b\nedge e a b\nedge f b a\nedge l a a")
     assert len(triple_lattice(g, 6)) > 1
-    assert calls == [g]
+    assert "cycles" not in vars(g)
+
+
+def test_exit_edge_cycles_match_graph_cycles():
+    """Every bounded triple stores exactly the free cycles among all the
+    graph's cycles, and the count matches the all-cycles count."""
+    for g in cyclic_corpus() + outdeg_le1_corpus():
+        ts = enumerate_triples(g, 6)
+        assert len(ts) == bounded_triple_count(g, 6)
+        assert all(validate_triple(g, t) == () for t in ts)
 
 
 # --------------------------------------------------------- validation
