@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .graph import (
     GraphError, LimitError, connectivity_report, forked_vertices, is_acyclic, parse_graph
 )
@@ -153,10 +155,10 @@ def cmd_classify(args) -> int:
 def cmd_lattice(args) -> int:
     g = _load(args.graph_file)
     lat, bounded, verdicts, _ = _bounded_lattice(g, args.bound)
-    covers = sorted((lower, upper) for upper, lower in lat.cover_set)
+    covers = np.argwhere(lat.cov).tolist()  # [lower, upper], sorted
     payload = {
         "elements": [triple_to_json(t) for t in lat.labels],
-        "covers": [[lo, up] for lo, up in covers],
+        "covers": covers,
         "verdicts": verdicts,
         "bounded": bounded,
     }

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -246,8 +247,9 @@ def is_hereditary(g: DirectedGraph, H) -> bool:
     return all(e.dst in members for e in g.edges if e.src in members)
 
 
-def hereditary_subsets(g: DirectedGraph) -> tuple[frozenset[str], ...]:
-    """All hereditary vertex subsets, sorted by (size, sorted names).
+def hereditary_subsets(g: DirectedGraph, cap: int | None = None) -> tuple[frozenset[str], ...]:
+    """All hereditary vertex subsets, sorted by (size, sorted names); with
+    a ``cap``, only ``cap + 1`` of them once more than ``cap`` exist.
 
     The hereditary sets are the unions of the condensation's reach masks,
     grown one distinct mask at a time: one union per set found and mask."""
@@ -256,6 +258,9 @@ def hereditary_subsets(g: DirectedGraph) -> tuple[frozenset[str], ...]:
     found = {0}
     for r in set(g.condensation[1]):
         found |= {h | r for h in found}
+        if cap is not None and len(found) > cap:
+            found = set(islice(found, cap + 1))
+            break
     sets = (frozenset(v for v, i in g.vertex_index.items() if h >> i & 1) for h in found)
     return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
 

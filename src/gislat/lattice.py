@@ -2,9 +2,9 @@
 
 A lattice is built from an element list and its order, as a predicate
 or a boolean matrix; the tables come from that matrix alone.  a ∧ b is
-the largest c ∧ b over the lower covers c of a, kept only if its down-set
-is as large as the set of common lower bounds (exact bit-packed counts);
-joins are the same on the dual order.  Because no closed-form meet/join
+the largest c ∧ b over the lower covers c of a, confirmed by induction
+over those lower covers (each c ∧ b confirmed and below it); joins are
+the same on the dual order.  Because no closed-form meet/join
 ever enters the construction, lattices built here double as the
 poset-theoretic oracle for formula-computed meets and joins elsewhere in
 the package.
@@ -100,22 +100,33 @@ def _counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _meet_table(m: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate glb of every pair, and whether counts confirm it (``m[x, y]``:
-    x <= y, ``cov[x, y]``: y covers x; pass both transposed for joins).
+    """Candidate glb of every pair, and whether induction confirms it
+    (``m[x, y]``: x <= y, ``cov[x, y]``: y covers x; pass both transposed
+    for joins).
 
-    Rows go by increasing down-set size.  If a <= b the glb is a; else it is
-    the ``glb(c, b)`` with the largest down-set over the lower covers c of a.
-    A common lower bound is the glb iff its down-set is as large as the set
-    of common lower bounds."""
-    size = m.sum(axis=0, dtype=np.int32)  # down-set sizes
+    Rows go by increasing down-set size, and entries are kept as positions
+    in that order, so a larger entry never has a smaller down-set.  If
+    a <= b the glb is a; else the candidate g is the largest ``glb(c, b)``
+    over the lower covers c of a.  It is confirmed when every ``glb(c, b)``
+    is and lies below g: a common lower bound of a and b lies below some c,
+    hence below ``glb(c, b)`` and g."""
+    n = len(m)
+    order = np.argsort(m.sum(axis=0), kind="stable").astype(np.int32)
+    ranked = m[np.ix_(order, order)]  # the order on positions
     table = np.empty(m.shape, dtype=np.int32)
-    cols = np.arange(len(m))
-    for a in np.argsort(size, kind="stable"):
-        cand = table[np.flatnonzero(cov[:, a])]  # the rows of a's lower covers
-        # A minimal a keeps itself, which fails the check wherever a ≰ b.
-        table[a] = cand[size[cand].argmax(axis=0), cols] if len(cand) else a
-        table[a, m[a]] = a
-    ok = m[table, cols[:, None]] & m[table, cols] & (size[table] == _counts(m.T, m.T))
+    ok = m.copy()
+    for i, a in enumerate(order):
+        lower = np.flatnonzero(cov[:, a])
+        if len(lower):
+            rows = table[lower]
+            table[a] = g = rows.max(axis=0)
+            ok[a] |= (ok[lower] & ranked[rows, g]).all(axis=0)
+        else:  # a minimal a keeps itself, which fails wherever a ≰ b
+            table[a] = i
+        table[a, m[a]] = i
+    step = max(1, (1 << 16) // max(1, n))
+    for s in range(0, n, step):  # back to indices, without an n × n intp copy
+        table[s : s + step] = order[table[s : s + step]]
     return table, ok
 
 
@@ -147,8 +158,8 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
 
     meet_t, meet_ok = _meet_table(m, cov)
     join_t, join_ok = _meet_table(m.T, cov.T)
-    # A candidate may come from a pair without a glb, so a failed count only
-    # flags a pair for the exact rule (the common bound with the largest
+    # A candidate may come from a pair without a glb, so a failed induction
+    # only flags a pair for the exact rule (the common bound with the largest
     # down-set holds them all).  Failures are symmetric: the first has i <= j.
     exact = (("meet", meet_ok, m.T, m.sum(axis=0)), ("join", join_ok, m, m.sum(axis=1)))
     for i, j in np.argwhere(np.triu(~(meet_ok & join_ok))):
@@ -199,20 +210,24 @@ def find_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
     """First pentagon in lexicographic (low, high, side) index order.
 
     A pentagon exists iff some strictly comparable p < q share both meet
-    and join with a third element; (p∧b, p, q, b, p∨b) then has exactly
-    the pentagon configuration.
+    and join with a third element b; (p∧b, p, q, b, p∨b) then has exactly
+    the pentagon configuration.  Such q and b exist for p iff some upper
+    cover u of p and some b have u <= p∨b and u∧b = p∧b: take u <= q one
+    way, and q = u the other (then u∨b = p∨b).  So the cover pairs, in
+    order of p, give the first p; one scan of its row gives q and b.
     """
-    n, m, j = lat.n, lat.meet_t, lat.join_t
-    lt = lat.leq & ~np.eye(n, dtype=bool)
-    key = m.astype(np.int64) * n + j.astype(np.int64)
-    for p in range(n):
-        eq = (key == key[p][None, :]) & lt[p][:, None]
-        hits = np.argwhere(eq)
-        if hits.size:
-            q, b = (int(x) for x in hits[0])
-            o = int(m[p, b])
-            i = int(j[p, b])
-            return SublatticeWitness("pentagon", (o, p, q, b, i))
+    n, leq, m, j = lat.n, lat.leq, lat.meet_t, lat.join_t
+    lows, ups = np.nonzero(lat.cov)  # row-major, so sorted by the low p
+    step = max(1, (1 << 16) // max(1, n))
+    for s in range(0, len(lows), step):
+        p, u = lows[s : s + step], ups[s : s + step]
+        hit = (leq[u[:, None], j[p]] & (m[u] == m[p])).any(axis=1)
+        if hit.any():
+            p = int(p[hit.argmax()])
+            above = np.setdiff1d(np.flatnonzero(leq[p]), p)
+            k, b = (int(x) for x in np.argwhere((m[above] == m[p]) & (j[above] == j[p]))[0])
+            q = int(above[k])
+            return SublatticeWitness("pentagon", (int(m[p, b]), p, q, b, int(j[p, b])))
     return None
 
 
@@ -340,7 +355,7 @@ def hasse_dot(lat: FiniteLattice, render: Callable = str) -> str:
     ]
     for i, lab in enumerate(lat.labels):
         lines.append(f'  n{i} [label="{esc(render(lab))}"];')
-    for upper, lower in sorted(lat.cover_set, key=lambda p: (p[1], p[0])):
+    for lower, upper in np.argwhere(lat.cov).tolist():  # row-major: by lower
         lines.append(f"  n{lower} -> n{upper};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -291,20 +291,22 @@ def enumerate_triples(
     return tuple(_triples(g, bound))
 
 
-def _triples(g: DirectedGraph, bound: int | None):
+def _triples(g: DirectedGraph, bound: int | None, cap: int | None = None):
     if bound is None and not is_acyclic(g):
         raise UnboundedLatticeError(
             "graph has cycles: triple enumeration needs a bound (--bound N)"
         )
     if bound is not None and bound < 1:
         raise ValueError("bound must be a positive integer")
-    hereditary = hereditary_subsets(g)  # its size cap comes before the bound cap
+    hereditary = hereditary_subsets(g, cap)  # its size cap comes before the bound cap
     cyclic = not is_acyclic(g)
     values: tuple[ExtNat, ...] = ()
     if cyclic:
         if bound > BOUND_CAP:
             raise LatticeTooLargeError(f"cycle-value bound capped at {BOUND_CAP}")
         values = divisors(bound) + (INF,)
+    if cap is not None and len(hereditary) > cap:  # each yields a triple with W = ∅
+        raise LatticeTooLargeError(f"triple lattice capped at {cap} elements")
 
     for h in hereditary:
         index_one = sorted(
@@ -328,11 +330,11 @@ def _triples(g: DirectedGraph, bound: int | None):
 def triple_lattice(g: DirectedGraph, bound: int | None = None):
     """The enumerated triples as a finite lattice: ``from_poset`` derives
     meets and joins from :func:`leq_matrix` alone, not from the closed-form
-    formulas.  Past :data:`TRIPLE_CAP` triples the enumeration stops and
-    :class:`LatticeTooLargeError` is raised."""
+    formulas.  Past :data:`TRIPLE_CAP` hereditary sets or triples the
+    enumeration stops and :class:`LatticeTooLargeError` is raised."""
     from .lattice import from_poset
 
-    ts = tuple(islice(_triples(g, bound), TRIPLE_CAP + 1))
+    ts = tuple(islice(_triples(g, bound, TRIPLE_CAP), TRIPLE_CAP + 1))
     if len(ts) > TRIPLE_CAP:
         raise LatticeTooLargeError(f"triple lattice capped at {TRIPLE_CAP} elements")
     return from_poset(ts, leq_matrix(g, ts))

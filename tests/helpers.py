@@ -124,6 +124,19 @@ def brute_lub_index(leq_rows, i: int, j: int):
     return minima[0] if len(minima) == 1 else None
 
 
+def brute_first_non_lattice_pair(leq_rows):
+    """The first pair i <= j, row-major, without a glb or lub, as
+    (i, j, "meet" | "join") with the meet checked first; None for a
+    lattice."""
+    n = len(leq_rows)
+    for i in range(n):
+        for j in range(i, n):
+            for which, bound in (("meet", brute_glb_index), ("join", brute_lub_index)):
+                if bound(leq_rows, i, j) is None:
+                    return i, j, which
+    return None
+
+
 def definition_leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
     """The triple order from its definition: H1 ⊆ H2, W1 \\ H2 ⊆ W2, and
     f2(c) divides f1(c) on every cycle of the graph."""
@@ -132,6 +145,20 @@ def definition_leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple)
         and t1.W - t2.H <= t2.W
         and all(ext_divides(t2.cycle_value(c), t1.cycle_value(c)) for c in g.cycles)
     )
+
+
+def brute_first_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
+    """First pentagon in lexicographic (p, q, b) order by one n × n scan
+    per p: p < q sharing both meet and join with b."""
+    n, m, j = lat.n, lat.meet_t, lat.join_t
+    lt = lat.leq & ~np.eye(n, dtype=bool)
+    key = m.astype(np.int64) * n + j.astype(np.int64)
+    for p in range(n):
+        hits = np.argwhere((key == key[p][None, :]) & lt[p][:, None])
+        if hits.size:
+            q, b = (int(x) for x in hits[0])
+            return SublatticeWitness("pentagon", (int(m[p, b]), p, q, b, int(j[p, b])))
+    return None
 
 
 def brute_first_diamond(lat: FiniteLattice) -> SublatticeWitness | None:

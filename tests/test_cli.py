@@ -264,6 +264,7 @@ def test_bound_cap_refuses_a_complete_digraph_at_once(tmp_path, capsys):
 PATH20_TEXT = "".join(f"vertex v{i}\n" for i in range(20)) + "".join(
     f"edge e{i} v{i} v{i + 1}\n" for i in range(19)
 )
+ISOLATED20_TEXT = "".join(f"vertex v{i}\n" for i in range(20))
 ISOLATED21_TEXT = "".join(f"vertex v{i}\n" for i in range(21))
 LOOPS3_TEXT = "vertex a\nvertex b\nvertex c\nedge x a a\nedge y b b\nedge z c c\n"
 
@@ -273,6 +274,8 @@ REFUSALS = [
     (LOOP_TEXT, f"classify --enumerate --bound {10**18}", "cycle-value bound capped at 1000000000000"),
     (ISOLATED21_TEXT, "classify --enumerate", "exhaustive hereditary enumeration capped at 20 vertices"),
     (LOOPS3_TEXT, f"lattice --bound {10**7}", "triple lattice capped at 4096 elements"),
+    (ISOLATED20_TEXT, "classify --enumerate", "triple lattice capped at 4096 elements"),
+    (ISOLATED20_TEXT, "oracle", "triple lattice capped at 4096 elements"),
     (LOOP_TEXT, "semigroup", "path set is infinite: graph has cycles"),
     (PATH20_TEXT, "semigroup", "semigroup table capped at 2000 elements, got 2871"),
     (GAMMA2_TEXT, "oracle --cap 5", "brute-force congruence enumeration capped at 5 elements, got 15"),
@@ -288,6 +291,18 @@ def test_every_refusal_is_exit_2_and_one_line(tmp_path, capsys, text, argv, mess
     for extra in ([], ["--json"]):
         code, out, err = run(capsys, command, str(p), *flags, *extra)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["classify", "--enumerate"], ["oracle"]])
+def test_triple_cap_comes_before_the_hereditary_sets(tmp_path, capsys, argv):
+    # 2^20 hereditary sets, each the H of at least one triple: the union
+    # growth stops past 4096 of them instead of listing them all.
+    p = tmp_path / "iso20.graph"
+    p.write_text(ISOLATED20_TEXT)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, err) == (2, "", "error: triple lattice capped at 4096 elements\n")
 
 
 @pytest.mark.parametrize(

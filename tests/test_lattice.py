@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from gislat.graph import DirectedGraph
 from gislat.lattice import (
     NotALatticeError,
     SublatticeWitness,
@@ -24,6 +25,8 @@ from gislat.triples import render_triple, triple_lattice
 from helpers import (
     acyclic_corpus,
     brute_first_diamond,
+    brute_first_non_lattice_pair,
+    brute_first_pentagon,
     brute_glb_index,
     brute_lub_index,
     closure_lattice,
@@ -165,42 +168,45 @@ def random_closure_poset(rng):
 
 def check_against_bruteforce(labels, leq):
     """from_poset on the predicate and on the ready matrix: the brute-force
-    meet and join tables for a lattice, else the first pair (i <= j,
-    row-major, meet before join) without a bound.  Returns "lattice",
-    "meet" or "join"."""
+    meet and join tables and the cover relation for a lattice, else the
+    first pair (i <= j, row-major, meet before join) without a bound.
+    Returns "lattice", "meet" or "join"."""
     rows = [[leq(a, b) for b in labels] for a in labels]
     n = len(labels)
-    first_failure = next(
-        (
-            ((labels[i], labels[j]), which)
-            for i in range(n)
-            for j in range(i, n)
-            for which, bound in (("meet", brute_glb_index), ("join", brute_lub_index))
-            if bound(rows, i, j) is None
-        ),
-        None,
-    )
+    first_failure = brute_first_non_lattice_pair(rows)
     if first_failure is None:
         meets = [[brute_glb_index(rows, i, j) for j in range(n)] for i in range(n)]
         joins = [[brute_lub_index(rows, i, j) for j in range(n)] for i in range(n)]
+        covers = [
+            [
+                i != j and rows[i][j]
+                and not any(rows[i][x] and rows[x][j] for x in range(n) if x not in (i, j))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
     for order in (leq, np.array(rows, dtype=bool).reshape(n, n)):
         if first_failure is None:
             lat = from_poset(labels, order)
             assert lat.meet_t.tolist() == meets
             assert lat.join_t.tolist() == joins
+            assert lat.cov.tolist() == covers
         else:
+            i, j, which = first_failure
             with pytest.raises(NotALatticeError) as err:
                 from_poset(labels, order)
-            assert (err.value.pair, err.value.which) == first_failure
-    return "lattice" if first_failure is None else first_failure[1]
+            assert (err.value.pair, err.value.which) == ((labels[i], labels[j]), which)
+    return "lattice" if first_failure is None else first_failure[2]
 
 
 def test_from_poset_matches_bruteforce_bounds_on_random_posets():
+    # Many posets, because a pair that fails the induction only because a
+    # lower cover's pair failed must still be rechecked exactly.
     rng = random.Random(4)
     seen = {"lattice": 0, "meet": 0, "join": 0}
-    for _ in range(400):
+    for _ in range(2000):
         seen[check_against_bruteforce(*random_poset(rng))] += 1
-    assert min(seen.values()) >= 20, seen
+    assert min(seen.values()) >= 100, seen
 
 
 def test_from_poset_matches_bruteforce_bounds_on_larger_posets():
@@ -379,6 +385,31 @@ def test_implication_chain_on_corpus():
 @given(closure_lattice_strategy())
 def test_verdict_pass_matches_oracles_on_closure_lattices(lat):
     check_verdict_pass(lat)
+
+
+def test_find_pentagon_matches_per_element_scan():
+    """The cover-pair search names the same first pentagon as one scan per
+    low element.  Under bound 60 the fork over loops (a forked vertex whose
+    two sinks carry loops) has 254 elements and its first low element is
+    196, past the first block of cover pairs."""
+    rng = random.Random(2024)
+    lattices = []
+    for _ in range(600):
+        points = rng.randint(1, 5)
+        gens = [rng.randint(0, (1 << points) - 1) for _ in range(rng.randint(0, 7))]
+        lattices.append(closure_lattice(points, gens))
+    lattices += [triple_lattice(g) for g in acyclic_corpus()]
+    lattices += [triple_lattice(g, 12) for g in cyclic_corpus()]
+    fork = [("e", "u", "v"), ("f", "u", "w"), ("lv", "v", "v"), ("lw", "w", "w")]
+    forkloops = triple_lattice(DirectedGraph.of(["u", "v", "w"], fork), 60)
+    assert len(forkloops) == 254
+    assert find_pentagon(forkloops).members[1] == 196
+    pentagons = 0
+    for lat in lattices + [forkloops]:
+        w = find_pentagon(lat)
+        assert w == brute_first_pentagon(lat)
+        pentagons += w is not None
+    assert pentagons >= 20, pentagons
 
 
 def test_closure_lattices_reach_every_verdict_combination():

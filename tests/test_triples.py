@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gislat.graph import UnknownVertexError, enumerate_cycles, index_relative, parse_graph
+from gislat.graph import (
+    UnknownVertexError, enumerate_cycles, hereditary_subsets, index_relative, parse_graph
+)
 from gislat.triples import (
     EMPTY_CYCLE_FUNCTION,
     INF,
@@ -301,8 +303,6 @@ def test_enumerate_single_loop_bound_12(loop_graph):
 
 
 def test_enumerate_counts_match_formula():
-    from gislat.graph import hereditary_subsets
-
     for g in acyclic_corpus()[:60]:
         expected = 0
         for h in hereditary_subsets(g):
@@ -333,6 +333,25 @@ def test_triple_lattice_cap(gamma2, monkeypatch):
     with pytest.raises(LatticeTooLargeError, match=f"capped at {TRIPLE_CAP} elements"):
         triple_lattice(g, 10_000_000)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_hereditary_cap_keeps_the_check_order(monkeypatch):
+    import gislat.triples
+
+    monkeypatch.setattr(gislat.triples, "TRIPLE_CAP", 100)
+    # 256 hereditary sets, each giving one triple (no vertex has index 1).
+    iso8 = parse_graph("".join(f"vertex v{i}\n" for i in range(8)))
+    with pytest.raises(LatticeTooLargeError, match="triple lattice capped at 100 elements"):
+        triple_lattice(iso8)
+    assert len(hereditary_subsets(iso8)) == len(enumerate_triples(iso8)) == 256
+    capped = hereditary_subsets(iso8, 100)
+    assert len(capped) == 101 and set(capped) <= set(hereditary_subsets(iso8))
+    # Past both the bound cap and the triple cap, the bound cap is named.
+    looped = parse_graph("".join(f"vertex v{i}\n" for i in range(8)) + "edge x v0 v0\n")
+    with pytest.raises(LatticeTooLargeError, match="cycle-value bound capped"):
+        triple_lattice(looped, 10**18)
+    with pytest.raises(LatticeTooLargeError, match="triple lattice capped at 100 elements"):
+        triple_lattice(looped, 6)
 
 
 def test_bounded_enumeration_closed_under_meet_join(loop_graph):
