@@ -3,18 +3,20 @@
 A lattice is built from an element list and its order, as a predicate
 or a boolean matrix; the tables come from that matrix alone.  a ∧ b is
 the largest c ∧ b over the lower covers c of a, confirmed by induction
-over those lower covers (each c ∧ b confirmed and below it); joins are
-the same on the dual order.  Because no closed-form meet/join
-ever enters the construction, lattices built here double as the
-poset-theoretic oracle for formula-computed meets and joins elsewhere in
-the package.
+over those lower covers (each c ∧ b confirmed and below it), one group
+of equal down-set sizes at a time; joins are the same on the dual order.
+Because no closed-form meet/join ever enters the construction, lattices
+built here double as the poset-theoretic oracle for formula-computed
+meets and joins elsewhere in the package.
 
 :func:`lattice_verdicts` decides the four verdicts in one pass from
-known characterisations (Grätzer, *Lattice Theory: Foundation*, ch. IV):
-semimodularity on the cover matrix, modularity as upper plus lower
-semimodularity, distributivity as every join-irreducible being
-join-prime.  A failure also gets a pentagon or diamond witness from a
-direct search, an independent route to the same verdict.
+known characterisations (Grätzer, *Lattice Theory: Foundation*, ch. IV),
+each read off the cover pairs: upper semimodularity as every two distinct
+upper covers of one element having a join that covers both, lower
+semimodularity dually, modularity as both, and distributivity as every
+join-irreducible j being join-prime, that is {x : j ≰ x} having a
+greatest element.  A failure also gets a pentagon or diamond witness
+from a direct search, an independent route to the same verdict.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class FiniteLattice:
         self.join_t: np.ndarray = join_table
         # cov[a, b]: b covers a
         self.cov: np.ndarray = cover_matrix
-        self._index = {lab: i for i, lab in enumerate(labels)}
 
     @cached_property
     def cover_set(self) -> frozenset[tuple[int, int]]:
@@ -70,9 +71,6 @@ class FiniteLattice:
 
     def __len__(self) -> int:
         return self.n
-
-    def index_of(self, label) -> int:
-        return self._index[label]
 
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self.leq[i, j])
@@ -109,22 +107,41 @@ def _meet_table(m: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     a <= b the glb is a; else the candidate g is the largest ``glb(c, b)``
     over the lower covers c of a.  It is confirmed when every ``glb(c, b)``
     is and lies below g: a common lower bound of a and b lies below some c,
-    hence below ``glb(c, b)`` and g."""
+    hence below ``glb(c, b)`` and g.
+
+    Elements with equal down-set sizes are pairwise incomparable and all
+    their lower covers come earlier, so one such group is done at once, in
+    row blocks, its lower covers padded to the block's largest count by
+    repeating a row's last one."""
     n = len(m)
-    order = np.argsort(m.sum(axis=0), kind="stable").astype(np.int32)
-    ranked = m[np.ix_(order, order)]  # the order on positions
+    ok = m.copy()  # in rows even when m is a transposed view
+    size = ok.sum(axis=0)
+    order = np.argsort(size, kind="stable").astype(np.int32)
+    ranked = ok[np.ix_(order, order)].ravel()  # position p <= q at p * n + q
+    flat = np.int32 if n * n < 2**31 else np.int64  # dtype that holds p * n + q
     table = np.empty(m.shape, dtype=np.int32)
-    ok = m.copy()
-    for i, a in enumerate(order):
-        lower = np.flatnonzero(cov[:, a])
-        if len(lower):
-            rows = table[lower]
-            table[a] = g = rows.max(axis=0)
-            ok[a] |= (ok[lower] & ranked[rows, g]).all(axis=0)
-        else:  # a minimal a keeps itself, which fails wherever a ≰ b
-            table[a] = i
-        table[a, m[a]] = i
-    step = max(1, (1 << 16) // max(1, n))
+    lower, upper = np.nonzero(cov)
+    lower = lower[np.argsort(upper, kind="stable")]  # grouped by upper element
+    degree = np.bincount(upper, minlength=n)
+    first = np.cumsum(degree) - degree
+    cuts = np.flatnonzero(np.diff(size[order])) + 1
+    step = max(1, (1 << 14) // max(1, n))  # a block gathers n cells per lower cover a row
+    for start, end in zip([0, *cuts], [*cuts, n]):
+        for s in range(start, end, step):
+            a = order[s : min(s + step, end)]
+            pos = np.arange(s, s + len(a), dtype=np.int32)[:, None]
+            d = degree[a][:, None]
+            if not d.any():  # minimal: a keeps itself, which fails wherever a ≰ b
+                table[a] = pos
+                continue
+            covers = lower[first[a][:, None] + np.minimum(np.arange(d.max()), d - 1)]
+            found = table[covers].astype(flat, copy=False)  # [row, k, b]: glb(c_k, b)
+            g = found.max(axis=1)
+            found *= n
+            found += g[:, None]
+            below = ok[a]  # still m[a]
+            ok[a] = below | (ok[covers] & ranked.take(found)).all(axis=1)
+            table[a] = np.where(below, pos, g)
     for s in range(0, n, step):  # back to indices, without an n × n intp copy
         table[s : s + step] = order[table[s : s + step]]
     return table, ok
@@ -172,10 +189,17 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
 
 def is_distributive(lat: FiniteLattice) -> bool:
     """Every join-irreducible j (exactly one lower cover) is join-prime:
-    j <= a ∨ b implies j <= a or j <= b."""
-    for j in np.flatnonzero(lat.cov.sum(axis=0) == 1):
-        above = lat.leq[j]
-        if (above[lat.join_t] & ~(above[:, None] | above[None, :])).any():
+    j <= a ∨ b implies j <= a or j <= b.  That holds iff the down-set
+    D_j = {x : j ≰ x}, which holds the bottom, has a greatest element,
+    and that can only be its member w with the largest down-set; so j is
+    join-prime iff D_j lies below w."""
+    size = lat.leq.sum(axis=0)
+    irreducible = np.flatnonzero(lat.cov.sum(axis=0) == 1)
+    step = max(1, (1 << 16) // max(1, lat.n))
+    for s in range(0, len(irreducible), step):
+        outside = ~lat.leq[irreducible[s : s + step]]  # [j, x]: x in D_j
+        w = np.where(outside, size, -1).argmax(axis=1)
+        if (outside & ~lat.leq[:, w].T).any():
             return False
     return True
 
@@ -185,25 +209,30 @@ def is_modular(lat: FiniteLattice) -> bool:
     return is_upper_semimodular(lat) and is_lower_semimodular(lat)
 
 
-def _semimodular(cov: np.ndarray, meet_t: np.ndarray, join_t: np.ndarray) -> bool:
-    """a, b both covering a ∧ b forces a ∨ b to cover both a and b, over
-    all pairs at once (``cov[x, y]``: y covers x)."""
-    idx = np.arange(len(cov))
-    a, b = idx[:, None], idx[None, :]
-    meet_covered = cov[meet_t, a] & cov[meet_t, b]
-    join_covers = cov[a, join_t] & cov[b, join_t]
-    return not (meet_covered & ~join_covers).any()
+def _semimodular(cov: np.ndarray, join_t: np.ndarray) -> bool:
+    """a, b both covering a ∧ b forces a ∨ b to cover both a and b
+    (``cov[x, y]``: y covers x).  Two distinct upper covers a, b of one x
+    meet at x, so only those pairs are checked, a < b, from one self-join
+    of the cover pairs grouped by x."""
+    low, up = np.nonzero(cov)  # row-major, so grouped by the low x
+    later = np.searchsorted(low, low, side="right") - np.arange(len(low)) - 1
+    left = np.repeat(np.arange(len(low)), later)  # pair i with each later i' of its x
+    start = np.repeat(np.cumsum(later) - later, later)
+    right = left + 1 + np.arange(len(left)) - start
+    a, b = up[left], up[right]
+    j = join_t[a, b]
+    return bool((cov[a, j] & cov[b, j]).all())
 
 
 def is_upper_semimodular(lat: FiniteLattice) -> bool:
     """a, b both covering a ∧ b forces a ∨ b to cover both a and b."""
-    return _semimodular(lat.cov, lat.meet_t, lat.join_t)
+    return _semimodular(lat.cov, lat.join_t)
 
 
 def is_lower_semimodular(lat: FiniteLattice) -> bool:
     """a ∨ b covering both a and b forces a and b to cover a ∧ b: upper
     semimodularity of the dual lattice."""
-    return _semimodular(lat.cov.T, lat.join_t, lat.meet_t)
+    return _semimodular(lat.cov.T, lat.meet_t)
 
 
 def find_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:

@@ -69,6 +69,18 @@ def chain(n):
     return lattice_from_covers(list(range(n)), [(i, i + 1) for i in range(n - 1)])
 
 
+def seeded_closure_lattices():
+    """600 closure lattices of up to five points, which between them reach
+    all five verdict combinations."""
+    rng = random.Random(2024)
+    lattices = []
+    for _ in range(600):
+        points = rng.randint(1, 5)
+        gens = [rng.randint(0, (1 << points) - 1) for _ in range(rng.randint(0, 7))]
+        lattices.append(closure_lattice(points, gens))
+    return lattices
+
+
 # ------------------------------------------------------------ building
 
 
@@ -228,6 +240,33 @@ def test_boolean_lattice_on_512_elements():
     assert len(lat.cover_set) == lat.cov.sum() == 9 * 2**8
 
 
+def test_tables_on_wide_down_set_groups():
+    """Elements with equal down-set sizes are tabled together, in row
+    blocks of 2^14 // n rows.  The 300 atoms of M_300 (bottom 0, top 301)
+    span six blocks, the first ending at atom 54; 2^k puts up to 70
+    elements in one group.  Closed forms check every pair, the brute-force
+    bounds every pair of 2^k for k <= 6 and a seeded sample of rows past."""
+    rng = random.Random(12)
+    i = np.arange(302)
+    m300 = from_poset(i.tolist(), (i[:, None] == i) | (i[:, None] == 0) | (i == 301))
+    assert (1 << 14) // 302 == 54
+    comparable = m300.leq | m300.leq.T
+    assert (m300.meet_t == np.where(comparable, np.minimum(i[:, None], i), 0)).all()
+    assert (m300.join_t == np.where(comparable, np.maximum(i[:, None], i), 301)).all()
+    lattices = [(m300, [0, 1, 54, 55, 300, 301])]
+    for k in range(9):
+        b = np.arange(1 << k)
+        lat = from_poset(b.tolist(), (b[:, None] & b) == b[:, None])
+        assert (lat.meet_t == (b[:, None] & b)).all() and (lat.join_t == (b[:, None] | b)).all()
+        lattices.append((lat, [0, len(b) - 1]))
+    for lat, rows in lattices:
+        n, leq = len(lat), lat.leq.tolist()
+        for a in range(n) if n <= 64 else rows + rng.sample(range(n), 6):
+            for b in range(n):
+                assert lat.meet(a, b) == brute_glb_index(leq, a, b)
+                assert lat.join(a, b) == brute_lub_index(leq, a, b)
+
+
 def test_tables_match_bruteforce_bounds(gamma1, gamma2):
     for lat in (triple_lattice(gamma1), triple_lattice(gamma2), pentagon(), diamond()):
         rows = lat.leq.tolist()
@@ -371,6 +410,24 @@ def test_identity_checks_agree_with_forbidden_sublattice_search(gamma1, gamma2):
         check_verdict_pass(lat)
 
 
+def test_cover_verdicts_match_definitions():
+    """The verdicts from the cover pairs (semimodularity from pairs of
+    upper covers, join-primes from the largest down-set outside each
+    join-irreducible's up-set) against the all-triples identities and the
+    pairwise semimodularity checks.  M3's D_a ties its two other atoms,
+    the closure lattice {0, 1, 2, 4, 3, 6, 7} ties 1 and 4 in D_2, and in
+    2^3 (subsets of range(8)) the atoms' D_j tie below their greatest
+    element."""
+    lattices = [from_poset(labels, operator.le) for labels in ([], [0], [0, 1])]
+    lattices += [diamond(), pentagon(), chain(5)]
+    for family in ([0, 1, 2, 4, 3, 6, 7], range(8)):
+        lattices.append(from_poset(family, lambda a, c: a & c == a))
+    lattices += seeded_closure_lattices()
+    lattices += [triple_lattice(g) for g in acyclic_corpus()]
+    lattices += [triple_lattice(g, 12) for g in cyclic_corpus()]
+    assert len({tuple(check_verdict_pass(lat).values()) for lat in lattices}) == 5
+
+
 def test_implication_chain_on_corpus():
     for g in acyclic_corpus()[:40]:
         lat = triple_lattice(g)
@@ -392,12 +449,7 @@ def test_find_pentagon_matches_per_element_scan():
     low element.  Under bound 60 the fork over loops (a forked vertex whose
     two sinks carry loops) has 254 elements and its first low element is
     196, past the first block of cover pairs."""
-    rng = random.Random(2024)
-    lattices = []
-    for _ in range(600):
-        points = rng.randint(1, 5)
-        gens = [rng.randint(0, (1 << points) - 1) for _ in range(rng.randint(0, 7))]
-        lattices.append(closure_lattice(points, gens))
+    lattices = seeded_closure_lattices()
     lattices += [triple_lattice(g) for g in acyclic_corpus()]
     lattices += [triple_lattice(g, 12) for g in cyclic_corpus()]
     fork = [("e", "u", "v"), ("f", "u", "w"), ("lv", "v", "v"), ("lw", "w", "w")]
@@ -416,13 +468,9 @@ def test_closure_lattices_reach_every_verdict_combination():
     """The diamond branch needs modular, non-distributive lattices, which
     no triple lattice is; seeded closure lattices reach it.  find_diamond
     must also name the same first diamond as a direct scan."""
-    rng = random.Random(2024)
     seen = set()
     diamonds = 0
-    for _ in range(600):
-        points = rng.randint(1, 5)
-        gens = [rng.randint(0, (1 << points) - 1) for _ in range(rng.randint(0, 7))]
-        lat = closure_lattice(points, gens)
+    for lat in seeded_closure_lattices():
         seen.add(tuple(check_verdict_pass(lat).values()))
         w = find_diamond(lat)
         assert w == brute_first_diamond(lat)
@@ -461,11 +509,7 @@ def test_order_isomorphic_under_relabeling(gamma1):
     lat = triple_lattice(gamma1)
     n = len(lat)
     perm = [3, 0, 6, 2, 5, 1, 4]
-    shuffled = [lat.labels[p] for p in perm]
-    relabeled = from_poset(
-        list(range(n)),
-        lambda a, b: lat.leq_idx(lat.index_of(shuffled[a]), lat.index_of(shuffled[b])),
-    )
+    relabeled = from_poset(list(range(n)), lambda a, b: lat.leq_idx(perm[a], perm[b]))
     assert order_isomorphic(lat, relabeled)
     assert order_isomorphic(relabeled, lat)
 
