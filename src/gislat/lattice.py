@@ -1,10 +1,13 @@
 """Finite lattices with explicit meet/join tables.
 
 A lattice is built from an element list and its order, as a predicate
-or a boolean matrix; the tables come from that matrix alone.  a ∧ b is
-the largest c ∧ b over the lower covers c of a, confirmed by induction
-over those lower covers (each c ∧ b confirmed and below it), one group
-of equal down-set sizes at a time; joins are the same on the dual order.
+or a boolean matrix; the tables come from that matrix alone.  The covers
+and the transitivity check come from one OR over the order's pairs: what
+lies strictly above some k > i is the union of the packed strict up-sets
+of those k.  a ∧ b is the largest c ∧ b over the lower covers c of a,
+confirmed by induction over those lower covers (each c ∧ b confirmed and
+below it), one group of equal down-set sizes at a time; joins are the
+same on the dual order.
 Because no closed-form meet/join ever enters the construction, lattices
 built here double as the poset-theoretic oracle for formula-computed
 meets and joins elsewhere in the package.
@@ -85,22 +88,32 @@ class FiniteLattice:
         return bool(self.cov[lower, upper])
 
 
-def _counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``c[i, j]``: how many k have a[i, k] and b[j, k].  Exact and in one
-    thread: popcounts of rows packed into 64-bit words, a block at a time."""
-    pa, pb = (np.packbits(np.ascontiguousarray(x), axis=1) for x in (a, b))
-    pa, pb = (np.pad(p, ((0, 0), (0, -p.shape[1] % 8))).view(np.uint64) for p in (pa, pb))
-    c = np.empty((len(a), len(b)), dtype=np.int32)
-    step = max(1, (1 << 14) // max(1, pb.size))
-    for s in range(0, len(a), step):
-        c[s : s + step] = np.bitwise_count(pa[s : s + step, None] & pb).sum(axis=2)
-    return c
+def _between(lt: np.ndarray) -> np.ndarray:
+    """``between[i, j]``: some k has i < k < j (``lt[x, y]``: x < y).
+
+    Row i is the OR of the strict up-sets of the elements above i, as rows
+    packed into 64-bit words: one segment per i over the pairs of ``lt``,
+    whose row-major flat indices come grouped by i.  The pairs go in blocks
+    of about 2^18 gathered words; ``|=`` carries a row across a block edge."""
+    n = len(lt)
+    packed = np.packbits(lt, axis=1)
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    out = np.zeros_like(packed)
+    pairs = np.flatnonzero(lt)  # half the memory of nonzero's two arrays
+    step = max(1, (1 << 18) // max(1, packed.shape[1]))
+    for s in range(0, len(pairs), step):
+        low, high = np.divmod(pairs[s : s + step], n)
+        starts = np.flatnonzero(np.diff(low, prepend=-1))
+        out[low[starts]] |= np.bitwise_or.reduceat(packed[high], starts)
+    return np.unpackbits(out.view(np.uint8), axis=1, count=n).view(bool)
 
 
-def _meet_table(m: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _meet_table(
+    m: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Candidate glb of every pair, and whether induction confirms it
-    (``m[x, y]``: x <= y, ``cov[x, y]``: y covers x; pass both transposed
-    for joins).
+    (``m[x, y]``: x <= y; ``upper[k]`` covers ``lower[k]``; for joins pass
+    ``m.T`` and the cover pairs swapped).
 
     Rows go by increasing down-set size, and entries are kept as positions
     in that order, so a larger entry never has a smaller down-set.  If
@@ -120,7 +133,6 @@ def _meet_table(m: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ranked = ok[np.ix_(order, order)].ravel()  # position p <= q at p * n + q
     flat = np.int32 if n * n < 2**31 else np.int64  # dtype that holds p * n + q
     table = np.empty(m.shape, dtype=np.int32)
-    lower, upper = np.nonzero(cov)
     lower = lower[np.argsort(upper, kind="stable")]  # grouped by upper element
     degree = np.bincount(upper, minlength=n)
     first = np.cumsum(degree) - degree
@@ -168,13 +180,16 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     if (lt & lt.T).any():
         raise ValueError("leq is not antisymmetric")
     # Once m is reflexive and antisymmetric, m is transitive iff lt is.
-    between = _counts(lt, lt.T) > 0
+    # Transitivity and covers come from one OR over the order's pairs.
+    between = _between(lt)
     if (between & ~m).any():
         raise ValueError("leq is not transitive")
     cov = lt & ~between
+    del lt, between  # room for the tables at the cap
 
-    meet_t, meet_ok = _meet_table(m, cov)
-    join_t, join_ok = _meet_table(m.T, cov.T)
+    lower, upper = np.nonzero(cov)
+    meet_t, meet_ok = _meet_table(m, lower, upper)
+    join_t, join_ok = _meet_table(m.T, upper, lower)
     # A candidate may come from a pair without a glb, so a failed induction
     # only flags a pair for the exact rule (the common bound with the largest
     # down-set holds them all).  Failures are symmetric: the first has i <= j.
@@ -209,12 +224,11 @@ def is_modular(lat: FiniteLattice) -> bool:
     return is_upper_semimodular(lat) and is_lower_semimodular(lat)
 
 
-def _semimodular(cov: np.ndarray, join_t: np.ndarray) -> bool:
+def _semimodular(low: np.ndarray, up: np.ndarray, cov: np.ndarray, join_t: np.ndarray) -> bool:
     """a, b both covering a ∧ b forces a ∨ b to cover both a and b
-    (``cov[x, y]``: y covers x).  Two distinct upper covers a, b of one x
-    meet at x, so only those pairs are checked, a < b, from one self-join
-    of the cover pairs grouped by x."""
-    low, up = np.nonzero(cov)  # row-major, so grouped by the low x
+    (``up[k]`` covers ``low[k]``, grouped by the low x; ``cov[x, y]``: y
+    covers x).  Two distinct upper covers a, b of one x meet at x, so only
+    those pairs are checked, a < b, from one self-join of the cover pairs."""
     later = np.searchsorted(low, low, side="right") - np.arange(len(low)) - 1
     left = np.repeat(np.arange(len(low)), later)  # pair i with each later i' of its x
     start = np.repeat(np.cumsum(later) - later, later)
@@ -226,13 +240,15 @@ def _semimodular(cov: np.ndarray, join_t: np.ndarray) -> bool:
 
 def is_upper_semimodular(lat: FiniteLattice) -> bool:
     """a, b both covering a ∧ b forces a ∨ b to cover both a and b."""
-    return _semimodular(lat.cov, lat.join_t)
+    return _semimodular(*np.nonzero(lat.cov), lat.cov, lat.join_t)  # row-major: by low
 
 
 def is_lower_semimodular(lat: FiniteLattice) -> bool:
     """a ∨ b covering both a and b forces a and b to cover a ∧ b: upper
     semimodularity of the dual lattice."""
-    return _semimodular(lat.cov.T, lat.meet_t)
+    low, up = np.nonzero(lat.cov)  # cheaper than on the transposed view
+    by_up = np.argsort(up, kind="stable")
+    return _semimodular(up[by_up], low[by_up], lat.cov.T, lat.meet_t)
 
 
 def find_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:

@@ -124,6 +124,14 @@ def brute_lub_index(leq_rows, i: int, j: int):
     return minima[0] if len(minima) == 1 else None
 
 
+def brute_between(lt: np.ndarray) -> np.ndarray:
+    """``[i, j]``: some k has lt[i, k] and lt[k, j], one k at a time."""
+    out = np.zeros(lt.shape, dtype=bool)
+    for k in range(len(lt)):
+        out |= np.outer(lt[:, k], lt[k])
+    return out
+
+
 def brute_first_non_lattice_pair(leq_rows):
     """The first pair i <= j, row-major, without a glb or lub, as
     (i, j, "meet" | "join") with the meet checked first; None for a

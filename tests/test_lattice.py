@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from gislat.graph import DirectedGraph
 from gislat.lattice import (
     NotALatticeError,
+    _between,
     SublatticeWitness,
     find_diamond,
     find_pentagon,
@@ -24,6 +25,7 @@ from gislat.triples import render_triple, triple_lattice
 
 from helpers import (
     acyclic_corpus,
+    brute_between,
     brute_first_diamond,
     brute_first_non_lattice_pair,
     brute_first_pentagon,
@@ -144,6 +146,33 @@ def test_from_poset_counts_paths_exactly_past_256():
         from_poset(range(258), leq)
 
 
+def test_between_matches_bruteforce():
+    """The OR over the pairs of a relation against one k at a time: empty,
+    one element, non-transitive, seeded random of every density, and
+    relations whose pairs span several blocks of 2^18 // words pairs.  On
+    the 600-chain a row's first pairs, which carry the most bits, fall in
+    the block before its last ones."""
+    rng = np.random.default_rng(13)
+    relations = [np.zeros((0, 0), dtype=bool), np.zeros((1, 1), dtype=bool)]
+    relations.append(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool))
+    for n in (2, 5, 63, 64, 65, 130):
+        for density in (0.02, 0.2, 0.6, 1.0):
+            relations.append(rng.random((n, n)) < density)
+    i = np.arange(600)
+    chain = i[:, None] < i
+    lo = np.nonzero(chain)[0]
+    step = (1 << 18) // 10  # 600 bits pad to 10 words
+    edges = np.arange(step, len(lo), step)
+    assert len(edges) == 6 and (lo[edges - 1] == lo[edges]).any()
+    relations += [chain, rng.random((600, 600)) < 0.3]
+    for lt in relations:
+        np.fill_diagonal(lt, False)
+        got = _between(lt)
+        assert got.shape == lt.shape and got.dtype == bool
+        assert (got == brute_between(lt)).all()
+    assert (_between(chain) == (i[:, None] + 1 < i)).all()
+
+
 def random_poset(rng, sizes=(1, 9)):
     """Shuffled labels and the order of a random DAG's transitive closure;
     half the time with a bottom and a top, so lattices come up often."""
@@ -232,12 +261,17 @@ def test_from_poset_matches_bruteforce_bounds_on_larger_posets():
     assert min(seen.values()) >= 10, seen
 
 
-def test_boolean_lattice_on_512_elements():
-    i = np.arange(512)
-    lat = from_poset(i.tolist(), (i[:, None] & i) == i[:, None])
-    assert (lat.meet_t == (i[:, None] & i)).all()
-    assert (lat.join_t == (i[:, None] | i)).all()
-    assert len(lat.cover_set) == lat.cov.sum() == 9 * 2**8
+def test_boolean_lattices_on_512_and_1024_elements():
+    # 2^10 has 3^10 - 2^10 order pairs in 16-word rows: four blocks of the
+    # covers pass.
+    for k in (9, 10):
+        i = np.arange(1 << k)
+        lat = from_poset(i.tolist(), (i[:, None] & i) == i[:, None])
+        assert (lat.meet_t == (i[:, None] & i)).all()
+        assert (lat.join_t == (i[:, None] | i)).all()
+        assert len(lat.cover_set) == lat.cov.sum() == k * 2 ** (k - 1)
+        flip = i[:, None] ^ i  # b covers a iff b adds one bit to a
+        assert (lat.cov == (lat.leq & (flip != 0) & (flip & (flip - 1) == 0))).all()
 
 
 def test_tables_on_wide_down_set_groups():
