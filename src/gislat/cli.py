@@ -62,11 +62,12 @@ def _load(path: str):
         raise _CliError(EXIT_INPUT, f"{path}: {err}") from None
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload, text) -> None:
+    """Print ``payload()`` as JSON or the lines of ``text()``, building only one."""
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
@@ -103,7 +104,7 @@ def _flags(d: dict) -> str:
 def cmd_forked(args) -> int:
     g = _load(args.graph_file)
     names = sorted(forked_vertices(g))
-    _emit(args, {"forked_vertices": names}, names)
+    _emit(args, lambda: {"forked_vertices": names}, lambda: names)
     return EXIT_OK
 
 
@@ -125,56 +126,57 @@ def cmd_classify(args) -> int:
     forked = sorted(forked_vertices(g))
     predicted = dict.fromkeys(("distributive", "modular", "lower_semimodular"), not forked)
     predicted["upper_semimodular"] = True
-    report = {"graph": _graph_summary(g), "forked_vertices": forked, "predicted": predicted}
-    # The enumeration's keys, None unless --enumerate fills them in.
-    report |= dict.fromkeys(("computed", "lattice_size", "bounded", "witness", "agreement"))
-    summary = report["graph"]
-    lines = [
-        f"graph: {summary['vertices']} vertices, {summary['edges']} edges, "
-        f"{'acyclic' if summary['acyclic'] else 'cyclic'}, "
-        f"{summary['weak_components']} weak component(s)",
-        f"forked vertices: {' '.join(forked) if forked else '(none)'}",
-        f"predicted: {_flags(predicted)}",
-    ]
+    summary = _graph_summary(g)
+    # The enumeration's answers, None unless --enumerate fills them in.
+    size = computed = bounded = witness = agreement = None
     if args.enumerate:
         lat, bounded, computed, w = _bounded_lattice(g, args.bound)
-        report.update(computed=computed, lattice_size=len(lat), bounded=bounded)
-        report["agreement"] = agreement = _agreement(predicted, computed, bounded)
-        kind = f"bounded probe (bound {args.bound})" if bounded else "exact lattice"
-        lines.append(f"computed ({kind}, {len(lat)} elements): {_flags(computed)}")
+        size, agreement = len(lat), _agreement(predicted, computed, bounded)
         if w is not None:
-            members = [render_triple(lat.labels[i]) for i in w.members]
-            report["witness"] = {"kind": w.kind, "members": members}
-            lines.append(f"witness: {w.kind} " + " ".join(members))
-        shown = agreement if isinstance(agreement, str) else ("yes" if agreement else "VIOLATION")
-        lines.append(f"agreement: {shown}")
-    _emit(args, report, lines)
-    return EXIT_INTERNAL if report["agreement"] is False else EXIT_OK
+            witness = {"kind": w.kind, "members": [render_triple(lat.labels[i]) for i in w.members]}
+
+    def text():
+        yield (f"graph: {summary['vertices']} vertices, {summary['edges']} edges, "
+               f"{'acyclic' if summary['acyclic'] else 'cyclic'}, "
+               f"{summary['weak_components']} weak component(s)")
+        yield f"forked vertices: {' '.join(forked) if forked else '(none)'}"
+        yield f"predicted: {_flags(predicted)}"
+        if args.enumerate:
+            kind = f"bounded probe (bound {args.bound})" if bounded else "exact lattice"
+            yield f"computed ({kind}, {size} elements): {_flags(computed)}"
+            if witness is not None:
+                yield f"witness: {witness['kind']} " + " ".join(witness["members"])
+            yield "agreement: " + {True: "yes", False: "VIOLATION"}.get(agreement, agreement)
+
+    _emit(args, lambda: dict(
+        graph=summary, forked_vertices=forked, predicted=predicted, computed=computed,
+        lattice_size=size, bounded=bounded, witness=witness, agreement=agreement), text)
+    return EXIT_INTERNAL if agreement is False else EXIT_OK
 
 
 def cmd_lattice(args) -> int:
     g = _load(args.graph_file)
     lat, bounded, verdicts, _ = _bounded_lattice(g, args.bound)
-    covers = np.argwhere(lat.cov).tolist()  # [lower, upper], sorted
-    payload = {
-        "elements": [triple_to_json(t) for t in lat.labels],
-        "covers": covers,
-        "verdicts": verdicts,
-        "bounded": bounded,
-    }
-    lines = [f"{len(lat)} elements:"]
-    lines.extend(f"  [{i}] {render_triple(t)}" for i, t in enumerate(lat.labels))
-    lines.append(f"{len(covers)} cover pairs:")
-    lines.extend(f"  [{lo}] < [{up}]" for lo, up in covers)
-    lines.append(f"verdicts: {_flags(verdicts)}" + (" (bounded probe)" if bounded else ""))
     if args.dot:
         try:
             Path(args.dot).write_text(hasse_dot(lat, render_triple), encoding="utf-8")
         except OSError as err:
             raise _CliError(EXIT_INPUT, f"cannot write {args.dot}: {err}") from None
-        if not args.json:
-            lines.append(f"dot written to {args.dot}")
-    _emit(args, payload, lines)
+
+    def text():
+        yield f"{len(lat)} elements:"
+        yield from (f"  [{i}] {render_triple(t)}" for i, t in enumerate(lat.labels))
+        yield f"{len(lat.cover_pairs[0])} cover pairs:"
+        yield from (f"  [{lo}] < [{up}]" for lo, up in zip(*(x.tolist() for x in lat.cover_pairs)))
+        yield f"verdicts: {_flags(verdicts)}" + (" (bounded probe)" if bounded else "")
+        if args.dot:
+            yield f"dot written to {args.dot}"
+
+    _emit(args, lambda: {
+        "elements": [triple_to_json(t) for t in lat.labels],
+        "covers": np.transpose(lat.cover_pairs).tolist(),  # [lower, upper], sorted
+        "verdicts": verdicts, "bounded": bounded,
+    }, text)
     return EXIT_OK
 
 
@@ -185,14 +187,14 @@ def cmd_semigroup(args) -> int:
         raise LimitError(f"semigroup table capped at {SEMIGROUP_CAP} elements, got {size}")
     sem = finite_semigroup(g)
     rendered = [render_element(x) for x in sem.elements]
-    payload = {"elements": rendered, "table": [list(row) for row in sem.table]}
-    lines = [f"{len(sem)} elements:"]
-    lines.extend(f"  [{i}] {name}" for i, name in enumerate(rendered))
-    lines.append("cayley table (indices):")
-    lines.extend(
-        f"  [{i}] " + " ".join(str(x) for x in row) for i, row in enumerate(sem.table)
-    )
-    _emit(args, payload, lines)
+
+    def text():
+        yield f"{len(sem)} elements:"
+        yield from (f"  [{i}] {name}" for i, name in enumerate(rendered))
+        yield "cayley table (indices):"
+        yield from (f"  [{i}] " + " ".join(str(x) for x in row) for i, row in enumerate(sem.table))
+
+    _emit(args, lambda: {"elements": rendered, "table": [list(row) for row in sem.table]}, text)
     return EXIT_OK
 
 
@@ -206,19 +208,15 @@ def cmd_oracle(args) -> int:
     sem = finite_semigroup(g)
     cong_lat = congruence_lattice(sem, cap=args.cap)
     iso = order_isomorphic(ct_lat, cong_lat)  # False on a size mismatch too
-    payload = {
-        "semigroup_size": len(sem),
-        "congruences": len(cong_lat),
-        "triples": len(ct_lat),
-        "order_isomorphic": iso,
-    }
-    lines = [
+    _emit(args, lambda: {
+        "semigroup_size": len(sem), "congruences": len(cong_lat),
+        "triples": len(ct_lat), "order_isomorphic": iso,
+    }, lambda: [
         f"semigroup: {len(sem)} elements",
         f"congruences: {len(cong_lat)}",
         f"triples: {len(ct_lat)}",
         f"order isomorphic: {'yes' if iso else 'NO (violation)'}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK if iso else EXIT_INTERNAL
 
 

@@ -6,8 +6,8 @@ and the transitivity check come from one OR over the order's pairs: what
 lies strictly above some k > i is the union of the packed strict up-sets
 of those k.  a ∧ b is the largest c ∧ b over the lower covers c of a,
 confirmed by induction over those lower covers (each c ∧ b confirmed and
-below it), one group of equal down-set sizes at a time; joins are the
-same on the dual order.
+below it), one height level (longest chain below) at a time; joins are
+the same on the dual order.
 Because no closed-form meet/join ever enters the construction, lattices
 built here double as the poset-theoretic oracle for formula-computed
 meets and joins elsewhere in the package.
@@ -58,19 +58,20 @@ class SublatticeWitness:
 class FiniteLattice:
     """Immutable element list, order matrix, meet/join tables and covers."""
 
-    def __init__(self, labels, leq_matrix, meet_table, join_table, cover_matrix) -> None:
+    def __init__(self, labels, leq_matrix, meet_table, join_table, cov, cover_pairs) -> None:
         self.labels: tuple = labels
         self.n: int = len(labels)
         self.leq: np.ndarray = leq_matrix
         self.meet_t: np.ndarray = meet_table
         self.join_t: np.ndarray = join_table
-        # cov[a, b]: b covers a
-        self.cov: np.ndarray = cover_matrix
+        # cov[a, b]: b covers a; cover_pairs = np.nonzero(cov), row-major
+        self.cov: np.ndarray = cov
+        self.cover_pairs: tuple[np.ndarray, np.ndarray] = cover_pairs
 
     @cached_property
     def cover_set(self) -> frozenset[tuple[int, int]]:
         """(upper, lower) for every cover pair."""
-        return frozenset((int(b), int(a)) for a, b in np.argwhere(self.cov))
+        return frozenset(zip(self.cover_pairs[1].tolist(), self.cover_pairs[0].tolist()))
 
     def __len__(self) -> int:
         return self.n
@@ -108,6 +109,17 @@ def _between(lt: np.ndarray) -> np.ndarray:
     return np.unpackbits(out.view(np.uint8), axis=1, count=n).view(bool)
 
 
+def _levels(lower: np.ndarray, upper: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elements by height (the longest chain below) and where each level starts,
+    by relaxation over the cover pairs (``upper[k]`` covers ``lower[k]``)."""
+    height, new = np.full(n, -1, dtype=np.int32), np.zeros(n, dtype=np.int32)
+    while (new != height).any():
+        height, new = new, np.zeros_like(new)
+        np.maximum.at(new, upper, height[lower] + 1)
+    order = np.argsort(height, kind="stable").astype(np.int32)
+    return order, np.flatnonzero(np.diff(height[order])) + 1
+
+
 def _meet_table(
     m: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -115,45 +127,43 @@ def _meet_table(
     (``m[x, y]``: x <= y; ``upper[k]`` covers ``lower[k]``; for joins pass
     ``m.T`` and the cover pairs swapped).
 
-    Rows go by increasing down-set size, and entries are kept as positions
-    in that order, so a larger entry never has a smaller down-set.  If
-    a <= b the glb is a; else the candidate g is the largest ``glb(c, b)``
-    over the lower covers c of a.  It is confirmed when every ``glb(c, b)``
-    is and lies below g: a common lower bound of a and b lies below some c,
-    hence below ``glb(c, b)`` and g.
-
-    Elements with equal down-set sizes are pairwise incomparable and all
-    their lower covers come earlier, so one such group is done at once, in
-    row blocks, its lower covers padded to the block's largest count by
-    repeating a row's last one."""
+    Rows go by height; any linear extension serves the largest-candidate
+    step, and entries are positions in it.  If a <= b the glb is a; else
+    the candidate g is the largest ``glb(c, b)`` over the lower covers c of
+    a, confirmed when every ``glb(c, b)`` is and lies below g: a common
+    lower bound of a and b lies below some c, hence below ``glb(c, b)`` and
+    g.  A height level is an antichain whose lower covers come earlier, so
+    it is done at once, in row blocks as wide as their largest cover count."""
     n = len(m)
     ok = m.copy()  # in rows even when m is a transposed view
-    size = ok.sum(axis=0)
-    order = np.argsort(size, kind="stable").astype(np.int32)
+    order, cuts = _levels(lower, upper, n)
     ranked = ok[np.ix_(order, order)].ravel()  # position p <= q at p * n + q
     flat = np.int32 if n * n < 2**31 else np.int64  # dtype that holds p * n + q
     table = np.empty(m.shape, dtype=np.int32)
-    lower = lower[np.argsort(upper, kind="stable")]  # grouped by upper element
-    degree = np.bincount(upper, minlength=n)
-    first = np.cumsum(degree) - degree
-    cuts = np.flatnonzero(np.diff(size[order])) + 1
+    lower = lower[np.argsort(upper, kind="stable")].astype(np.int32)  # grouped by upper
+    degree = np.bincount(upper, minlength=n).astype(np.int32)
+    first = (np.cumsum(degree, dtype=np.int32) - degree)[order, None]
+    degree = degree[order]  # by position from here on
+    # Row p: order[p]'s lower covers, padded by repeating the last; minimal rows go unread.
+    pad = np.minimum(np.arange(degree.max(initial=0), dtype=np.int32), degree[:, None] - 1)
+    covers = lower[first + pad]
     step = max(1, (1 << 14) // max(1, n))  # a block gathers n cells per lower cover a row
-    for start, end in zip([0, *cuts], [*cuts, n]):
-        for s in range(start, end, step):
-            a = order[s : min(s + step, end)]
-            pos = np.arange(s, s + len(a), dtype=np.int32)[:, None]
-            d = degree[a][:, None]
-            if not d.any():  # minimal: a keeps itself, which fails wherever a ≰ b
-                table[a] = pos
-                continue
-            covers = lower[first[a][:, None] + np.minimum(np.arange(d.max()), d - 1)]
-            found = table[covers].astype(flat, copy=False)  # [row, k, b]: glb(c_k, b)
-            g = found.max(axis=1)
-            found *= n
-            found += g[:, None]
-            below = ok[a]  # still m[a]
-            ok[a] = below | (ok[covers] & ranked.take(found)).all(axis=1)
-            table[a] = np.where(below, pos, g)
+    starts = [s for lo, hi in zip([0, *cuts], [*cuts, n]) for s in range(lo, hi, step)]
+    widths = np.maximum.reduceat(degree, starts) if n else ()
+    for s, e, w in zip(starts, [*starts[1:], n], widths):
+        a = order[s:e]
+        pos = np.arange(s, e, dtype=np.int32)[:, None]
+        if not w:  # minimal: a keeps itself, which fails wherever a ≰ b
+            table[a] = pos
+            continue
+        c = covers[s:e, :w]
+        found = table[c].astype(flat, copy=False)  # [row, k, b]: glb(c_k, b)
+        g = found.max(axis=1)
+        found *= n
+        found += g[:, None]
+        below = ok[a]  # still m[a]
+        ok[a] = below | (ok[c] & ranked.take(found)).all(axis=1)
+        table[a] = np.where(below, pos, g)
     for s in range(0, n, step):  # back to indices, without an n × n intp copy
         table[s : s + step] = order[table[s : s + step]]
     return table, ok
@@ -199,7 +209,7 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
             common = bounds[i] & bounds[j]
             if not ok[i, j] and size[common].max(initial=-1) != np.count_nonzero(common):
                 raise NotALatticeError((labels[i], labels[j]), which)
-    return FiniteLattice(labels, m, meet_t, join_t, cov)
+    return FiniteLattice(labels, m, meet_t, join_t, cov, (lower, upper))
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
@@ -209,7 +219,7 @@ def is_distributive(lat: FiniteLattice) -> bool:
     and that can only be its member w with the largest down-set; so j is
     join-prime iff D_j lies below w."""
     size = lat.leq.sum(axis=0)
-    irreducible = np.flatnonzero(lat.cov.sum(axis=0) == 1)
+    irreducible = np.flatnonzero(np.bincount(lat.cover_pairs[1], minlength=lat.n) == 1)
     step = max(1, (1 << 16) // max(1, lat.n))
     for s in range(0, len(irreducible), step):
         outside = ~lat.leq[irreducible[s : s + step]]  # [j, x]: x in D_j
@@ -240,13 +250,13 @@ def _semimodular(low: np.ndarray, up: np.ndarray, cov: np.ndarray, join_t: np.nd
 
 def is_upper_semimodular(lat: FiniteLattice) -> bool:
     """a, b both covering a ∧ b forces a ∨ b to cover both a and b."""
-    return _semimodular(*np.nonzero(lat.cov), lat.cov, lat.join_t)  # row-major: by low
+    return _semimodular(*lat.cover_pairs, lat.cov, lat.join_t)  # row-major: by low
 
 
 def is_lower_semimodular(lat: FiniteLattice) -> bool:
     """a ∨ b covering both a and b forces a and b to cover a ∧ b: upper
     semimodularity of the dual lattice."""
-    low, up = np.nonzero(lat.cov)  # cheaper than on the transposed view
+    low, up = lat.cover_pairs
     by_up = np.argsort(up, kind="stable")
     return _semimodular(up[by_up], low[by_up], lat.cov.T, lat.meet_t)
 
@@ -262,7 +272,7 @@ def find_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
     order of p, give the first p; one scan of its row gives q and b.
     """
     n, leq, m, j = lat.n, lat.leq, lat.meet_t, lat.join_t
-    lows, ups = np.nonzero(lat.cov)  # row-major, so sorted by the low p
+    lows, ups = lat.cover_pairs  # row-major, so sorted by the low p
     step = max(1, (1 << 16) // max(1, n))
     for s in range(0, len(lows), step):
         p, u = lows[s : s + step], ups[s : s + step]
@@ -392,15 +402,7 @@ def hasse_dot(lat: FiniteLattice, render: Callable = str) -> str:
     def esc(s: str) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
 
-    lines = [
-        "digraph hasse {",
-        "  rankdir=BT;",
-        "  node [shape=box];",
-        "  edge [dir=none];",
-    ]
-    for i, lab in enumerate(lat.labels):
-        lines.append(f'  n{i} [label="{esc(render(lab))}"];')
-    for lower, upper in np.argwhere(lat.cov).tolist():  # row-major: by lower
-        lines.append(f"  n{lower} -> n{upper};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];", "  edge [dir=none];"]
+    lines += (f'  n{i} [label="{esc(render(lab))}"];' for i, lab in enumerate(lat.labels))
+    lines += (f"  n{lo} -> n{up};" for lo, up in zip(*(x.tolist() for x in lat.cover_pairs)))
+    return "\n".join(lines) + "\n}\n"

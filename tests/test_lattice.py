@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gislat.graph import DirectedGraph
+from gislat.graph import DirectedGraph, parse_graph
 from gislat.lattice import (
     NotALatticeError,
     _between,
+    _levels,
     SublatticeWitness,
     find_diamond,
     find_pentagon,
@@ -275,11 +276,11 @@ def test_boolean_lattices_on_512_and_1024_elements():
 
 
 def test_tables_on_wide_down_set_groups():
-    """Elements with equal down-set sizes are tabled together, in row
-    blocks of 2^14 // n rows.  The 300 atoms of M_300 (bottom 0, top 301)
-    span six blocks, the first ending at atom 54; 2^k puts up to 70
-    elements in one group.  Closed forms check every pair, the brute-force
-    bounds every pair of 2^k for k <= 6 and a seeded sample of rows past."""
+    """Elements of one height level are tabled together, in row blocks of
+    2^14 // n rows.  The 300 atoms of M_300 (bottom 0, top 301) span six
+    blocks, the first ending at atom 54; 2^k puts up to 70 elements in one
+    level.  Closed forms check every pair, the brute-force bounds every
+    pair of 2^k for k <= 6 and a seeded sample of rows past."""
     rng = random.Random(12)
     i = np.arange(302)
     m300 = from_poset(i.tolist(), (i[:, None] == i) | (i[:, None] == 0) | (i == 301))
@@ -301,8 +302,76 @@ def test_tables_on_wide_down_set_groups():
                 assert lat.join(a, b) == brute_lub_index(leq, a, b)
 
 
+def graph_text(edges, loops=()):
+    """Vertices named by the endpoints of ``edges`` and ``loops``."""
+    names = sorted({v for e in edges for v in e} | set(loops))
+    return "".join(
+        [f"vertex {v}\n" for v in names]
+        + [f"edge e{k} {s} {d}\n" for k, (s, d) in enumerate(edges)]
+        + [f"edge l{v} {v} {v}\n" for v in loops]
+    )
+
+
+def brute_heights(leq: np.ndarray) -> list[int]:
+    """Length of the longest chain below each element, one element at a
+    time in order of down-set size."""
+    n = len(leq)
+    heights = [0] * n
+    for x in sorted(range(n), key=lambda x: leq[:, x].sum()):
+        heights[x] = max((heights[y] + 1 for y in range(n) if y != x and leq[y, x]), default=0)
+    return heights
+
+
+def height_level_lattices():
+    """Triple lattices whose height levels are fewer than their down-set
+    size groups: tree2, tournament16, loops2 under bound 60 and the
+    non-modular fan2 + chain3."""
+    tree2 = [("r", "a"), ("r", "b"), ("a", "c"), ("a", "d"), ("b", "e"), ("b", "f")]
+    tournament16 = [(f"t{i:02}", f"t{j:02}") for i in range(16) for j in range(i + 1, 16)]
+    fan2_chain3 = [("u", "v"), ("u", "w"), ("a", "b"), ("b", "c")]
+    return [
+        triple_lattice(parse_graph(graph_text(tree2))),
+        triple_lattice(parse_graph(graph_text(tournament16))),
+        triple_lattice(parse_graph(graph_text([], loops=("p", "q"))), 60),
+        triple_lattice(parse_graph(graph_text(fan2_chain3))),
+    ]
+
+
+def mixed_cover_counts():
+    """Height level {x, y, z} has 1, 2 and 1 lower covers, and depth level
+    {a1, a2, a3} 1, 1 and 2 upper covers; index 0, the top, is no row's
+    cover."""
+    order = {("bot", x) for x in ("a1", "a2", "a3")} | {("a1", "x"), ("a2", "y"), ("a3", "y")}
+    order |= {("a3", "z")} | {(x, "top") for x in ("x", "y", "z")}
+    return lattice_from_covers(["top", "bot", "a1", "a2", "a3", "x", "y", "z"], sorted(order))
+
+
+def test_height_levels_match_longest_chains():
+    """Rows go by height, stably, and one level starts wherever the height
+    changes: exactly the brute-force longest chains, below for meets and
+    above for joins.  The triple lattices have fewer levels than down-set
+    sizes; in the pentagon the shortest chain to the top is shorter."""
+    lattices = height_level_lattices()
+    assert [len(lat) for lat in lattices] == [62, 32, 225, 56]
+    assert not is_modular(lattices[3])
+    for k, lat in enumerate([*lattices, pentagon(), mixed_cover_counts()]):
+        lower, upper = lat.cover_pairs
+        for leq, pairs in ((lat.leq, (lower, upper)), (lat.leq.T, (upper, lower))):
+            order, cuts = _levels(*pairs, len(lat))
+            heights = brute_heights(leq)
+            levels = [[x for x in range(len(lat)) if heights[x] == h] for h in range(max(heights) + 1)]
+            assert [level.tolist() for level in np.split(order, cuts)] == levels
+            assert k >= len(lattices) or len(levels) < len(np.unique(leq.sum(axis=0)))
+
+
 def test_tables_match_bruteforce_bounds(gamma1, gamma2):
-    for lat in (triple_lattice(gamma1), triple_lattice(gamma2), pentagon(), diamond()):
+    """Every pair, also of the height-level lattices and of one whose level
+    blocks mix cover counts: a block's width is its largest count, not its
+    first row's, and padding repeats a row's own cover."""
+    mixed = mixed_cover_counts()
+    assert mixed.join(2, 4) == 0 and mixed.meet(6, 7) == 4  # a1 ∨ a3 = top, y ∧ z = a3
+    extra = [mixed, *height_level_lattices()]
+    for lat in (triple_lattice(gamma1), triple_lattice(gamma2), pentagon(), diamond(), *extra):
         rows = lat.leq.tolist()
         for i in range(len(lat)):
             for j in range(len(lat)):
