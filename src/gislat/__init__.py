@@ -23,7 +23,6 @@ from .graph import (
     hereditary_subsets,
     index_relative,
     is_acyclic,
-    is_hereditary,
     parse_graph,
     reaches,
     weak_component_subgraphs,
@@ -48,7 +47,6 @@ from .oracle import (
     SemigroupTooLargeError,
     congruence_lattice,
     enumerate_congruences,
-    principal_congruence,
 )
 from .semigroup import (
     ZERO,
@@ -61,7 +59,6 @@ from .semigroup import (
     enumerate_elements,
     enumerate_paths,
     finite_semigroup,
-    idempotents,
     inverse_of,
     multiply,
     render_element,
@@ -80,7 +77,6 @@ from .triples import (
     render_triple,
     set_trace,
     triple_lattice,
-    validate_triple,
 )
 
 __version__ = "0.1.0"

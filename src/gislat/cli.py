@@ -10,13 +10,20 @@ bug).
 
 JSON output (``--json``) is the stable machine interface; the plain-text
 output is for humans and carries no stability guarantee.
+
+``classify --enumerate`` on a graph of several weak components builds one
+lattice per component and answers for their product (the whole triple
+lattice) with the same bytes; ``lattice`` and ``oracle`` build the whole
+lattice.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +31,14 @@ import numpy as np
 from .graph import (
     GraphError, LimitError, connectivity_report, forked_vertices, is_acyclic, parse_graph
 )
-from .lattice import hasse_dot, lattice_verdicts, order_isomorphic
+from .lattice import (
+    hasse_dot, lattice_verdicts, order_isomorphic, product_pentagon, product_verdicts
+)
 from .oracle import check_semigroup_size, congruence_lattice
 from .semigroup import finite_semigroup, render_element, semigroup_size
-from .triples import render_triple, triple_lattice, triple_to_json
+from .triples import (
+    component_lattices, product_coordinates, render_triple, triple_lattice, triple_to_json
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -62,10 +73,45 @@ def _load(path: str):
         raise _CliError(EXIT_INPUT, f"{path}: {err}") from None
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json(x, pad: str = "") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` at indent ``pad``: the
+    same bytes, but lists of ints or strings are joined at C speed, where an
+    indent sends ``json`` to its pure-Python encoder item by item."""
+    t = type(x)
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        if all(type(v) is int for v in x):
+            items = map(int.__repr__, x)
+        elif all(type(v) is str for v in x):
+            items = map(_quote, x)
+        else:
+            items = [_json(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if t is dict and all(type(k) is str for k in x):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in sorted(x.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None or t is bool:
+        return _LITERALS[x]
+    # Floats and the rest: json itself, its newlines re-indented.
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _emit(args, payload, text) -> None:
     """Print ``payload()`` as JSON or the lines of ``text()``, building only one."""
     if args.json:
-        print(json.dumps(payload(), indent=2, sort_keys=True))
+        print(_json(payload()))
     else:
         for line in text():
             print(line)
@@ -85,16 +131,41 @@ def _graph_summary(g) -> dict:
     }
 
 
+def _checked(verdicts: dict, witness):
+    """The verdicts and witness, unless they contradict each other."""
+    distributive = verdicts["distributive"]
+    if (witness is None) != distributive or (distributive and not verdicts["modular"]):
+        raise _CliError(EXIT_INTERNAL, "inconsistent verdicts or witness (bug)")
+    return verdicts, witness
+
+
 def _bounded_lattice(g, bound):
     """The exact triple lattice, or a bounded probe of a cyclic graph's,
     with its verdicts and witness."""
     cyclic = not is_acyclic(g)
     lat = triple_lattice(g, bound if cyclic else None)
-    verdicts, witness = lattice_verdicts(lat)
-    distributive = verdicts["distributive"]
-    if (witness is None) != distributive or (distributive and not verdicts["modular"]):
-        raise _CliError(EXIT_INTERNAL, "inconsistent verdicts or witness (bug)")
-    return lat, cyclic, verdicts, witness
+    return (lat, cyclic, *_checked(*lattice_verdicts(lat)))
+
+
+def _classified(g, bound, components: int):
+    """Size, probe flag, verdicts, witness and the triples it indexes, for
+    ``classify --enumerate``.  A graph of several weak components goes by
+    the product of their lattices, with the same answers; a modular product
+    that is not distributive (only a bounded probe) goes back to the whole
+    lattice for its diamond."""
+    cyclic = not is_acyclic(g)
+    if components > 1:
+        bound = bound if cyclic else None
+        factors = component_lattices(g, bound)
+        verdicts, witness, labels = product_verdicts(factors), None, ()
+        if not verdicts["modular"]:
+            labels, coords = product_coordinates(g, bound, factors)
+            witness = product_pentagon(factors, coords)
+        if verdicts["distributive"] or not verdicts["modular"]:
+            size = math.prod(len(f) for f in factors)
+            return (size, cyclic, *_checked(verdicts, witness), labels)
+    lat, cyclic, verdicts, witness = _bounded_lattice(g, bound)
+    return len(lat), cyclic, verdicts, witness, lat.labels
 
 
 def _flags(d: dict) -> str:
@@ -130,10 +201,10 @@ def cmd_classify(args) -> int:
     # The enumeration's answers, None unless --enumerate fills them in.
     size = computed = bounded = witness = agreement = None
     if args.enumerate:
-        lat, bounded, computed, w = _bounded_lattice(g, args.bound)
-        size, agreement = len(lat), _agreement(predicted, computed, bounded)
+        size, bounded, computed, w, labels = _classified(g, args.bound, summary["weak_components"])
+        agreement = _agreement(predicted, computed, bounded)
         if w is not None:
-            witness = {"kind": w.kind, "members": [render_triple(lat.labels[i]) for i in w.members]}
+            witness = {"kind": w.kind, "members": [render_triple(labels[i]) for i in w.members]}
 
     def text():
         yield (f"graph: {summary['vertices']} vertices, {summary['edges']} edges, "

@@ -239,14 +239,6 @@ def index_relative(g: DirectedGraph, v: str, H) -> int:
     return sum(1 for e in g.out_edges[v] if e.dst not in members)
 
 
-def is_hereditary(g: DirectedGraph, H) -> bool:
-    """True iff no edge leads from inside ``H`` to outside ``H``."""
-    members = frozenset(H)
-    for u in members:
-        g.check_vertex(u)
-    return all(e.dst in members for e in g.edges if e.src in members)
-
-
 def hereditary_subsets(g: DirectedGraph, cap: int | None = None) -> tuple[frozenset[str], ...]:
     """All hereditary vertex subsets, sorted by (size, sorted names); with
     a ``cap``, only ``cap + 1`` of them once more than ``cap`` exist.

@@ -20,6 +20,8 @@ semimodularity dually, modularity as both, and distributivity as every
 join-irreducible j being join-prime, that is {x : j ≰ x} having a
 greatest element.  A failure also gets a pentagon or diamond witness
 from a direct search, an independent route to the same verdict.
+:func:`product_verdicts` and :func:`product_pentagon` give the verdicts
+and the first pentagon of a direct product from its factors alone.
 """
 
 from __future__ import annotations
@@ -120,12 +122,23 @@ def _levels(lower: np.ndarray, upper: np.ndarray, n: int) -> tuple[np.ndarray, n
     return order, np.flatnonzero(np.diff(height[order])) + 1
 
 
+def _transposed(m: np.ndarray, tile: int = 256) -> np.ndarray:
+    """``m.T`` in row order, copied in square tiles: a plain copy of the
+    transposed view reads ``m`` by columns, several times slower at n = 4096."""
+    out = np.empty(m.shape[::-1], dtype=m.dtype)
+    for i in range(0, len(m), tile):
+        for j in range(0, len(m), tile):
+            out[i : i + tile, j : j + tile] = m[j : j + tile, i : i + tile].T
+    return out
+
+
 def _meet_table(
-    m: np.ndarray, lower: np.ndarray, upper: np.ndarray
+    ok: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate glb of every pair, and whether induction confirms it
-    (``m[x, y]``: x <= y; ``upper[k]`` covers ``lower[k]``; for joins pass
-    ``m.T`` and the cover pairs swapped).
+    (``ok[x, y]``: x <= y, a row-ordered copy overwritten by the result;
+    ``upper[k]`` covers ``lower[k]``; for joins pass the transposed order
+    and the cover pairs swapped).
 
     Rows go by height; any linear extension serves the largest-candidate
     step, and entries are positions in it.  If a <= b the glb is a; else
@@ -134,12 +147,11 @@ def _meet_table(
     lower bound of a and b lies below some c, hence below ``glb(c, b)`` and
     g.  A height level is an antichain whose lower covers come earlier, so
     it is done at once, in row blocks as wide as their largest cover count."""
-    n = len(m)
-    ok = m.copy()  # in rows even when m is a transposed view
+    n = len(ok)
     order, cuts = _levels(lower, upper, n)
     ranked = ok[np.ix_(order, order)].ravel()  # position p <= q at p * n + q
     flat = np.int32 if n * n < 2**31 else np.int64  # dtype that holds p * n + q
-    table = np.empty(m.shape, dtype=np.int32)
+    table = np.empty(ok.shape, dtype=np.int32)
     lower = lower[np.argsort(upper, kind="stable")].astype(np.int32)  # grouped by upper
     degree = np.bincount(upper, minlength=n).astype(np.int32)
     first = (np.cumsum(degree, dtype=np.int32) - degree)[order, None]
@@ -161,7 +173,7 @@ def _meet_table(
         g = found.max(axis=1)
         found *= n
         found += g[:, None]
-        below = ok[a]  # still m[a]
+        below = ok[a]  # still the order's rows
         ok[a] = below | (ok[c] & ranked.take(found)).all(axis=1)
         table[a] = np.where(below, pos, g)
     for s in range(0, n, step):  # back to indices, without an n × n intp copy
@@ -198,8 +210,8 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     del lt, between  # room for the tables at the cap
 
     lower, upper = np.nonzero(cov)
-    meet_t, meet_ok = _meet_table(m, lower, upper)
-    join_t, join_ok = _meet_table(m.T, upper, lower)
+    meet_t, meet_ok = _meet_table(m.copy(), lower, upper)
+    join_t, join_ok = _meet_table(_transposed(m), upper, lower)
     # A candidate may come from a pair without a glb, so a failed induction
     # only flags a pair for the exact rule (the common bound with the largest
     # down-set holds them all).  Failures are symmetric: the first has i <= j.
@@ -261,6 +273,18 @@ def is_lower_semimodular(lat: FiniteLattice) -> bool:
     return _semimodular(up[by_up], low[by_up], lat.cov.T, lat.meet_t)
 
 
+def _low_ends(lat: FiniteLattice):
+    """Blocks of (p, whether p is the low end of a pentagon), one entry per
+    cover pair, in order of p: some upper cover u of p and some b have
+    u <= p∨b and u∧b = p∧b (see :func:`find_pentagon`)."""
+    n, leq, m, j = lat.n, lat.leq, lat.meet_t, lat.join_t
+    lows, ups = lat.cover_pairs  # row-major, so sorted by the low p
+    step = max(1, (1 << 16) // max(1, n))
+    for s in range(0, len(lows), step):
+        p, u = lows[s : s + step], ups[s : s + step]
+        yield p, (leq[u[:, None], j[p]] & (m[u] == m[p])).any(axis=1)
+
+
 def find_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
     """First pentagon in lexicographic (low, high, side) index order.
 
@@ -271,19 +295,54 @@ def find_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
     way, and q = u the other (then u∨b = p∨b).  So the cover pairs, in
     order of p, give the first p; one scan of its row gives q and b.
     """
-    n, leq, m, j = lat.n, lat.leq, lat.meet_t, lat.join_t
-    lows, ups = lat.cover_pairs  # row-major, so sorted by the low p
-    step = max(1, (1 << 16) // max(1, n))
-    for s in range(0, len(lows), step):
-        p, u = lows[s : s + step], ups[s : s + step]
-        hit = (leq[u[:, None], j[p]] & (m[u] == m[p])).any(axis=1)
+    m, j = lat.meet_t, lat.join_t
+    for p, hit in _low_ends(lat):
         if hit.any():
             p = int(p[hit.argmax()])
-            above = np.setdiff1d(np.flatnonzero(leq[p]), p)
+            above = np.setdiff1d(np.flatnonzero(lat.leq[p]), p)
             k, b = (int(x) for x in np.argwhere((m[above] == m[p]) & (j[above] == j[p]))[0])
             q = int(above[k])
             return SublatticeWitness("pentagon", (int(m[p, b]), p, q, b, int(j[p, b])))
     return None
+
+
+def product_pentagon(factors: Sequence[FiniteLattice], coords) -> SublatticeWitness | None:
+    """:func:`find_pentagon` of the direct product of ``factors``, whose
+    element i is the tuple ``coords[i]`` of factor indices, without
+    building it.
+
+    Meets and joins go by coordinates, so (p, q, b) is a pentagon's
+    (low, high, side) iff p < q and (p_k, q_k, b_k) is one in every factor
+    k where p_k ≠ q_k.  So p is the first element with a coordinate at the
+    low end of a pentagon of its factor, q the first above p each of whose
+    changed coordinates has some side, and b the first side of them all."""
+    coords = np.asarray(coords)
+    hit = np.zeros(len(coords), dtype=bool)
+    for k, f in enumerate(factors):
+        low = np.zeros(f.n, dtype=bool)
+        for p, h in _low_ends(f):
+            low[p[h]] = True
+        hit |= low[coords[:, k]]
+    if not hit.any():
+        return None
+    p = int(hit.argmax())
+    side, high = [], np.ones(len(coords), dtype=bool)
+    for k, (f, x) in enumerate(zip(factors, coords[p])):
+        # [y, b]: (p_k, y, b) is a pentagon's (low, high, side) if p_k < y; all of row p_k holds
+        side.append((f.meet_t == f.meet_t[x]) & (f.join_t == f.join_t[x]))
+        high &= (f.leq[x] & side[k].any(axis=1))[coords[:, k]]
+    high[p] = False
+    q = int(high.argmax())
+    ok = np.ones(len(coords), dtype=bool)
+    for k, y in enumerate(coords[q]):
+        ok &= side[k][y][coords[:, k]]
+    b = int(ok.argmax())
+
+    def at(table: str) -> int:  # the element whose coordinates are f_k.table[p_k, b_k]
+        c = [getattr(f, table)[x, y] for f, x, y in zip(factors, coords[p], coords[b])]
+        return int((coords == c).all(axis=1).argmax())
+
+    return SublatticeWitness("pentagon", (at("meet_t"), p, q, b, at("join_t")))
 
 
 def find_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
@@ -307,18 +366,26 @@ def find_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
     return None
 
 
-def lattice_verdicts(lat: FiniteLattice) -> tuple[dict[str, bool], SublatticeWitness | None]:
-    """The four verdicts, and for a non-distributive lattice the first
-    pentagon if it is not modular, else the first diamond (None if the
-    search disagrees with the verdicts)."""
-    upper = is_upper_semimodular(lat)
-    lower = is_lower_semimodular(lat)
-    verdicts = {
-        "distributive": is_distributive(lat),
+def product_verdicts(factors: Sequence[FiniteLattice]) -> dict[str, bool]:
+    """The four verdicts of the direct product of ``factors``, each the
+    conjunction of the factors' own: a product is distributive (modular)
+    iff every factor is, and its covers change one coordinate, so the
+    semimodularities carry over too."""
+    upper = all(is_upper_semimodular(f) for f in factors)
+    lower = all(is_lower_semimodular(f) for f in factors)
+    return {
+        "distributive": all(is_distributive(f) for f in factors),
         "modular": upper and lower,
         "lower_semimodular": lower,
         "upper_semimodular": upper,
     }
+
+
+def lattice_verdicts(lat: FiniteLattice) -> tuple[dict[str, bool], SublatticeWitness | None]:
+    """The four verdicts, and for a non-distributive lattice the first
+    pentagon if it is not modular, else the first diamond (None if the
+    search disagrees with the verdicts)."""
+    verdicts = product_verdicts((lat,))
     witness = None
     if not verdicts["distributive"]:
         witness = find_diamond(lat) if verdicts["modular"] else find_pentagon(lat)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .graph import LimitError
 from .lattice import FiniteLattice, from_poset
-from .semigroup import Element, FiniteSemigroup
+from .semigroup import FiniteSemigroup
 
 
 class SemigroupTooLargeError(LimitError):
@@ -91,13 +91,6 @@ def _closure(table, n: int, seeds, gens, start: Congruence | None = None) -> Con
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
     return _canonical(groups.values())
-
-
-def principal_congruence(sem: FiniteSemigroup, a: Element, b: Element) -> Congruence:
-    """The least congruence identifying a and b."""
-    i = sem.element_index(a)
-    j = sem.element_index(b)
-    return _closure(sem.table, len(sem), [(i, j)], sem.generators)
 
 
 def join_congruences(sem: FiniteSemigroup, c1: Congruence, c2: Congruence) -> Congruence:

@@ -185,13 +185,6 @@ def enumerate_elements(g: DirectedGraph) -> tuple[Element, ...]:
     return tuple(sorted(elems, key=lambda x: element_key(g, x)))
 
 
-def idempotents(g: DirectedGraph) -> tuple[Element, ...]:
-    """Zero plus one ``alpha . alpha*`` per path."""
-    elems: list[Element] = [ZERO]
-    elems.extend(NormalForm(p, p) for p in enumerate_paths(g))
-    return tuple(sorted(elems, key=lambda x: element_key(g, x)))
-
-
 class FiniteSemigroup:
     """Enumerated element list plus the full multiplication table.
 

@@ -11,6 +11,11 @@ and reverse divisibility of cycle values.  The closed-form meet and join
 computed here are cross-checked elsewhere against the poset-theoretic
 bounds of the enumerated order, which is the central correctness test of
 the whole package.
+
+H, W and f split by weak component, so the triple lattice of a graph of
+several components is the direct product of theirs:
+:func:`component_lattices` builds one small lattice per component, and
+:func:`product_coordinates` places each of the graph's triples in them.
 """
 
 from __future__ import annotations
@@ -25,12 +30,13 @@ import numpy as np
 from .graph import (
     Cycle,
     DirectedGraph,
-    GraphError,
     LimitError,
+    connectivity_report,
     enumerate_cycles,
     hereditary_subsets,
     index_relative,
     is_acyclic,
+    weak_component_subgraphs,
 )
 
 TRIPLE_CAP = 4096  # chain12 (2^12 triples) still fits
@@ -39,10 +45,6 @@ BOUND_CAP = 10**12  # trial division up to √BOUND_CAP takes well under a secon
 
 class UnboundedLatticeError(LimitError):
     """Triple enumeration over a cyclic graph needs an explicit bound."""
-
-
-class UnknownCycleError(GraphError):
-    """A cycle that does not occur in the graph (or is not canonical)."""
 
 
 class LatticeTooLargeError(LimitError):
@@ -91,10 +93,6 @@ def render_ext(v: ExtNat) -> str:
     return "inf" if v is INF else str(v)
 
 
-def _is_ext_value(v) -> bool:
-    return v is INF or (isinstance(v, int) and not isinstance(v, bool) and v >= 1)
-
-
 @dataclass(frozen=True)
 class CycleFunction:
     """Explicit cycle values, keyed by canonical cycles (free cycles only)."""
@@ -138,43 +136,6 @@ class CongruenceTriple:
                 raise LookupError(f"no value stored for free cycle {'.'.join(c.edges)}")
             return v
         return INF
-
-
-def validate_triple(g: DirectedGraph, t: CongruenceTriple) -> tuple[str, ...]:
-    """Empty tuple when the triple is valid, otherwise one message per
-    violated clause.  Unknown vertex or cycle references raise instead."""
-    for v in sorted(t.H | t.W):
-        g.check_vertex(v)
-    cycles = g.cycles
-    known = set(cycles)
-    for c, _ in t.f.entries:
-        if c not in known:
-            raise UnknownCycleError(f"unknown cycle {'.'.join(c.edges)}")
-
-    violations: list[str] = []
-    escaping = [e for e in g.edges if e.src in t.H and e.dst not in t.H]
-    if escaping:
-        names = ",".join(e.name for e in escaping)
-        violations.append(f"H is not hereditary (escaping edges: {names})")
-    overlap = t.H & t.W
-    if overlap:
-        violations.append(f"H and W intersect: {','.join(sorted(overlap))}")
-    for v in sorted(t.W - t.H):
-        k = index_relative(g, v, t.H)
-        if k != 1:
-            violations.append(f"vertex {v} has index {k} relative to H, expected 1")
-    free = {c for c in cycles if c.source_set <= t.W} - {
-        c for c in cycles if c.source_set <= t.H
-    }
-    domain = {c for c, _ in t.f.entries}
-    for c in sorted(free - domain, key=Cycle.sort_key):
-        violations.append(f"missing value for free cycle {'.'.join(c.edges)}")
-    for c in sorted(domain - free, key=Cycle.sort_key):
-        violations.append(f"value assigned to non-free cycle {'.'.join(c.edges)}")
-    for c, v in t.f.entries:
-        if not _is_ext_value(v):
-            violations.append(f"value {v!r} for cycle {'.'.join(c.edges)} is invalid")
-    return tuple(violations)
 
 
 def leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
@@ -291,7 +252,11 @@ def enumerate_triples(
     return tuple(_triples(g, bound))
 
 
-def _triples(g: DirectedGraph, bound: int | None, cap: int | None = None):
+def _refusals(g: DirectedGraph, bound: int | None, cap: int | None):
+    """The graph's hereditary sets (past ``cap``, ``cap + 1`` of them), once
+    it passes its refusals in this order: a cyclic graph without a bound,
+    the 20-vertex cap, the bound cap and then more than ``cap`` hereditary
+    sets, each the H of a triple with W = ∅."""
     if bound is None and not is_acyclic(g):
         raise UnboundedLatticeError(
             "graph has cycles: triple enumeration needs a bound (--bound N)"
@@ -299,15 +264,20 @@ def _triples(g: DirectedGraph, bound: int | None, cap: int | None = None):
     if bound is not None and bound < 1:
         raise ValueError("bound must be a positive integer")
     hereditary = hereditary_subsets(g, cap)  # its size cap comes before the bound cap
-    cyclic = not is_acyclic(g)
-    values: tuple[ExtNat, ...] = ()
-    if cyclic:
-        if bound > BOUND_CAP:
-            raise LatticeTooLargeError(f"cycle-value bound capped at {BOUND_CAP}")
-        values = divisors(bound) + (INF,)
-    if cap is not None and len(hereditary) > cap:  # each yields a triple with W = ∅
+    if not is_acyclic(g) and bound > BOUND_CAP:
+        raise LatticeTooLargeError(f"cycle-value bound capped at {BOUND_CAP}")
+    if cap is not None and len(hereditary) > cap:
         raise LatticeTooLargeError(f"triple lattice capped at {cap} elements")
+    return hereditary
 
+
+def _triples(g: DirectedGraph, bound: int | None, cap: int | None = None, values=None):
+    """The triples, in order, once ``g`` passes its refusals; ``values``,
+    the free-cycle values, may come from a caller that has them."""
+    hereditary = _refusals(g, bound, cap)
+    cyclic = not is_acyclic(g)
+    if values is None:
+        values = divisors(bound) + (INF,) if cyclic else ()
     for h in hereditary:
         index_one = sorted(
             v for v in g.vertices if v not in h and index_relative(g, v, h) == 1
@@ -338,6 +308,47 @@ def triple_lattice(g: DirectedGraph, bound: int | None = None):
     if len(ts) > TRIPLE_CAP:
         raise LatticeTooLargeError(f"triple lattice capped at {TRIPLE_CAP} elements")
     return from_poset(ts, leq_matrix(g, ts))
+
+
+def component_lattices(g: DirectedGraph, bound: int | None = None):
+    """One triple lattice per weak component (:func:`weak_component_subgraphs`
+    order), whose direct product is ``triple_lattice(g, bound)``: H, W and
+    f split by component.  Refused exactly when that is, with the same
+    line: first g's own refusals, then a product of triple counts (g's
+    count) past :data:`TRIPLE_CAP`, before any lattice is built."""
+    from .lattice import from_poset
+
+    _refusals(g, bound, TRIPLE_CAP)
+    values = divisors(bound) + (INF,) if not is_acyclic(g) else ()  # listed once
+    parts, size = [], 1
+    for c in weak_component_subgraphs(g):
+        ts = tuple(islice(_triples(c, bound, TRIPLE_CAP, values), TRIPLE_CAP + 1))
+        size *= len(ts)
+        if size > TRIPLE_CAP:
+            raise LatticeTooLargeError(f"triple lattice capped at {TRIPLE_CAP} elements")
+        parts.append((c, ts))
+    return tuple(from_poset(ts, leq_matrix(c, ts)) for c, ts in parts)
+
+
+def product_coordinates(g: DirectedGraph, bound: int | None, factors):
+    """g's triples in ``triple_lattice(g, bound)`` order, and the index of
+    each one's part in each factor of :func:`component_lattices`, keyed by
+    (H ∩ C, W ∩ C, the f entries on cycles in C) for the component C."""
+    # A factor storing any cycle value stores them all, in every combination;
+    # with none stored, g's triples have no free cycle.  So the divisors of
+    # the bound need not be listed again.
+    stored = {v for lat in factors for t in lat.labels for _, v in t.f.entries}
+    values = (*sorted(v for v in stored if v is not INF), INF) if stored else ()
+    ts = tuple(_triples(g, bound, TRIPLE_CAP, values))
+    coords = np.empty((len(ts), len(factors)), dtype=np.intp)
+    for k, (comp, lat) in enumerate(zip(connectivity_report(g).weak_components, factors)):
+        part = frozenset(comp)
+        index = {(t.H, t.W, t.f.entries): i for i, t in enumerate(lat.labels)}
+        coords[:, k] = [
+            index[t.H & part, t.W & part, tuple(e for e in t.f.entries if e[0].sources[0] in part)]
+            for t in ts
+        ]
+    return ts, coords
 
 
 def render_triple(t: CongruenceTriple) -> str:

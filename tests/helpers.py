@@ -12,16 +12,29 @@ import numpy as np
 from hypothesis import strategies as st
 
 from gislat.graph import (
+    Cycle,
     DirectedGraph,
     Edge,
+    GraphError,
     enumerate_cycles,
     hereditary_subsets,
     index_relative,
+    is_acyclic,
 )
 from gislat.lattice import FiniteLattice, SublatticeWitness, from_poset
-from gislat.oracle import Congruence
-from gislat.semigroup import FiniteSemigroup, finite_semigroup, inverse_of, render_element
-from gislat.triples import CongruenceTriple, divisors, ext_divides
+from gislat.oracle import Congruence, _closure
+from gislat.semigroup import (
+    ZERO,
+    Element,
+    FiniteSemigroup,
+    NormalForm,
+    element_key,
+    enumerate_paths,
+    finite_semigroup,
+    inverse_of,
+    render_element,
+)
+from gislat.triples import INF, CongruenceTriple, divisors, enumerate_triples, ext_divides
 
 POOL = "abcdef"
 
@@ -388,6 +401,76 @@ def bounded_triple_count(g: DirectedGraph, bound: int) -> int:
     return total
 
 
+# ------------------------------------------------ definition-level checks
+
+
+class UnknownCycleError(GraphError):
+    """A cycle that does not occur in the graph (or is not canonical)."""
+
+
+def _is_ext_value(v) -> bool:
+    return v is INF or (isinstance(v, int) and not isinstance(v, bool) and v >= 1)
+
+
+def validate_triple(g: DirectedGraph, t: CongruenceTriple) -> tuple[str, ...]:
+    """Empty tuple when the triple is valid, otherwise one message per
+    violated clause.  Unknown vertex or cycle references raise instead."""
+    for v in sorted(t.H | t.W):
+        g.check_vertex(v)
+    cycles = g.cycles
+    known = set(cycles)
+    for c, _ in t.f.entries:
+        if c not in known:
+            raise UnknownCycleError(f"unknown cycle {'.'.join(c.edges)}")
+
+    violations: list[str] = []
+    escaping = [e for e in g.edges if e.src in t.H and e.dst not in t.H]
+    if escaping:
+        names = ",".join(e.name for e in escaping)
+        violations.append(f"H is not hereditary (escaping edges: {names})")
+    overlap = t.H & t.W
+    if overlap:
+        violations.append(f"H and W intersect: {','.join(sorted(overlap))}")
+    for v in sorted(t.W - t.H):
+        k = index_relative(g, v, t.H)
+        if k != 1:
+            violations.append(f"vertex {v} has index {k} relative to H, expected 1")
+    free = {c for c in cycles if c.source_set <= t.W} - {
+        c for c in cycles if c.source_set <= t.H
+    }
+    domain = {c for c, _ in t.f.entries}
+    for c in sorted(free - domain, key=Cycle.sort_key):
+        violations.append(f"missing value for free cycle {'.'.join(c.edges)}")
+    for c in sorted(domain - free, key=Cycle.sort_key):
+        violations.append(f"value assigned to non-free cycle {'.'.join(c.edges)}")
+    for c, v in t.f.entries:
+        if not _is_ext_value(v):
+            violations.append(f"value {v!r} for cycle {'.'.join(c.edges)} is invalid")
+    return tuple(violations)
+
+
+def is_hereditary(g: DirectedGraph, H) -> bool:
+    """True iff no edge leads from inside ``H`` to outside ``H``."""
+    members = frozenset(H)
+    for u in members:
+        g.check_vertex(u)
+    return all(e.dst in members for e in g.edges if e.src in members)
+
+
+def idempotents(g: DirectedGraph) -> tuple[Element, ...]:
+    """Zero plus one ``alpha . alpha*`` per path."""
+    elems: list[Element] = [ZERO]
+    elems.extend(NormalForm(p, p) for p in enumerate_paths(g))
+    return tuple(sorted(elems, key=lambda x: element_key(g, x)))
+
+
+def principal_congruence(sem: FiniteSemigroup, a: Element, b: Element) -> Congruence:
+    """The least congruence identifying a and b."""
+    i = sem.element_index(a)
+    j = sem.element_index(b)
+    return _closure(sem.table, len(sem), [(i, j)], sem.generators)
+
+
 # ----------------------------------------------------- random generators
 
 
@@ -522,6 +605,46 @@ def unilateral_corpus(count: int = 50, seed: int = 6011, cap: int = 400) -> tupl
 def multi_component_corpus(count: int = 50, seed: int = 74) -> tuple[DirectedGraph, ...]:
     rng = random.Random(seed)
     return tuple(random_multi_component_graph(rng) for _ in range(count))
+
+
+# One weak component each, as (vertices, edges); fan2, fork3 and
+# fork-over-loops are not modular, and the loops need a bound.
+COMPONENT_SHAPES = {
+    "fan2": ("uvw", [("e", "u", "v"), ("f", "u", "w")]),
+    "fork3": ("uabc", [("e", "u", "a"), ("f", "u", "b"), ("g", "u", "c")]),
+    "forkloops": ("uvw", [("e", "u", "v"), ("f", "u", "w"), ("x", "v", "v"), ("y", "w", "w")]),
+    "chain3": ("abc", [("e", "a", "b"), ("f", "b", "c")]),
+    "gamma2": ("vuw", [("e", "v", "u"), ("f", "v", "w"), ("g", "v", "w")]),
+    "isolated": ("i", []),
+    "loop": ("l", [("x", "l", "l")]),
+    "loopout": ("ls", [("x", "l", "l"), ("e", "l", "s")]),
+    "ring2": ("pq", [("x", "p", "q"), ("y", "q", "p")]),
+}
+
+
+@lru_cache(maxsize=None)
+def product_corpus(
+    count: int = 60, seed: int = 1515, cap: int = 800
+) -> tuple[tuple[DirectedGraph, int | None], ...]:
+    """Graphs of two to four weak components drawn from
+    :data:`COMPONENT_SHAPES`, names prefixed per copy and vertices declared
+    in shuffled order, each with a bound (None for acyclic graphs) under
+    which the triple lattice has at most ``cap`` elements."""
+    rng = random.Random(seed)
+    out: list[tuple[DirectedGraph, int | None]] = []
+    while len(out) < count:
+        names: list[str] = []
+        edges: list[tuple[str, str, str]] = []
+        for k in range(rng.randint(2, 4)):
+            vs, es = COMPONENT_SHAPES[rng.choice(sorted(COMPONENT_SHAPES))]
+            names += [f"c{k}{v}" for v in vs]
+            edges += [(f"c{k}{e}", f"c{k}{a}", f"c{k}{b}") for e, a, b in es]
+        rng.shuffle(names)
+        g = DirectedGraph.of(names, edges)
+        bound = None if is_acyclic(g) else rng.choice((4, 6, 12, 60))
+        if (bounded_triple_count(g, bound) if bound else len(enumerate_triples(g))) <= cap:
+            out.append((g, bound))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 import gislat
 from gislat.cli import main
+from gislat.lattice import lattice_verdicts
+from gislat.triples import render_triple, triple_lattice
 
 from conftest import GAMMA1_TEXT, GAMMA2_TEXT, LOOP_TEXT
 
@@ -267,12 +270,21 @@ PATH20_TEXT = "".join(f"vertex v{i}\n" for i in range(20)) + "".join(
 ISOLATED20_TEXT = "".join(f"vertex v{i}\n" for i in range(20))
 ISOLATED21_TEXT = "".join(f"vertex v{i}\n" for i in range(21))
 LOOPS3_TEXT = "vertex a\nvertex b\nvertex c\nedge x a a\nedge y b b\nedge z c c\n"
+LOOP_PATH_TEXT = "vertex l\nedge x l l\nvertex a\nvertex b\nedge e a b\n"
+PATH12_ISOLATED_TEXT = "".join(f"vertex v{i}\n" for i in range(13)) + "".join(
+    f"edge e{i} v{i} v{i + 1}\n" for i in range(11)
+)
 
 # One input per refusal, with the exact line each one ends with.
 REFUSALS = [
     (LOOP_TEXT, "classify --enumerate", "graph has cycles: triple enumeration needs a bound (--bound N)"),
     (LOOP_TEXT, f"classify --enumerate --bound {10**18}", "cycle-value bound capped at 1000000000000"),
     (ISOLATED21_TEXT, "classify --enumerate", "exhaustive hereditary enumeration capped at 20 vertices"),
+    # Graphs of several weak components, which classify --enumerate takes
+    # by the product of their lattices.
+    (LOOP_PATH_TEXT, "classify --enumerate", "graph has cycles: triple enumeration needs a bound (--bound N)"),
+    (LOOP_PATH_TEXT, f"classify --enumerate --bound {10**12 + 1}", "cycle-value bound capped at 1000000000000"),
+    (PATH12_ISOLATED_TEXT, "classify --enumerate", "triple lattice capped at 4096 elements"),
     (LOOPS3_TEXT, f"lattice --bound {10**7}", "triple lattice capped at 4096 elements"),
     (ISOLATED20_TEXT, "classify --enumerate", "triple lattice capped at 4096 elements"),
     (ISOLATED20_TEXT, "oracle", "triple lattice capped at 4096 elements"),
@@ -332,6 +344,76 @@ def test_python_dash_m_runs_the_cli(files):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == {"forked_vertices": ["v1"]}
+
+
+# ------------------------------------------------------------ product route
+
+
+def graph_text(g) -> str:
+    return "".join(f"vertex {v}\n" for v in g.vertices) + "".join(
+        f"edge {e.name} {e.src} {e.dst}\n" for e in g.edges
+    )
+
+
+def test_classify_product_route_matches_the_whole_lattice(tmp_path, capsys, monkeypatch):
+    """classify --enumerate on graphs of several weak components answers
+    from one lattice per component, never building the whole one, with the
+    size, verdicts and witness of the whole lattice (triple_lattice and
+    lattice_verdicts), in --json and in text."""
+    import gislat.cli
+    from helpers import product_corpus
+
+    def whole_lattice(*args):
+        raise AssertionError("the product route built the whole lattice")
+
+    pentagons = bounded = 0
+    for k, (g, bound) in enumerate(product_corpus()):
+        lat = triple_lattice(g, bound)
+        verdicts, w = lattice_verdicts(lat)
+        witness = w and {"kind": w.kind, "members": [render_triple(lat.labels[i]) for i in w.members]}
+        p = tmp_path / f"p{k}.graph"
+        p.write_text(graph_text(g))
+        argv = ["classify", str(p), "--enumerate"] + (["--bound", str(bound)] if bound else [])
+        with monkeypatch.context() as m:
+            m.setattr(gislat.cli, "triple_lattice", whole_lattice)
+            code, out, err = run(capsys, *argv, "--json")
+            text = run(capsys, *argv)
+        got = json.loads(out)
+        assert (code, err, got["graph"]["weak_components"] > 1) == (0, "", True)
+        assert (got["lattice_size"], got["computed"], got["witness"]) == (len(lat), verdicts, witness)
+        assert got["bounded"] is (bound is not None) and got["agreement"] is True
+        lines = text[1].splitlines()
+        assert text[0] == 0 and f", {len(lat)} elements): " in lines[3]
+        if witness:
+            assert lines[4] == "witness: pentagon " + " ".join(witness["members"])
+        pentagons += witness is not None
+        bounded += bound is not None
+    assert pentagons >= 20 and bounded >= 30, (pentagons, bounded)
+
+
+def test_modular_nondistributive_product_falls_back_to_the_whole_lattice(tmp_path, capsys, monkeypatch):
+    """No triple lattice seen so far is modular but not distributive; were
+    a product so, its diamond would come from the whole lattice."""
+    import gislat.cli
+
+    p = tmp_path / "fan2_chain2.graph"
+    p.write_text(GAMMA1_TEXT + "vertex a\nvertex b\nedge x a b\n")
+    want = run(capsys, "classify", str(p), "--enumerate", "--json")
+    fake = dict(distributive=False, modular=True, lower_semimodular=True, upper_semimodular=True)
+    monkeypatch.setattr(gislat.cli, "product_verdicts", lambda factors: fake)
+    assert run(capsys, "classify", str(p), "--enumerate", "--json") == want
+    assert json.loads(want[1])["witness"]["kind"] == "pentagon"
+
+
+def test_product_route_refuses_before_building_a_lattice(tmp_path, capsys):
+    # A 12-vertex path beside an isolated vertex: 4096 * 2 triples, refused
+    # before the 4096-element lattice of the path is built.
+    p = tmp_path / "chain12_isolated.graph"
+    p.write_text(PATH12_ISOLATED_TEXT)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "classify", str(p), "--enumerate")
+    assert time.perf_counter() - t0 < 0.5
+    assert (code, out, err) == (2, "", "error: triple lattice capped at 4096 elements\n")
 
 
 # ------------------------------------------------------------ lattice
@@ -536,6 +618,35 @@ def test_classify_never_disagrees_on_acyclic_corpus(tmp_path, capsys):
         code, out, _ = run(capsys, "classify", str(p), "--enumerate", "--json")
         assert code == 0
         assert json.loads(out)["agreement"] is True
+
+
+def test_json_rendering_matches_the_indenting_encoder():
+    """The --json renderer gives json.dumps(indent=2, sort_keys=True)'s
+    bytes on seeded nested payloads: bools, None, big and negative ints,
+    floats with nan and inf, escapes and non-ASCII text, tuples, empty
+    containers, and dicts with int keys."""
+    from gislat.cli import _json
+
+    rng = random.Random(2718)
+    scalars = [0, -5, 10**20, True, False, None, 1.5, float("nan"), float("-inf"), "", "a", 'é\n"\\', "☃"]
+
+    def payload(depth=0):
+        r = rng.random()
+        if depth > 3 or r < 0.3:
+            return rng.choice(scalars)
+        if r < 0.5:
+            return [payload(depth + 1) for _ in range(rng.randint(0, 4))]
+        if r < 0.6:
+            return [rng.randint(-3, 9) for _ in range(rng.randint(0, 4))]
+        if r < 0.7:
+            return tuple(rng.choice(["x", "é", ""]) for _ in range(rng.randint(0, 3)))
+        if r < 0.75:
+            return {rng.randint(1, 3): payload(depth + 1) for _ in range(rng.randint(0, 3))}
+        return {rng.choice(["b", "a", "Z", "é", ""]): payload(depth + 1) for _ in range(rng.randint(0, 4))}
+
+    for _ in range(3000):
+        x = payload()
+        assert _json(x) == json.dumps(x, indent=2, sort_keys=True)
 
 
 # ------------------------------------------------------------ usage

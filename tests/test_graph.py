@@ -12,7 +12,6 @@ from gislat.graph import (
     hereditary_subsets,
     index_relative,
     is_acyclic,
-    is_hereditary,
     parse_graph,
     reaches,
     weak_component_subgraphs,
@@ -27,6 +26,7 @@ from helpers import (
     definition_connectivity,
     definition_weak_components,
     graph_strategy,
+    is_hereditary,
     multi_component_corpus,
     outdeg_le1_corpus,
     rotation_class,

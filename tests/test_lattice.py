@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 
@@ -10,6 +11,7 @@ from gislat.lattice import (
     NotALatticeError,
     _between,
     _levels,
+    _transposed,
     SublatticeWitness,
     find_diamond,
     find_pentagon,
@@ -21,6 +23,8 @@ from gislat.lattice import (
     is_upper_semimodular,
     lattice_verdicts,
     order_isomorphic,
+    product_pentagon,
+    product_verdicts,
 )
 from gislat.triples import render_triple, triple_lattice
 
@@ -145,6 +149,16 @@ def test_from_poset_counts_paths_exactly_past_256():
 
     with pytest.raises(ValueError, match="transitive"):
         from_poset(range(258), leq)
+
+
+def test_transposed_copy_in_tiles():
+    """The join table's order, m.T copied tile by tile, in row order, for
+    sizes on both sides of a tile edge."""
+    rng = np.random.default_rng(77)
+    for n in (0, 1, 7, 255, 256, 257, 600):
+        m = rng.random((n, n)) < 0.3
+        t = _transposed(m)
+        assert t.flags.c_contiguous and t.dtype == bool and np.array_equal(t, m.T)
 
 
 def test_between_matches_bruteforce():
@@ -565,6 +579,43 @@ def test_find_pentagon_matches_per_element_scan():
         assert w == brute_first_pentagon(lat)
         pentagons += w is not None
     assert pentagons >= 20, pentagons
+
+
+def product_lattice(factors, rng):
+    """The direct product of ``factors`` built whole by ``from_poset``, its
+    elements (coordinate tuples) in shuffled order, and those coordinates."""
+    elements = list(itertools.product(*(range(len(f)) for f in factors)))
+    rng.shuffle(elements)
+    coords = np.array(elements, dtype=np.intp).reshape(len(elements), len(factors))
+    m = np.ones((len(elements), len(elements)), dtype=bool)
+    for k, f in enumerate(factors):
+        m &= f.leq[np.ix_(coords[:, k], coords[:, k])]
+    return from_poset(elements, m), coords
+
+
+def test_product_pentagon_matches_the_whole_product():
+    """The pentagon search over factors and coordinates names the same
+    first pentagon as find_pentagon on the product built whole, and the
+    conjoined verdicts are the whole product's, in shuffled index orders:
+    N5 × 2, N5 × N5, M3 × 2, and seeded pairs and triples of closure
+    lattices."""
+    rng = random.Random(1515)
+    small = [lat for lat in seeded_closure_lattices() if 2 <= len(lat) <= 12]
+    cases = [(pentagon(), chain(2)), (chain(2), pentagon()), (pentagon(), pentagon())]
+    cases += [(diamond(), chain(2)), (chain(3), chain(2), pentagon())]
+    cases += [tuple(rng.sample(small, 2)) for _ in range(80)]
+    cases += [tuple(rng.sample(small, 3)) for _ in range(40)]
+    pentagons = 0
+    for factors in cases:
+        if np.prod([len(f) for f in factors]) > 500:
+            continue
+        for _ in range(2):
+            whole, coords = product_lattice(factors, rng)
+            w = product_pentagon(factors, coords)
+            assert w == find_pentagon(whole)
+            assert product_verdicts(factors) == lattice_verdicts(whole)[0]
+            pentagons += w is not None
+    assert pentagons >= 40, pentagons
 
 
 def test_closure_lattices_reach_every_verdict_combination():

@@ -14,7 +14,6 @@ from gislat.oracle import (
     enumerate_congruences,
     identity_congruence,
     join_congruences,
-    principal_congruence,
 )
 from gislat.semigroup import ZERO, NormalForm, finite_semigroup, path_from_edges, trivial_path, vertex_element
 from gislat.triples import triple_lattice
@@ -23,6 +22,7 @@ from helpers import (
     congruence_to_json,
     is_compatible,
     meet_congruences,
+    principal_congruence,
     small_semigroup_corpus,
     table_closure,
 )

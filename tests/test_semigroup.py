@@ -11,7 +11,6 @@ from gislat.semigroup import (
     enumerate_elements,
     enumerate_paths,
     finite_semigroup,
-    idempotents,
     inverse_of,
     multiply,
     path_from_edges,
@@ -21,7 +20,7 @@ from gislat.semigroup import (
     vertex_element,
 )
 
-from helpers import graph_strategy, small_semigroup_corpus, verify_inverse_semigroup
+from helpers import graph_strategy, idempotents, small_semigroup_corpus, verify_inverse_semigroup
 
 
 def closure_of_generators(g):

@@ -1,11 +1,19 @@
+import math
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gislat.lattice
 from gislat.graph import (
-    UnknownVertexError, enumerate_cycles, hereditary_subsets, index_relative, parse_graph
+    LimitError,
+    UnknownVertexError,
+    enumerate_cycles,
+    hereditary_subsets,
+    index_relative,
+    parse_graph,
+    weak_component_subgraphs,
 )
 from gislat.triples import (
     EMPTY_CYCLE_FUNCTION,
@@ -15,7 +23,7 @@ from gislat.triples import (
     CycleFunction,
     LatticeTooLargeError,
     UnboundedLatticeError,
-    UnknownCycleError,
+    component_lattices,
     divisors,
     enumerate_triples,
     ext_divides,
@@ -25,19 +33,22 @@ from gislat.triples import (
     leq,
     leq_matrix,
     meet,
+    product_coordinates,
     render_triple,
     set_trace,
     triple_lattice,
     triple_to_json,
-    validate_triple,
 )
 
 from helpers import (
+    UnknownCycleError,
     acyclic_corpus,
     bounded_triple_count,
     cyclic_corpus,
     definition_leq,
     outdeg_le1_corpus,
+    product_corpus,
+    validate_triple,
 )
 
 
@@ -363,6 +374,63 @@ def test_bounded_enumeration_closed_under_meet_join(loop_graph):
             for b in ts:
                 assert meet(g, a, b) in members
                 assert join(g, a, b) in members
+
+
+def test_component_lattices_factor_the_triple_lattice():
+    """One lattice per weak component, and every triple of the graph, in
+    enumeration order, placed in them: each coordinate names the triple's
+    part in that component, distinct triples have distinct coordinates,
+    and the sizes multiply to the graph's triple count."""
+    for g, bound in product_corpus(count=30):
+        factors = component_lattices(g, bound)
+        ts, coords = product_coordinates(g, bound, factors)
+        assert ts == enumerate_triples(g, bound)
+        assert len({tuple(c) for c in coords.tolist()}) == len(ts) == math.prod(map(len, factors))
+        parts = weak_component_subgraphs(g)
+        for k, (part, lat) in enumerate(zip(parts, factors)):
+            assert lat.labels == enumerate_triples(part, bound)
+            vs = frozenset(part.vertices)
+            for t, i in zip(ts, coords[:, k].tolist()):
+                f = lat.labels[i]
+                assert (f.H, f.W) == (t.H & vs, t.W & vs)
+                assert f.f.entries == tuple((c, v) for c, v in t.f.entries if c.source_set <= vs)
+
+
+def test_product_route_lists_the_divisors_once(monkeypatch):
+    """The components, and the graph's triples placed in them, share one
+    list of divisors of a bound near the 10^12 cap, which takes a
+    noticeable time to list: here a fork over two loops beside a loop."""
+    import gislat.triples
+
+    calls = []
+    monkeypatch.setattr(gislat.triples, "divisors", lambda n: calls.append(n) or divisors(n))
+    g = parse_graph(
+        "vertex u\nvertex v\nvertex w\nedge e u v\nedge f u w\nedge x v v\nedge y w w\n"
+        "vertex l\nedge z l l\n"
+    )
+    factors = component_lattices(g, 999999999989)
+    ts, _ = product_coordinates(g, 999999999989, factors)
+    assert calls == [999999999989]
+    assert ts == gislat.triples.enumerate_triples(g, 999999999989)
+
+
+def test_component_lattices_refuse_before_building(monkeypatch):
+    """A product of triple counts past the cap is refused before any
+    lattice is built, with the whole route's line; so are the graph's own
+    refusals, in their order."""
+    monkeypatch.setattr(gislat.lattice, "from_poset", None)  # any build fails
+    chain = "".join(f"vertex v{i}\n" for i in range(12)) + "".join(
+        f"edge e{i} v{i} v{i + 1}\n" for i in range(11)
+    )
+    with pytest.raises(LatticeTooLargeError, match="triple lattice capped at 4096 elements"):
+        component_lattices(parse_graph(chain + "vertex z\n"))
+    loop_path = parse_graph("vertex l\nedge x l l\nvertex a\nvertex b\nedge e a b\n")
+    with pytest.raises(UnboundedLatticeError):
+        component_lattices(loop_path)
+    with pytest.raises(LatticeTooLargeError, match="cycle-value bound capped"):
+        component_lattices(loop_path, 10**13)
+    with pytest.raises(LimitError, match="20 vertices"):
+        component_lattices(parse_graph("".join(f"vertex v{i}\n" for i in range(21))))
 
 
 # --------------------------------------------------------- rendering
