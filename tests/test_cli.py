@@ -611,10 +611,8 @@ def test_classify_never_disagrees_on_acyclic_corpus(tmp_path, capsys):
     from helpers import acyclic_corpus
 
     for k, g in enumerate(acyclic_corpus()[:25]):
-        lines = [f"vertex {v}" for v in g.vertices]
-        lines += [f"edge {e.name} {e.src} {e.dst}" for e in g.edges]
         p = tmp_path / f"c{k}.graph"
-        p.write_text("\n".join(lines) + "\n")
+        p.write_text(graph_text(g))
         code, out, _ = run(capsys, "classify", str(p), "--enumerate", "--json")
         assert code == 0
         assert json.loads(out)["agreement"] is True
