@@ -116,41 +116,19 @@ class DirectedGraph:
         component after every component it reaches, and each vertex's reach
         set as a bitmask over ``vertex_index`` (trivial paths count).
 
-        One iterative Tarjan pass.  A vertex is numbered by its stack
-        position, which holds while it is on the stack, the only time the
-        number is read.  A component's mask is its own bits OR-ed with the
-        masks of the components its edges enter, all popped before it."""
+        A component's mask ORs its own bits with the masks of the components
+        its edges enter, each listed before it by :func:`strong_components`."""
         succ = [[self.vertex_index[e.dst] for e in self.out_edges[v]] for v in self.vertices]
-        found, low, reach = [-1] * len(succ), [0] * len(succ), [0] * len(succ)
-        stack: list[int] = []
+        reach = [0] * len(succ)
         roots: list[str] = []
-        for start in range(len(succ)):
-            work = [(start, iter(succ[start]))] if found[start] < 0 else []
-            while work:
-                v, out = work[-1]
-                if found[v] < 0:
-                    found[v] = low[v] = len(stack)
-                    stack.append(v)
-                for w in out:
-                    if found[w] < 0:
-                        work.append((w, iter(succ[w])))
-                        break
-                    if not reach[w]:  # w is still on the stack
-                        low[v] = min(low[v], found[w])
-                else:
-                    work.pop()
-                    if work:
-                        low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                    if low[v] == found[v]:
-                        members = stack[found[v]:]
-                        del stack[found[v]:]
-                        mask = sum(1 << w for w in members)
-                        for w in members:
-                            for x in succ[w]:
-                                mask |= reach[x]
-                        for w in members:
-                            reach[w] = mask
-                        roots.append(self.vertices[v])
+        for members in strong_components(succ):
+            mask = sum(1 << w for w in members)
+            for w in members:
+                for x in succ[w]:
+                    mask |= reach[x]
+            for w in members:
+                reach[w] = mask
+            roots.append(self.vertices[members[0]])
         return tuple(roots), tuple(reach)
 
     @cached_property
@@ -161,6 +139,41 @@ class DirectedGraph:
     def check_vertex(self, v: str) -> None:
         if v not in self.vertex_set:
             raise UnknownVertexError(f"unknown vertex {v!r}")
+
+
+def strong_components(succ) -> list[list[int]]:
+    """The strong components of the graph on 0..n-1 with successor lists
+    ``succ``, each after every component it reaches and starting with the
+    vertex it was entered by.  One iterative Tarjan pass: a vertex is
+    numbered by its stack position while on the stack, then by n, which
+    lowers no low-link, once its component is listed."""
+    n = len(succ)
+    found, low = [-1] * n, [0] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    for start in range(n):
+        work = [(start, iter(succ[start]))] if found[start] < 0 else []
+        while work:
+            v, out = work[-1]
+            if found[v] < 0:
+                found[v] = low[v] = len(stack)
+                stack.append(v)
+            for w in out:
+                if found[w] < 0:
+                    work.append((w, iter(succ[w])))
+                    break
+                if found[w] < low[v]:
+                    low[v] = found[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == found[v]:
+                    comps.append(stack[found[v]:])
+                    del stack[found[v]:]
+                    for w in comps[-1]:
+                        found[w] = n
+    return comps
 
 
 class _Builder:

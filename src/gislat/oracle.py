@@ -1,13 +1,17 @@
-"""Brute-force congruences of a finite semigroup.
+"""Brute-force congruences of a finite semigroup, from its table alone.
 
-Congruences are generated from below: every principal congruence (the
-least congruence identifying one pair) is computed by a union-find
-closure that propagates merges through left and right multiplication by
-the semigroup's generators (vertices, edges and ghost edges), and the
-full congruence set is the join closure of the principal ones plus the
-identity.  The resulting lattice, ordered by refinement, is computed with
-no reference to congruence triples and therefore serves as an independent
-check of the triple lattice.
+Every nonzero element is a product of the generators (vertices, edges,
+ghost edges) and zero absorbs, so by Mal'cev the principal congruence
+Cg(a, b) is the equivalence generated by the pairs that the translations
+x -> sx and x -> xs by generators s reach from (a, b) (Burris and
+Sankappanavar, A Course in Universal Algebra, II §4).  On this pair
+graph, Cg is shared within a strong component and is the join of the
+component's pairs with the Cg of the components it reaches.  Every
+join-irreducible congruence is principal (R. Freese, "Computing
+congruences efficiently", Algebra Universalis 59, 2008), so the
+congruences are the identity and the closure of the principal ones under
+joins with the join-irreducible ones.  No congruence triple is read: the
+lattice is an independent check of the triple lattice.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import LimitError
+import numpy as np
+
+from .graph import LimitError, strong_components
 from .lattice import FiniteLattice, from_poset
 from .semigroup import FiniteSemigroup
 
@@ -38,34 +44,31 @@ class Congruence:
     def block_of(self) -> dict[int, int]:
         return {x: b for b, blk in enumerate(self.blocks) for x in blk}
 
+    @cached_property
+    def labels(self) -> tuple[int, ...]:
+        """Each element's label: the least element of its block."""
+        return tuple(self.blocks[b][0] for _, b in sorted(self.block_of.items()))
+
     def refines(self, other: "Congruence") -> bool:
         """True iff every block of self lies inside one block of other."""
         bo = other.block_of
         return all(len({bo[x] for x in blk}) == 1 for blk in self.blocks)
 
 
-def _canonical(blocks) -> Congruence:
-    return Congruence(tuple(sorted(tuple(sorted(b)) for b in blocks)))
+def _congruence(lab) -> Congruence:
+    """The partition into classes of equal label, in canonical order."""
+    blocks: dict[int, list[int]] = {}
+    for x, r in enumerate(lab):
+        blocks.setdefault(r, []).append(x)
+    return Congruence(tuple(map(tuple, blocks.values())))
 
 
-def identity_congruence(n: int) -> Congruence:
-    return Congruence(tuple((i,) for i in range(n)))
-
-
-def _closure(table, n: int, seeds, gens, start: Congruence | None = None) -> Congruence:
-    """Least congruence containing the seed pairs (and ``start``, itself a
-    congruence): union-find plus a worklist that propagates every merge
-    through left and right products with the generators ``gens`` only.
-
-    Every nonzero element is a product of generators and zero absorbs,
-    so an equivalence compatible on both sides with each generator is a
-    congruence (R. Freese, "Computing congruences efficiently", Algebra
-    Universalis 59, 2008).  The blocks of ``start`` need no propagation."""
+def _closure(table, n: int, seeds, gens) -> Congruence:
+    """Least congruence containing the seed pairs: union-find plus a
+    worklist that propagates every merge through left and right products
+    with the generators ``gens`` only, which is enough because every
+    nonzero element is a product of generators and zero absorbs."""
     parent = list(range(n))
-    if start is not None:
-        for blk in start.blocks:
-            for x in blk:
-                parent[x] = blk[0]
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -87,18 +90,44 @@ def _closure(table, n: int, seeds, gens, start: Congruence | None = None) -> Con
                 pending.append((row_s[rx], row_s[ry]))
             if row_x[s] != row_y[s]:
                 pending.append((row_x[s], row_y[s]))
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return _canonical(groups.values())
+    return _congruence([find(x) for x in range(n)])
+
+
+def _join(lab, links) -> tuple[int, ...]:
+    """The equivalence join of the labelling ``lab`` (as in
+    :attr:`Congruence.labels`) with the pairs ``links``, as a labelling."""
+    parent = list(lab)
+    for rx, ry in links:
+        while parent[rx] != rx:
+            rx = parent[rx]
+        while parent[ry] != ry:
+            ry = parent[ry]
+        if rx < ry:
+            parent[ry] = rx
+        elif ry < rx:
+            parent[rx] = ry
+    for x, p in enumerate(parent):  # p <= x, so p is settled already
+        parent[x] = parent[p]
+    return tuple(parent)
+
+
+def _links(lab) -> list[tuple[int, int]]:
+    return [(x, r) for x, r in enumerate(lab) if r != x]
 
 
 def join_congruences(sem: FiniteSemigroup, c1: Congruence, c2: Congruence) -> Congruence:
-    """Least congruence containing both: the closure grows from c1's
-    blocks, already a congruence, and propagates only c2's merges through
-    the generators (see :func:`_closure`)."""
-    seeds = [(blk[0], x) for blk in c2.blocks for x in blk[1:]]
-    return _closure(sem.table, len(sem), seeds, sem.generators, c1)
+    """Least congruence containing both, which is their join as
+    equivalences."""
+    return _congruence(_join(c1.labels, _links(c2.labels)))
+
+
+def _refinement(labels: np.ndarray) -> np.ndarray:
+    """m[i, j]: congruence i refines congruence j, i.e. labelling j is equal
+    at each element and at that element's label under i."""
+    m = np.empty((len(labels), len(labels)), dtype=bool)
+    for j, lab in enumerate(labels):
+        m[:, j] = (lab[labels] == lab).all(axis=1)
+    return m
 
 
 def check_semigroup_size(n: int, cap: int) -> None:
@@ -109,28 +138,60 @@ def check_semigroup_size(n: int, cap: int) -> None:
         )
 
 
-def enumerate_congruences(sem: FiniteSemigroup, cap: int = 200) -> tuple[Congruence, ...]:
-    """All congruences: identity plus the join closure of the distinct
-    principal congruences, sorted by partition fingerprint.
+def _principal_labels(sem: FiniteSemigroup) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Each distinct principal congruence as a labelling, with a pair that
+    generates it: one pass over the pair graph's strong components, sinks
+    first, where components reaching the same congruences share one join."""
+    n, gens = len(sem), list(sem.generators)
+    table = np.array(sem.table, dtype=np.intp).reshape(n, n)
+    lo, hi = np.triu_indices(n, 1)
+    key = np.full((n, n), -1, dtype=np.intp)
+    key[lo, hi] = key[hi, lo] = np.arange(len(lo))
+    left, right = table[gens], table[:, gens]
+    succ = np.sort(np.hstack([key[left[:, lo], left[:, hi]].T, key[right[lo], right[hi]]]))
+    keep = succ >= 0  # no diagonal pair, and each successor once
+    keep[:, 1:] &= succ[:, 1:] != succ[:, :-1]
+    flat, ends = succ[keep].tolist(), np.cumsum(keep.sum(axis=1)).tolist()
+    out = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    comps = strong_components(out)
+    comp_of = {v: c for c, members in enumerate(comps) for v in members}
+    lo, hi, identity = lo.tolist(), hi.tolist(), tuple(range(n))
+    result: list[tuple[int, ...]] = []  # per component
+    memo: dict[frozenset, tuple[int, ...]] = {}
+    principals: dict[tuple[int, ...], tuple[int, int]] = {}
+    for c, members in enumerate(comps):
+        below = frozenset(result[d] for d in {comp_of[w] for v in members for w in out[v]} - {c})
+        if below not in memo:
+            memo[below] = _join(identity, [p for lab in below for p in _links(lab)])
+        lab, pairs = memo[below], [(lo[v], hi[v]) for v in members]
+        result.append(lab if all(lab[x] == lab[y] for x, y in pairs) else _join(lab, pairs))
+        principals.setdefault(result[-1], pairs[0])
+    return principals
 
-    Every congruence is a join of principal ones, so each congruence
-    found is joined with the distinct principal congruences only, not
-    with every congruence found so far (Freese, "Computing congruences
-    efficiently", Algebra Universalis 59, 2008)."""
+
+def enumerate_congruences(sem: FiniteSemigroup, cap: int = 200) -> tuple[Congruence, ...]:
+    """All congruences, sorted by partition fingerprint (see the module
+    docstring).  A principal congruence is join-irreducible iff it is not
+    the join of the principal ones strictly below it."""
     n = len(sem)
     check_semigroup_size(n, cap)
-    table, gens = sem.table, sem.generators
-    principals = {_closure(table, n, [(i, j)], gens) for i in range(n) for j in range(i + 1, n)}
-    found = {identity_congruence(n)} | principals
-    queue = list(principals)
+    principals = _principal_labels(sem)
+    plabs = list(principals)
+    below = _refinement(np.array(plabs, dtype=np.intp).reshape(-1, n))
+    np.fill_diagonal(below, False)
+    irreducible = [
+        (*principals[lab], _links(lab)) for j, lab in enumerate(plabs)
+        if _join(range(n), [p for i in np.flatnonzero(below[:, j]) for p in _links(plabs[i])]) != lab
+    ]
+    found = {tuple(range(n)), *plabs}
+    queue = list(plabs)
     while queue:
         c = queue.pop()
-        for p in principals:
-            joined = join_congruences(sem, c, p)
-            if joined not in found:
+        for a, b, links in irreducible:
+            if c[a] != c[b] and (joined := _join(c, links)) not in found:
                 found.add(joined)
                 queue.append(joined)
-    return tuple(sorted(found, key=lambda c: c.blocks))
+    return tuple(sorted(map(_congruence, found), key=lambda c: c.blocks))
 
 
 def congruence_lattice(sem: FiniteSemigroup, cap: int = 200) -> FiniteLattice:
@@ -139,4 +200,5 @@ def congruence_lattice(sem: FiniteSemigroup, cap: int = 200) -> FiniteLattice:
     Congruence sets are always lattices; a NotALatticeError here signals an
     internal inconsistency and is allowed to propagate."""
     congs = enumerate_congruences(sem, cap)
-    return from_poset(congs, lambda a, b: a.refines(b))
+    labels = np.array([c.labels for c in congs], dtype=np.intp).reshape(len(congs), len(sem))
+    return from_poset(congs, _refinement(labels))

@@ -365,6 +365,31 @@ def table_closure(table, n: int, seeds) -> Congruence:
     return Congruence(tuple(sorted(tuple(sorted(b)) for b in groups.values())))
 
 
+def identity_congruence(n: int) -> Congruence:
+    return Congruence(tuple((i,) for i in range(n)))
+
+
+def reference_congruences(sem: FiniteSemigroup) -> tuple[Congruence, ...]:
+    """All congruences, sorted by partition fingerprint: one generator
+    closure per element pair gives the principal congruences, and every
+    congruence found is joined, by a closure of both partitions' pairs,
+    with each distinct principal one until nothing new appears."""
+    n = len(sem)
+    table, gens = sem.table, sem.generators
+    principals = {_closure(table, n, [(i, j)], gens) for i in range(n) for j in range(i + 1, n)}
+    found = {identity_congruence(n)} | principals
+    queue = list(principals)
+    while queue:
+        c = queue.pop()
+        for p in principals:
+            seeds = [(blk[0], x) for d in (c, p) for blk in d.blocks for x in blk[1:]]
+            joined = _closure(table, n, seeds, gens)
+            if joined not in found:
+                found.add(joined)
+                queue.append(joined)
+    return tuple(sorted(found, key=lambda c: c.blocks))
+
+
 def meet_congruences(c1: Congruence, c2: Congruence) -> Congruence:
     """Common refinement (intersection of the relations)."""
     groups: dict[tuple[int, int], list[int]] = {}

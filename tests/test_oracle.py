@@ -1,6 +1,9 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 
-from gislat.graph import parse_graph
+from gislat.graph import DirectedGraph, parse_graph
 from gislat.lattice import (
     is_distributive,
     is_lower_semimodular,
@@ -10,9 +13,10 @@ from gislat.lattice import (
 )
 from gislat.oracle import (
     SemigroupTooLargeError,
+    _congruence,
+    _principal_labels,
     congruence_lattice,
     enumerate_congruences,
-    identity_congruence,
     join_congruences,
 )
 from gislat.semigroup import ZERO, NormalForm, finite_semigroup, path_from_edges, trivial_path, vertex_element
@@ -20,9 +24,11 @@ from gislat.triples import triple_lattice
 
 from helpers import (
     congruence_to_json,
+    identity_congruence,
     is_compatible,
     meet_congruences,
     principal_congruence,
+    reference_congruences,
     small_semigroup_corpus,
     table_closure,
 )
@@ -132,3 +138,73 @@ def test_refinement_order():
     for c in congs:
         assert ident.refines(c)
         assert c.refines(universal)
+
+
+def path_graph(k: int) -> DirectedGraph:
+    return DirectedGraph.of([f"v{i}" for i in range(k)], [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(k - 1)])
+
+
+def fan_graph(k: int) -> DirectedGraph:
+    return DirectedGraph.of(["c", *(f"s{i}" for i in range(k))], [(f"e{i}", "c", f"s{i}") for i in range(k)])
+
+
+def test_enumeration_matches_reference(gamma1, gamma2):
+    """The pair-graph enumeration against one closure per element pair
+    and joins with every principal congruence: the same tuple, in order."""
+    graphs = [gamma1, gamma2, *small_semigroup_corpus(), *map(fan_graph, range(4, 8)), path_graph(4), path_graph(5)]
+    for g in graphs:
+        sem = finite_semigroup(g)
+        assert enumerate_congruences(sem) == reference_congruences(sem)
+
+
+def test_principals_and_order_matrix_match_definitions(gamma1, gamma2):
+    for g in (gamma1, gamma2, *small_semigroup_corpus(count=4), fan_graph(4)):
+        sem = finite_semigroup(g)
+        n = len(sem)
+        principals = {_congruence(lab) for lab in _principal_labels(sem)}
+        assert principals == {table_closure(sem.table, n, [p]) for p in combinations(range(n), 2)}
+        lat = congruence_lattice(sem)
+        refines = [[a.refines(b) for b in lat.labels] for a in lat.labels]
+        assert np.array_equal(lat.leq, np.array(refines, dtype=bool))
+
+
+@pytest.mark.parametrize("text, size, count", [("", 1, 1), ("vertex a", 2, 2), ("vertex a\nvertex b", 3, 4)])
+def test_congruence_counts_of_tiny_semigroups(text, size, count):
+    sem = finite_semigroup(parse_graph(text))
+    assert len(sem) == size
+    assert len(enumerate_congruences(sem)) == len(congruence_lattice(sem)) == count
+
+
+def test_pair_graph_components_share_and_join():
+    """One edge a -> b (|S| = 6): four pairs form one strong component of
+    the pair graph.  Each component's congruence is the join of its own
+    pairs with the congruences of the pairs it reaches.  For some
+    components that join adds nothing to the congruences reached (the
+    shared join is reused as is), and for others it does."""
+    sem = finite_semigroup(parse_graph("vertex a\nvertex b\nedge e a b"))
+    n, t, gens = len(sem), sem.table, sem.generators
+    pairs = list(combinations(range(n), 2))
+
+    def moves(p):
+        x, y = p
+        images = [(t[s][x], t[s][y]) for s in gens] + [(t[x][s], t[y][s]) for s in gens]
+        return {(min(q), max(q)) for q in images if q[0] != q[1]}
+
+    reach = {}
+    for p in pairs:
+        seen, todo = {p}, [p]
+        while todo:
+            new = moves(todo.pop()) - seen
+            seen |= new
+            todo += new
+        reach[p] = seen
+    cg = {p: table_closure(t, n, [p]) for p in pairs}
+    reused = set()
+    for p in pairs:
+        comp = {q for q in reach[p] if p in reach[q]}
+        seeds = [(blk[0], x) for q in set().union(*map(moves, comp)) - comp for blk in cg[q].blocks for x in blk[1:]]
+        assert cg[p] == table_closure(t, n, seeds + sorted(comp))
+        reused.add(cg[p] == table_closure(t, n, seeds))
+    assert max(len({q for q in reach[p] if p in reach[q]}) for p in pairs) == 4
+    assert reused == {True, False}
+    assert enumerate_congruences(sem) == reference_congruences(sem)
