@@ -214,10 +214,9 @@ def parse_graph(text: str) -> DirectedGraph:
     """
     builder = _Builder()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise GraphParseError(line_no, "expected: vertex NAME")
@@ -315,18 +314,22 @@ def enumerate_cycles(g: DirectedGraph) -> tuple[Cycle, ...]:
 
 def forked_vertices(g: DirectedGraph) -> frozenset[str]:
     """Vertices with two distinct out-edges e, f such that no other
-    out-edge's range reaches r(e), and likewise for r(f)."""
+    out-edge's range reaches r(e), and likewise for r(f).
+
+    Each range is in its own reach mask, so another out-edge's range
+    reaches r(e) iff r(e)'s bit is in at least two of the masks."""
     forked: set[str] = set()
     for v in g.vertices:
         out = g.out_edges[v]
-        if len(out) < 2:
+        if len(out) < 2:  # the condensation is built only past this test
             continue
-        free = [
-            e
-            for e in out
-            if not any(reaches(g, x.dst, e.dst) for x in out if x.name != e.name)
-        ]
-        if len(free) >= 2:
+        reach, index = g.condensation[1], g.vertex_index
+        ends = [index[e.dst] for e in out]
+        once = twice = 0
+        for w in ends:
+            twice |= once & reach[w]
+            once |= reach[w]
+        if sum(not twice >> w & 1 for w in ends) >= 2:
             forked.add(v)
     return frozenset(forked)
 
@@ -340,20 +343,26 @@ class ConnectivityReport:
 
 
 def connectivity_report(g: DirectedGraph) -> ConnectivityReport:
-    """Weak components (the strong components of the graph with every edge
-    doubled back, grouped by reach mask) and the weak/unilateral/strong
-    connectivity flags.
+    """Weak components (union-find over the edges' ends) and the
+    weak/unilateral/strong connectivity flags.
 
     b reaches a iff reach(a) ⊆ reach(b), so the graph is unilateral iff
     its reach masks form a chain under inclusion (each inside the next
     once sorted by size), and strong iff it has at most one strong component."""
-    back = tuple(Edge(e.name, e.dst, e.src) for e in g.edges)
+    index = g.vertex_index
+    parent = list(range(len(g.vertices)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for e in g.edges:
+        parent[root(index[e.src])] = root(index[e.dst])
     groups: dict[int, list[str]] = {}
-    for v, mask in zip(g.vertices, DirectedGraph(g.vertices, g.edges + back).condensation[1]):
-        groups.setdefault(mask, []).append(v)
-    components = tuple(
-        sorted((tuple(sorted(members)) for members in groups.values()))
-    )
+    for v in g.vertices:
+        groups.setdefault(root(index[v]), []).append(v)
+    components = tuple(sorted(tuple(sorted(members)) for members in groups.values()))
 
     masks = sorted(g.condensation[1], key=int.bit_count)
     return ConnectivityReport(

@@ -421,7 +421,9 @@ def order_isomorphic(lat1: FiniteLattice, lat2: FiniteLattice) -> bool:
     """True iff an order-preserving bijection exists in both directions.
 
     Backtracking over candidate images, pruned by stable order-invariant
-    signatures."""
+    signatures.  The search keeps an explicit stack of candidate
+    iterators, one per assigned element, so large lattices cannot exhaust
+    the interpreter's recursion limit."""
     if lat1.n != lat2.n:
         return False
     if lat1.n == 0:
@@ -436,30 +438,27 @@ def order_isomorphic(lat1: FiniteLattice, lat2: FiniteLattice) -> bool:
     order = sorted(range(lat1.n), key=lambda i: len(candidates[i]))
     assigned: dict[int, int] = {}
     used: set[int] = set()
-
-    def backtrack(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if j in used:
-                continue
-            ok = all(
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        i = order[len(stack) - 1]
+        if i in assigned:  # back from a failed deeper level: retract i's image
+            used.remove(assigned.pop(i))
+        for j in stack[-1]:
+            if j not in used and all(
                 lat1.leq_idx(i, i2) == lat2.leq_idx(j, j2)
                 and lat1.leq_idx(i2, i) == lat2.leq_idx(j2, j)
                 for i2, j2 in assigned.items()
-            )
-            if not ok:
-                continue
-            assigned[i] = j
-            used.add(j)
-            if backtrack(k + 1):
-                return True
-            del assigned[i]
-            used.remove(j)
-        return False
-
-    return backtrack(0)
+            ):
+                assigned[i] = j
+                used.add(j)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            return True
+        stack.append(iter(candidates[order[len(stack)]]))
+    return False
 
 
 def hasse_dot(lat: FiniteLattice, render: Callable = str) -> str:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .graph import DirectedGraph, LimitError, is_acyclic
 
 
@@ -195,10 +197,43 @@ class FiniteSemigroup:
         self.graph = graph
         self.elements: tuple[Element, ...] = enumerate_elements(graph)
         self._index = {x: i for i, x in enumerate(self.elements)}
+        # Row by row, so only one row's list is alive beside the tuples.
         self.table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self._index[multiply(x, y)] for y in self.elements)
-            for x in self.elements
+            tuple(row.tolist()) for row in self._table()
         )
+
+    def _table(self) -> np.ndarray:
+        """:func:`multiply` on path indices.  With index P for "none",
+        ``rest[b, c]`` is the xi with c = b.xi, ``cat[a, xi]`` the path
+        a.xi and ``pair[a, b]`` the element a.b* (0 for none).  So
+        (a.b*)(c.d*) is ``pair[cat[a, rest[b, c]], d]`` when b is a prefix
+        of c, ``pair[a, cat[d, rest[c, b]]]`` when c is a prefix of b, and
+        0 otherwise: the larger of the two, which agree when b == c."""
+        paths = enumerate_paths(self.graph)
+        p, n = len(paths), len(self.elements)
+        index = {q: i for i, q in enumerate(paths)}
+        by_source: dict[str, list[int]] = {}
+        for i, q in enumerate(paths):
+            by_source.setdefault(q.source, []).append(i)
+        splits = [
+            (b, c, index[xi])
+            for group in by_source.values()
+            for b in group
+            for c in group
+            if (xi := _split_off(paths[b], paths[c])) is not None
+        ]
+        rest, cat, pair = (np.full((p + 1, p + 1), fill, np.int32) for fill in (p, p, 0))
+        b, c, xi = np.array(splits, np.int32).reshape(-1, 3).T
+        rest[b, c] = xi
+        cat[b, xi] = c
+        pairs = [(index[x.alpha], index[x.beta]) for x in self.elements[1:]]
+        alpha, beta = np.array(pairs, np.int32).reshape(-1, 2).T
+        pair[alpha, beta] = np.arange(1, n)
+        a, b = alpha[:, None], beta[:, None]  # the left factor, down the rows
+        out = np.zeros((n, n), np.int32)
+        out[1:, 1:] = pair[cat[a, rest[b, alpha]], beta]
+        np.maximum(out[1:, 1:], pair[a, cat[beta, rest[alpha, b]]], out=out[1:, 1:])
+        return out
 
     def __len__(self) -> int:
         return len(self.elements)

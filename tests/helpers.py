@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from gislat.graph import (
     Cycle,
     DirectedGraph,
-    Edge,
     GraphError,
     enumerate_cycles,
     hereditary_subsets,
     index_relative,
     is_acyclic,
+    reaches,
 )
 from gislat.lattice import FiniteLattice, SublatticeWitness, from_poset
 from gislat.oracle import Congruence, _closure
@@ -32,6 +32,7 @@ from gislat.semigroup import (
     enumerate_paths,
     finite_semigroup,
     inverse_of,
+    multiply,
     render_element,
 )
 from gislat.triples import INF, CongruenceTriple, divisors, enumerate_triples, ext_divides
@@ -74,12 +75,43 @@ def brute_reach_pairs(g: DirectedGraph) -> set[tuple[str, str]]:
 
 def definition_weak_components(g: DirectedGraph) -> tuple[tuple[str, ...], ...]:
     """The classes of the undirected closure: reachability in the graph
-    with every edge also present reversed, each class sorted, classes in
-    sorted order."""
-    back = [Edge(f"{e.name}_back", e.dst, e.src) for e in g.edges]
-    pairs = brute_reach_pairs(DirectedGraph(g.vertices, g.edges + tuple(back)))
-    classes = {tuple(sorted(b for b in g.vertices if (a, b) in pairs)) for a in g.vertices}
+    with every edge also present reversed, found by a flood fill from each
+    vertex not yet reached, each class sorted, classes in sorted order."""
+    neighbours: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        neighbours[e.src].append(e.dst)
+        neighbours[e.dst].append(e.src)
+    seen: set[str] = set()
+    classes = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        reached = [v]
+        for u in reached:  # the list grows as it is read
+            for w in neighbours[u]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        classes.append(tuple(sorted(reached)))
     return tuple(sorted(classes))
+
+
+def definition_forked(g: DirectedGraph) -> frozenset[str]:
+    """Forked vertices by the definition, one ``reaches`` test per pair of
+    out-edges: two distinct out-edges e, f such that no other out-edge's
+    range reaches r(e), and likewise for r(f)."""
+    forked: set[str] = set()
+    for v in g.vertices:
+        out = g.out_edges[v]
+        free = [
+            e
+            for e in out
+            if not any(reaches(g, x.dst, e.dst) for x in out if x.name != e.name)
+        ]
+        if len(free) >= 2:
+            forked.add(v)
+    return frozenset(forked)
 
 
 def definition_connectivity(g: DirectedGraph) -> tuple[bool, bool]:
@@ -290,6 +322,13 @@ def oracle_verdicts(lat: FiniteLattice) -> dict[str, bool]:
         "lower_semimodular": pairwise_lower_semimodular(lat),
         "upper_semimodular": pairwise_upper_semimodular(lat),
     }
+
+
+def reference_table(sem: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table one cell at a time: the index of ``multiply(x, y)``."""
+    return tuple(
+        tuple(sem.element_index(multiply(x, y)) for y in sem.elements) for x in sem.elements
+    )
 
 
 def verify_inverse_semigroup(g: DirectedGraph) -> bool:

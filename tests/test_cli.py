@@ -543,6 +543,18 @@ def test_oracle_gamma1(files, capsys):
     assert data["order_isomorphic"] is True
 
 
+def test_oracle_on_ten_isolated_vertices(tmp_path, capsys):
+    """1024 congruences against 1024 triples: the isomorphism search is
+    1024 levels deep and must not hit the recursion limit."""
+    path = tmp_path / "iso10.graph"
+    path.write_text("".join(f"vertex v{i}\n" for i in range(10)))
+    code, out, err = run(capsys, "oracle", str(path), "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["congruences"] == data["triples"] == 1024
+    assert data["order_isomorphic"] is True
+
+
 def test_oracle_single_vertex(files, capsys):
     code, out, _ = run(capsys, "oracle", files["single"], "--json")
     assert code == 0

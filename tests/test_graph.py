@@ -24,6 +24,7 @@ from helpers import (
     brute_reach_pairs,
     cyclic_corpus,
     definition_connectivity,
+    definition_forked,
     definition_weak_components,
     graph_strategy,
     is_hereditary,
@@ -74,6 +75,36 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(GraphParseError, match=fragment) as err:
         parse_graph(text)
     assert err.value.line_no == line
+
+
+# Each line is split once: a whitespace-only line is blank, a line whose
+# first word starts with "#" is a comment, and tabs separate words.
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertex a\n   # note\nvertex b\nedge e a b\n",
+        "vertex a\nvertex b\nedge\te\ta\tb\n",
+        "vertex a\nvertex b\nedge e a b\n\n",
+    ],
+)
+def test_parse_comment_tab_and_trailing_blank_lines(text):
+    g = parse_graph(text)
+    assert g.vertices == ("a", "b")
+    assert [(e.name, e.src, e.dst) for e in g.edges] == [("e", "a", "b")]
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("vertex a\n   # note\nfrob a\n", 3, "unknown directive 'frob'"),
+        ("vertex a\nedge\te\ta\n", 2, "expected: edge NAME SRC DST"),
+        ("vertex a\nvertex b\nedge e a c\n\n", 3, "edge 'e' references undeclared vertex 'c'"),
+    ],
+)
+def test_parse_errors_after_comment_tab_and_blank_lines(text, line, message):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(text)
+    assert (err.value.line_no, str(err.value)) == (line, f"line {line}: {message}")
 
 
 def test_of_rejects_bad_input():
@@ -325,6 +356,45 @@ def test_forked_subset_of_outdegree_two(g):
         assert index_relative(g, v, set()) >= 2
 
 
+def ring(n: int) -> DirectedGraph:
+    names = [f"v{i}" for i in range(n)]
+    return DirectedGraph.of(names, [(f"e{i}", names[i], names[(i + 1) % n]) for i in range(n)])
+
+
+def grid(rows: int, cols: int) -> DirectedGraph:
+    """Edges right and down: each vertex off the last row and column is forked."""
+    names = [f"v{r}_{c}" for r in range(rows) for c in range(cols)]
+    edges = [(f"d{r}_{c}", f"v{r}_{c}", f"v{r + 1}_{c}") for r in range(rows - 1) for c in range(cols)]
+    edges += [(f"r{r}_{c}", f"v{r}_{c}", f"v{r}_{c + 1}") for r in range(rows) for c in range(cols - 1)]
+    return DirectedGraph.of(names, edges)
+
+
+SHAPES = (
+    DirectedGraph.of(["a", "b", "c"], []),  # isolated vertices
+    DirectedGraph.of(["a", "b", "c"], [("e", "a", "b"), ("f", "a", "b"), ("g", "c", "b")]),
+    DirectedGraph.of(["a", "b", "c"], [("x", "a", "a"), ("y", "b", "b"), ("e", "a", "c")]),
+)
+
+
+def structural_corpus():
+    return (
+        acyclic_corpus() + cyclic_corpus() + multi_component_corpus() + outdeg_le1_corpus()
+        + unilateral_corpus() + SHAPES + (ring(1200), grid(30, 30))
+    )
+
+
+@settings(max_examples=200)
+@given(graph_strategy())
+def test_forked_matches_the_pairwise_definition(g):
+    assert forked_vertices(g) == definition_forked(g)
+
+
+def test_forked_matches_the_pairwise_definition_on_the_corpora():
+    for g in structural_corpus():
+        assert forked_vertices(g) == definition_forked(g)
+    assert len(forked_vertices(grid(30, 30))) == 29 * 29
+
+
 def test_unilateral_graphs_have_no_forks():
     for g in unilateral_corpus(count=20):
         assert connectivity_report(g).is_unilaterally_connected
@@ -371,6 +441,12 @@ def test_connectivity_flags_match_pairwise_definition(g):
 @example(DirectedGraph.of([], []))
 def test_weak_components_match_undirected_closure(g):
     assert connectivity_report(g).weak_components == definition_weak_components(g)
+
+
+def test_weak_components_match_undirected_closure_on_the_corpora():
+    for g in structural_corpus():
+        assert connectivity_report(g).weak_components == definition_weak_components(g)
+    assert len(connectivity_report(SHAPES[0]).weak_components) == 3
 
 
 def test_weak_component_subgraphs():

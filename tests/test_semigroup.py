@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from gislat.graph import parse_graph
+from gislat.graph import DirectedGraph, parse_graph
 from gislat.semigroup import (
     ZERO,
     CyclicGraphError,
@@ -20,7 +20,15 @@ from gislat.semigroup import (
     vertex_element,
 )
 
-from helpers import graph_strategy, idempotents, small_semigroup_corpus, verify_inverse_semigroup
+from helpers import (
+    acyclic_corpus,
+    graph_strategy,
+    idempotents,
+    multi_component_corpus,
+    reference_table,
+    small_semigroup_corpus,
+    verify_inverse_semigroup,
+)
 
 
 def closure_of_generators(g):
@@ -273,6 +281,22 @@ def test_associativity_exhaustive(gamma2):
 def test_verify_on_random_corpus_sample():
     for g in small_semigroup_corpus(count=5):
         assert verify_inverse_semigroup(g)
+
+
+def test_table_matches_multiply_cell_by_cell(gamma1, gamma2):
+    parallel = parse_graph("vertex a\nvertex b\nvertex c\nedge e a b\nedge f a b\nedge g b c\n")
+    corpus = acyclic_corpus() + multi_component_corpus() + small_semigroup_corpus(40)
+    for g in corpus + (gamma1, gamma2, parallel):
+        sem = finite_semigroup(g)
+        assert sem.table == reference_table(sem)
+
+
+def test_table_of_a_13_vertex_path():
+    names = [f"v{i}" for i in range(13)]
+    g = DirectedGraph.of(names, [(f"e{i}", names[i], names[i + 1]) for i in range(12)])
+    sem = finite_semigroup(g)
+    assert len(sem) == 820
+    assert sem.table == reference_table(sem)
 
 
 # ------------------------------------------------------------ rendering
