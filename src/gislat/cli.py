@@ -11,10 +11,11 @@ bug).
 JSON output (``--json``) is the stable machine interface; the plain-text
 output is for humans and carries no stability guarantee.
 
-``classify --enumerate`` on a graph of several weak components builds one
-lattice per component and answers for their product (the whole triple
-lattice) with the same bytes; ``lattice`` and ``oracle`` build the whole
-lattice.
+``classify --enumerate`` and ``lattice`` build one lattice per weak
+component and answer for their product (the whole triple lattice) with
+the same bytes: its size, verdicts, witness, triples and cover pairs are
+read off the factors.  ``oracle`` builds the whole lattice, the
+independent check on the brute-force congruences.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .graph import (
     GraphError, LimitError, connectivity_report, forked_vertices, is_acyclic, parse_graph
 )
 from .lattice import (
-    hasse_dot, lattice_verdicts, order_isomorphic, product_pentagon, product_verdicts
+    hasse_dot, lattice_verdicts, order_isomorphic, product_covers, product_pentagon,
+    product_verdicts,
 )
 from .oracle import check_semigroup_size, congruence_lattice
 from .semigroup import finite_semigroup, render_element, semigroup_size
@@ -131,41 +133,30 @@ def _graph_summary(g) -> dict:
     }
 
 
-def _checked(verdicts: dict, witness):
-    """The verdicts and witness, unless they contradict each other."""
+def _enumerated(g, bound, listed: bool = False):
+    """Size, probe flag, verdicts, witness, triples (``triple_lattice`` order;
+    when ``listed`` or indexed by a pentagon) and cover pairs (when ``listed``)
+    of the triple lattice of ``g``, or a bounded probe of a cyclic graph's,
+    read off its weak components' factors.  A modular product that is not
+    distributive (only a bounded probe) takes its diamond from the whole lattice."""
+    cyclic = not is_acyclic(g)
+    bound = bound if cyclic else None
+    factors = component_lattices(g, bound)
+    verdicts, witness, labels, covers = product_verdicts(factors), None, (), None
+    if listed or not verdicts["modular"]:
+        labels, coords = product_coordinates(g, bound, factors)
+    if listed:
+        covers = product_covers(factors, coords)
+    if not verdicts["modular"]:
+        witness = product_pentagon(factors, coords)
+    elif not verdicts["distributive"]:
+        whole = factors[0] if len(factors) == 1 else triple_lattice(g, bound)
+        verdicts, witness = lattice_verdicts(whole)
+        labels = whole.labels
     distributive = verdicts["distributive"]
     if (witness is None) != distributive or (distributive and not verdicts["modular"]):
         raise _CliError(EXIT_INTERNAL, "inconsistent verdicts or witness (bug)")
-    return verdicts, witness
-
-
-def _bounded_lattice(g, bound):
-    """The exact triple lattice, or a bounded probe of a cyclic graph's,
-    with its verdicts and witness."""
-    cyclic = not is_acyclic(g)
-    lat = triple_lattice(g, bound if cyclic else None)
-    return (lat, cyclic, *_checked(*lattice_verdicts(lat)))
-
-
-def _classified(g, bound, components: int):
-    """Size, probe flag, verdicts, witness and the triples it indexes, for
-    ``classify --enumerate``.  A graph of several weak components goes by
-    the product of their lattices, with the same answers; a modular product
-    that is not distributive (only a bounded probe) goes back to the whole
-    lattice for its diamond."""
-    cyclic = not is_acyclic(g)
-    if components > 1:
-        bound = bound if cyclic else None
-        factors = component_lattices(g, bound)
-        verdicts, witness, labels = product_verdicts(factors), None, ()
-        if not verdicts["modular"]:
-            labels, coords = product_coordinates(g, bound, factors)
-            witness = product_pentagon(factors, coords)
-        if verdicts["distributive"] or not verdicts["modular"]:
-            size = math.prod(len(f) for f in factors)
-            return (size, cyclic, *_checked(verdicts, witness), labels)
-    lat, cyclic, verdicts, witness = _bounded_lattice(g, bound)
-    return len(lat), cyclic, verdicts, witness, lat.labels
+    return math.prod(len(f) for f in factors), cyclic, verdicts, witness, labels, covers
 
 
 def _flags(d: dict) -> str:
@@ -201,7 +192,7 @@ def cmd_classify(args) -> int:
     # The enumeration's answers, None unless --enumerate fills them in.
     size = computed = bounded = witness = agreement = None
     if args.enumerate:
-        size, bounded, computed, w, labels = _classified(g, args.bound, summary["weak_components"])
+        size, bounded, computed, w, labels, _ = _enumerated(g, args.bound)
         agreement = _agreement(predicted, computed, bounded)
         if w is not None:
             witness = {"kind": w.kind, "members": [render_triple(labels[i]) for i in w.members]}
@@ -227,25 +218,25 @@ def cmd_classify(args) -> int:
 
 def cmd_lattice(args) -> int:
     g = _load(args.graph_file)
-    lat, bounded, verdicts, _ = _bounded_lattice(g, args.bound)
+    size, bounded, verdicts, _, labels, covers = _enumerated(g, args.bound, listed=True)
     if args.dot:
         try:
-            Path(args.dot).write_text(hasse_dot(lat, render_triple), encoding="utf-8")
+            Path(args.dot).write_text(hasse_dot(labels, covers, render_triple), encoding="utf-8")
         except OSError as err:
             raise _CliError(EXIT_INPUT, f"cannot write {args.dot}: {err}") from None
 
     def text():
-        yield f"{len(lat)} elements:"
-        yield from (f"  [{i}] {render_triple(t)}" for i, t in enumerate(lat.labels))
-        yield f"{len(lat.cover_pairs[0])} cover pairs:"
-        yield from (f"  [{lo}] < [{up}]" for lo, up in zip(*(x.tolist() for x in lat.cover_pairs)))
+        yield f"{size} elements:"
+        yield from (f"  [{i}] {render_triple(t)}" for i, t in enumerate(labels))
+        yield f"{len(covers[0])} cover pairs:"
+        yield from (f"  [{lo}] < [{up}]" for lo, up in zip(*(x.tolist() for x in covers)))
         yield f"verdicts: {_flags(verdicts)}" + (" (bounded probe)" if bounded else "")
         if args.dot:
             yield f"dot written to {args.dot}"
 
     _emit(args, lambda: {
-        "elements": [triple_to_json(t) for t in lat.labels],
-        "covers": np.transpose(lat.cover_pairs).tolist(),  # [lower, upper], sorted
+        "elements": [triple_to_json(t) for t in labels],
+        "covers": np.transpose(covers).tolist(),  # [lower, upper], sorted
         "verdicts": verdicts, "bounded": bounded,
     }, text)
     return EXIT_OK
@@ -265,7 +256,7 @@ def cmd_semigroup(args) -> int:
         yield "cayley table (indices):"
         yield from (f"  [{i}] " + " ".join(str(x) for x in row) for i, row in enumerate(sem.table))
 
-    _emit(args, lambda: {"elements": rendered, "table": [list(row) for row in sem.table]}, text)
+    _emit(args, lambda: {"elements": rendered, "table": sem.table}, text)
     return EXIT_OK
 
 

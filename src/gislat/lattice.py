@@ -1,8 +1,8 @@
 """Finite lattices with explicit meet/join tables.
 
 A lattice is built from an element list and its order, as a predicate
-or a boolean matrix; the tables come from that matrix alone.  The covers
-and the transitivity check come from one OR over the order's pairs: what
+or a boolean matrix; the tables come from that matrix alone.  The cover
+pairs and the transitivity check come from one OR over the order's pairs: what
 lies strictly above some k > i is the union of the packed strict up-sets
 of those k.  a ∧ b is the largest c ∧ b over the lower covers c of a,
 confirmed by induction over those lower covers (each c ∧ b confirmed and
@@ -20,12 +20,15 @@ semimodularity dually, modularity as both, and distributivity as every
 join-irreducible j being join-prime, that is {x : j ≰ x} having a
 greatest element.  A failure also gets a pentagon or diamond witness
 from a direct search, an independent route to the same verdict.
-:func:`product_verdicts` and :func:`product_pentagon` give the verdicts
-and the first pentagon of a direct product from its factors alone.
+
+:func:`product_verdicts`, :func:`product_covers` and :func:`product_pentagon`
+read the verdicts, cover pairs and first pentagon of a direct product off
+its factors alone; :func:`find_pentagon` is the product of one factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -58,16 +61,15 @@ class SublatticeWitness:
 
 
 class FiniteLattice:
-    """Immutable element list, order matrix, meet/join tables and covers."""
+    """Immutable element list, order matrix, meet/join tables and cover pairs."""
 
-    def __init__(self, labels, leq_matrix, meet_table, join_table, cov, cover_pairs) -> None:
+    def __init__(self, labels, leq_matrix, meet_table, join_table, cover_pairs) -> None:
         self.labels: tuple = labels
         self.n: int = len(labels)
         self.leq: np.ndarray = leq_matrix
         self.meet_t: np.ndarray = meet_table
         self.join_t: np.ndarray = join_table
-        # cov[a, b]: b covers a; cover_pairs = np.nonzero(cov), row-major
-        self.cov: np.ndarray = cov
+        # (lower, upper) with upper[k] covering lower[k], sorted by (lower, upper)
         self.cover_pairs: tuple[np.ndarray, np.ndarray] = cover_pairs
 
     @cached_property
@@ -86,9 +88,6 @@ class FiniteLattice:
 
     def join(self, i: int, j: int) -> int:
         return int(self.join_t[i, j])
-
-    def covers(self, upper: int, lower: int) -> bool:
-        return bool(self.cov[lower, upper])
 
 
 def _between(lt: np.ndarray) -> np.ndarray:
@@ -206,10 +205,9 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     between = _between(lt)
     if (between & ~m).any():
         raise ValueError("leq is not transitive")
-    cov = lt & ~between
+    lower, upper = np.nonzero(lt & ~between)
     del lt, between  # room for the tables at the cap
 
-    lower, upper = np.nonzero(cov)
     meet_t, meet_ok = _meet_table(m.copy(), lower, upper)
     join_t, join_ok = _meet_table(_transposed(m), upper, lower)
     # A candidate may come from a pair without a glb, so a failed induction
@@ -221,7 +219,7 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
             common = bounds[i] & bounds[j]
             if not ok[i, j] and size[common].max(initial=-1) != np.count_nonzero(common):
                 raise NotALatticeError((labels[i], labels[j]), which)
-    return FiniteLattice(labels, m, meet_t, join_t, cov, (lower, upper))
+    return FiniteLattice(labels, m, meet_t, join_t, (lower, upper))
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
@@ -246,23 +244,25 @@ def is_modular(lat: FiniteLattice) -> bool:
     return is_upper_semimodular(lat) and is_lower_semimodular(lat)
 
 
-def _semimodular(low: np.ndarray, up: np.ndarray, cov: np.ndarray, join_t: np.ndarray) -> bool:
+def _semimodular(low: np.ndarray, up: np.ndarray, join_t: np.ndarray) -> bool:
     """a, b both covering a ∧ b forces a ∨ b to cover both a and b
-    (``up[k]`` covers ``low[k]``, grouped by the low x; ``cov[x, y]``: y
-    covers x).  Two distinct upper covers a, b of one x meet at x, so only
-    those pairs are checked, a < b, from one self-join of the cover pairs."""
+    (``up[k]`` covers ``low[k]``, sorted by (low, up)).  Two distinct upper
+    covers a, b of one x meet at x, so only those pairs are checked, a < b,
+    from one self-join of the cover pairs; y covers x iff the sorted keys
+    ``low * n + up`` hold ``x * n + y``."""
     later = np.searchsorted(low, low, side="right") - np.arange(len(low)) - 1
     left = np.repeat(np.arange(len(low)), later)  # pair i with each later i' of its x
     start = np.repeat(np.cumsum(later) - later, later)
     right = left + 1 + np.arange(len(left)) - start
     a, b = up[left], up[right]
-    j = join_t[a, b]
-    return bool((cov[a, j] & cov[b, j]).all())
+    keys = low * len(join_t) + up  # sorted
+    want = np.sort(np.concatenate((a, b)) * len(join_t) + np.tile(join_t[a, b], 2))  # faster search
+    return bool((keys.take(np.searchsorted(keys, want), mode="clip") == want).all())
 
 
 def is_upper_semimodular(lat: FiniteLattice) -> bool:
     """a, b both covering a ∧ b forces a ∨ b to cover both a and b."""
-    return _semimodular(*lat.cover_pairs, lat.cov, lat.join_t)  # row-major: by low
+    return _semimodular(*lat.cover_pairs, lat.join_t)
 
 
 def is_lower_semimodular(lat: FiniteLattice) -> bool:
@@ -270,72 +270,55 @@ def is_lower_semimodular(lat: FiniteLattice) -> bool:
     semimodularity of the dual lattice."""
     low, up = lat.cover_pairs
     by_up = np.argsort(up, kind="stable")
-    return _semimodular(up[by_up], low[by_up], lat.cov.T, lat.meet_t)
-
-
-def _low_ends(lat: FiniteLattice):
-    """Blocks of (p, whether p is the low end of a pentagon), one entry per
-    cover pair, in order of p: some upper cover u of p and some b have
-    u <= p∨b and u∧b = p∧b (see :func:`find_pentagon`)."""
-    n, leq, m, j = lat.n, lat.leq, lat.meet_t, lat.join_t
-    lows, ups = lat.cover_pairs  # row-major, so sorted by the low p
-    step = max(1, (1 << 16) // max(1, n))
-    for s in range(0, len(lows), step):
-        p, u = lows[s : s + step], ups[s : s + step]
-        yield p, (leq[u[:, None], j[p]] & (m[u] == m[p])).any(axis=1)
+    return _semimodular(up[by_up], low[by_up], lat.meet_t)
 
 
 def find_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
-    """First pentagon in lexicographic (low, high, side) index order.
-
-    A pentagon exists iff some strictly comparable p < q share both meet
-    and join with a third element b; (p∧b, p, q, b, p∨b) then has exactly
-    the pentagon configuration.  Such q and b exist for p iff some upper
-    cover u of p and some b have u <= p∨b and u∧b = p∧b: take u <= q one
-    way, and q = u the other (then u∨b = p∨b).  So the cover pairs, in
-    order of p, give the first p; one scan of its row gives q and b.
-    """
-    m, j = lat.meet_t, lat.join_t
-    for p, hit in _low_ends(lat):
-        if hit.any():
-            p = int(p[hit.argmax()])
-            above = np.setdiff1d(np.flatnonzero(lat.leq[p]), p)
-            k, b = (int(x) for x in np.argwhere((m[above] == m[p]) & (j[above] == j[p]))[0])
-            q = int(above[k])
-            return SublatticeWitness("pentagon", (int(m[p, b]), p, q, b, int(j[p, b])))
-    return None
+    """First pentagon in lexicographic (low, high, side) index order: the
+    lattice as the product of itself alone (:func:`product_pentagon`)."""
+    return product_pentagon((lat,), np.arange(lat.n)[:, None])
 
 
 def product_pentagon(factors: Sequence[FiniteLattice], coords) -> SublatticeWitness | None:
-    """:func:`find_pentagon` of the direct product of ``factors``, whose
-    element i is the tuple ``coords[i]`` of factor indices, without
-    building it.
+    """First pentagon, in lexicographic (low, high, side) index order, of
+    the direct product of ``factors`` (element i is row i of the integer
+    array ``coords``), without building it.
 
-    Meets and joins go by coordinates, so (p, q, b) is a pentagon's
-    (low, high, side) iff p < q and (p_k, q_k, b_k) is one in every factor
-    k where p_k ≠ q_k.  So p is the first element with a coordinate at the
-    low end of a pentagon of its factor, q the first above p each of whose
-    changed coordinates has some side, and b the first side of them all."""
-    coords = np.asarray(coords)
-    hit = np.zeros(len(coords), dtype=bool)
-    for k, f in enumerate(factors):
-        low = np.zeros(f.n, dtype=bool)
-        for p, h in _low_ends(f):
-            low[p[h]] = True
-        hit |= low[coords[:, k]]
-    if not hit.any():
+    (p∧b, p, q, b, p∨b) is a pentagon iff p < q share meet and join with b.
+    Such q and b exist for p iff some upper cover u of p and some b have
+    u <= p∨b and u∧b = p∧b (take u <= q one way, q = u the other).  Meets
+    and joins go by coordinates, so (p, q, b) is a pentagon's (low, high,
+    side) iff p < q and (p_k, q_k, b_k) is one in every factor k with
+    p_k ≠ q_k: p is the first element with a coordinate at a low end in
+    its factor, q the first above p each of whose changed coordinates has
+    some side, and b the first side of them all."""
+    p = len(coords)
+    for f, c in zip(factors, coords.T):
+        first = np.unique(c, return_index=True)[1]  # [x]: the first element with c = x
+        lows, ups = (x[np.argsort(first[f.cover_pairs[0]], kind="stable")] for x in f.cover_pairs)
+        step = max(1, (1 << 16) // max(1, f.n))
+        for s in range(0, len(lows), step):  # the first block with a low end holds the first
+            x, u = lows[s : s + step], ups[s : s + step]
+            hit = (f.leq[u[:, None], f.join_t[x]] & (f.meet_t[u] == f.meet_t[x])).any(axis=1)
+            if hit.any():
+                p = min(p, int(first[x[hit]].min()))
+                break
+    if p == len(coords):
         return None
-    p = int(hit.argmax())
-    side, high = [], np.ones(len(coords), dtype=bool)
-    for k, (f, x) in enumerate(zip(factors, coords[p])):
-        # [y, b]: (p_k, y, b) is a pentagon's (low, high, side) if p_k < y; all of row p_k holds
-        side.append((f.meet_t == f.meet_t[x]) & (f.join_t == f.join_t[x]))
-        high &= (f.leq[x] & side[k].any(axis=1))[coords[:, k]]
+
+    def side(f, x, y):  # [.., b]: (x, y, b) is a pentagon's (low, high, side) if x < y
+        return (f.meet_t[y] == f.meet_t[x]) & (f.join_t[y] == f.join_t[x])
+
+    high = np.ones(len(coords), dtype=bool)
+    for f, x, c in zip(factors, coords[p], coords.T):
+        above, some = f.leq[x], np.zeros(f.n, dtype=bool)
+        some[above] = side(f, x, above).any(axis=1)  # all of x's own row holds
+        high &= some[c]
     high[p] = False
     q = int(high.argmax())
     ok = np.ones(len(coords), dtype=bool)
-    for k, y in enumerate(coords[q]):
-        ok &= side[k][y][coords[:, k]]
+    for f, x, y, c in zip(factors, coords[p], coords[q], coords.T):
+        ok &= side(f, x, y)[c]
     b = int(ok.argmax())
 
     def at(table: str) -> int:  # the element whose coordinates are f_k.table[p_k, b_k]
@@ -343,6 +326,25 @@ def product_pentagon(factors: Sequence[FiniteLattice], coords) -> SublatticeWitn
         return int((coords == c).all(axis=1).argmax())
 
     return SublatticeWitness("pentagon", (at("meet_t"), p, q, b, at("join_t")))
+
+
+def product_covers(factors: Sequence[FiniteLattice], coords) -> tuple[np.ndarray, np.ndarray]:
+    """The cover pairs of the direct product of ``factors`` (element i is row
+    i of the integer array ``coords``, every tuple once), sorted as in ``cover_pairs``:
+    an element's upper covers raise one coordinate k to an upper cover in
+    factor k, found by the mixed-radix key of the coordinates."""
+    shape = [f.n for f in factors]
+    key = np.ravel_multi_index(tuple(coords.T), shape)
+    index = np.argsort(key)  # key is a permutation: index[key[i]] = i
+    lows, ups = [], []
+    for k, (f, c) in enumerate(zip(factors, coords.T)):
+        lo, up = f.cover_pairs
+        i = np.argsort(c, kind="stable").reshape(f.n, -1)[lo]  # [k]: the elements with c = lo[k]
+        lows.append(i.ravel())
+        ups.append(index[key[i] + ((up - lo) * math.prod(shape[k + 1 :]))[:, None]].ravel())
+    low, up = np.concatenate(lows), np.concatenate(ups)
+    order = np.lexsort((up, low))
+    return low[order], up[order]
 
 
 def find_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
@@ -394,10 +396,13 @@ def lattice_verdicts(lat: FiniteLattice) -> tuple[dict[str, bool], SublatticeWit
 
 def _stable_signatures(lat: FiniteLattice) -> list[int]:
     """Order-invariant element colors, refined until the partition is stable."""
-    lower_covers = [np.flatnonzero(col).tolist() for col in lat.cov.T]
-    upper_covers = [np.flatnonzero(row).tolist() for row in lat.cov]
+    lower_covers, upper_covers = [[] for _ in range(lat.n)], [[] for _ in range(lat.n)]
+    for lo, u in zip(*(x.tolist() for x in lat.cover_pairs)):
+        lower_covers[u].append(lo)
+        upper_covers[lo].append(u)
     # down-set size, up-set size, lower and upper cover counts
-    raw = list(zip(*(x.sum(axis=k).tolist() for x in (lat.leq, lat.cov) for k in (0, 1))))
+    raw = list(zip(lat.leq.sum(axis=0).tolist(), lat.leq.sum(axis=1).tolist(),
+                   map(len, lower_covers), map(len, upper_covers)))
     ranks = {s: r for r, s in enumerate(sorted(set(raw)))}
     sig = [ranks[s] for s in raw]
     for _ in range(lat.n):
@@ -461,14 +466,11 @@ def order_isomorphic(lat1: FiniteLattice, lat2: FiniteLattice) -> bool:
     return False
 
 
-def hasse_dot(lat: FiniteLattice, render: Callable = str) -> str:
-    """Byte-stable DOT rendering of the Hasse diagram: one node per
-    element, one undirected-style edge per cover pair, drawn bottom-up."""
-
-    def esc(s: str) -> str:
-        return s.replace("\\", "\\\\").replace('"', '\\"')
-
+def hasse_dot(labels: Sequence, cover_pairs, render: Callable = str) -> str:
+    """Byte-stable DOT Hasse diagram of ``labels`` and ``cover_pairs`` (lower,
+    upper): one node per element, one undirected-style edge per cover pair, drawn bottom-up."""
+    names = (render(lab).replace("\\", "\\\\").replace('"', '\\"') for lab in labels)
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];", "  edge [dir=none];"]
-    lines += (f'  n{i} [label="{esc(render(lab))}"];' for i, lab in enumerate(lat.labels))
-    lines += (f"  n{lo} -> n{up};" for lo, up in zip(*(x.tolist() for x in lat.cover_pairs)))
+    lines += (f'  n{i} [label="{name}"];' for i, name in enumerate(names))
+    lines += (f"  n{lo} -> n{up};" for lo, up in zip(*(x.tolist() for x in cover_pairs)))
     return "\n".join(lines) + "\n}\n"

@@ -313,11 +313,14 @@ def triple_lattice(g: DirectedGraph, bound: int | None = None):
 def component_lattices(g: DirectedGraph, bound: int | None = None):
     """One triple lattice per weak component (:func:`weak_component_subgraphs`
     order), whose direct product is ``triple_lattice(g, bound)``: H, W and
-    f split by component.  Refused exactly when that is, with the same
-    line: first g's own refusals, then a product of triple counts (g's
-    count) past :data:`TRIPLE_CAP`, before any lattice is built."""
+    f split by component; one component is its own factor.  Refused exactly
+    when that is, with the same line: first g's own refusals, then a product
+    of triple counts (g's count) past :data:`TRIPLE_CAP`, before any lattice
+    is built."""
     from .lattice import from_poset
 
+    if len(connectivity_report(g).weak_components) <= 1:
+        return (triple_lattice(g, bound),)
     _refusals(g, bound, TRIPLE_CAP)
     values = divisors(bound) + (INF,) if not is_acyclic(g) else ()  # listed once
     parts, size = [], 1
@@ -334,6 +337,8 @@ def product_coordinates(g: DirectedGraph, bound: int | None, factors):
     """g's triples in ``triple_lattice(g, bound)`` order, and the index of
     each one's part in each factor of :func:`component_lattices`, keyed by
     (H ∩ C, W ∩ C, the f entries on cycles in C) for the component C."""
+    if len(factors) == 1:  # g's own lattice
+        return factors[0].labels, np.arange(len(factors[0]))[:, None]
     # A factor storing any cycle value stores them all, in every combination;
     # with none stored, g's triples have no free cycle.  So the divisors of
     # the bound need not be listed again.

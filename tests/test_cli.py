@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import gislat
 from gislat.cli import main
-from gislat.lattice import lattice_verdicts
-from gislat.triples import render_triple, triple_lattice
+from gislat.graph import parse_graph
+from gislat.lattice import hasse_dot, lattice_verdicts
+from gislat.triples import render_triple, triple_lattice, triple_to_json
 
 from conftest import GAMMA1_TEXT, GAMMA2_TEXT, LOOP_TEXT
 
@@ -414,6 +415,49 @@ def test_product_route_refuses_before_building_a_lattice(tmp_path, capsys):
     code, out, err = run(capsys, "classify", str(p), "--enumerate")
     assert time.perf_counter() - t0 < 0.5
     assert (code, out, err) == (2, "", "error: triple lattice capped at 4096 elements\n")
+
+
+def test_lattice_product_route_matches_the_whole_lattice(tmp_path, capsys, monkeypatch):
+    """lattice on graphs of several weak components lists the triples,
+    cover pairs and verdicts of the whole lattice (triple_lattice,
+    lattice_verdicts and hasse_dot) from one lattice per component, in
+    text, --json and --dot, also at the 4096-element cap (three 4-vertex
+    paths)."""
+    import gislat.cli
+    from helpers import product_corpus
+
+    def whole_lattice(*args):
+        raise AssertionError("the product route built the whole lattice")
+
+    paths = "".join(f"vertex {c}{i}\n" for c in "abc" for i in range(4))
+    paths += "".join(f"edge e{c}{i} {c}{i} {c}{i + 1}\n" for c in "abc" for i in range(3))
+    cases = [(graph_text(g), bound) for g, bound in product_corpus()] + [(paths, None)]
+    dot = tmp_path / "hasse.dot"
+    for k, (text, bound) in enumerate(cases):
+        p = tmp_path / f"p{k}.graph"
+        p.write_text(text)
+        lat = triple_lattice(parse_graph(text), bound)
+        verdicts = lattice_verdicts(lat)[0]
+        pairs = list(zip(*(x.tolist() for x in lat.cover_pairs)))
+        flags = " ".join(f"{key}={'yes' if v else 'no'}" for key, v in verdicts.items())
+        want = [f"{len(lat)} elements:"]
+        want += [f"  [{i}] {render_triple(t)}" for i, t in enumerate(lat.labels)]
+        want += [f"{len(pairs)} cover pairs:", *(f"  [{lo}] < [{up}]" for lo, up in pairs)]
+        want += [f"verdicts: {flags}" + (" (bounded probe)" if bound else ""), f"dot written to {dot}"]
+        argv = ["lattice", str(p)] + (["--bound", str(bound)] if bound else [])
+        with monkeypatch.context() as m:
+            m.setattr(gislat.cli, "triple_lattice", whole_lattice)
+            code, out, err = run(capsys, *argv, "--json")
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {
+                "elements": [triple_to_json(t) for t in lat.labels],
+                "covers": [list(pair) for pair in pairs],
+                "verdicts": verdicts,
+                "bounded": bound is not None,
+            }
+            assert run(capsys, *argv, "--dot", str(dot)) == (0, "\n".join(want) + "\n", "")
+        assert dot.read_text() == hasse_dot(lat.labels, lat.cover_pairs, render_triple)
+    assert len(lat) == 4096
 
 
 # ------------------------------------------------------------ lattice

@@ -23,6 +23,7 @@ from gislat.lattice import (
     is_upper_semimodular,
     lattice_verdicts,
     order_isomorphic,
+    product_covers,
     product_pentagon,
     product_verdicts,
 )
@@ -42,6 +43,13 @@ from helpers import (
     oracle_verdicts,
     witness_is_valid,
 )
+
+
+def cover_matrix(lat):
+    """``cov[a, b]``: b covers a, rebuilt from the cover pairs."""
+    cov = np.zeros((lat.n, lat.n), dtype=bool)
+    cov[lat.cover_pairs] = True
+    return cov
 
 
 def lattice_from_covers(labels, cover_pairs):
@@ -246,7 +254,7 @@ def check_against_bruteforce(labels, leq):
             lat = from_poset(labels, order)
             assert lat.meet_t.tolist() == meets
             assert lat.join_t.tolist() == joins
-            assert lat.cov.tolist() == covers
+            assert cover_matrix(lat).tolist() == covers
         else:
             i, j, which = first_failure
             with pytest.raises(NotALatticeError) as err:
@@ -284,9 +292,10 @@ def test_boolean_lattices_on_512_and_1024_elements():
         lat = from_poset(i.tolist(), (i[:, None] & i) == i[:, None])
         assert (lat.meet_t == (i[:, None] & i)).all()
         assert (lat.join_t == (i[:, None] | i)).all()
-        assert len(lat.cover_set) == lat.cov.sum() == k * 2 ** (k - 1)
+        cov = cover_matrix(lat)
+        assert len(lat.cover_set) == cov.sum() == k * 2 ** (k - 1)
         flip = i[:, None] ^ i  # b covers a iff b adds one bit to a
-        assert (lat.cov == (lat.leq & (flip != 0) & (flip & (flip - 1) == 0))).all()
+        assert (cov == (lat.leq & (flip != 0) & (flip & (flip - 1) == 0))).all()
 
 
 def test_tables_on_wide_down_set_groups():
@@ -405,7 +414,7 @@ def test_cover_relation_definition(gamma1):
             expected = (
                 lat.leq_idx(b, a) and a != b and not strictly_between
             )
-            assert lat.covers(a, b) == expected
+            assert ((a, b) in lat.cover_set) == expected
 
 
 # ------------------------------------------------------------ predicates
@@ -450,11 +459,11 @@ def test_gamma1_lower_semimodularity_failure_is_the_expected_one(gamma1):
     c = names["({u1},{v1},{})"]
     e = names["({w1},{v1},{})"]
     bottom = names["({},{},{})"]
-    assert lat.covers(top, c) and lat.covers(top, e)
+    assert (top, c) in lat.cover_set and (top, e) in lat.cover_set
     assert lat.join(c, e) == top
     assert lat.meet(c, e) == bottom
-    assert not lat.covers(c, bottom)
-    assert not lat.covers(e, bottom)
+    assert (c, bottom) not in lat.cover_set
+    assert (e, bottom) not in lat.cover_set
 
 
 # ------------------------------------------------------------ witnesses
@@ -595,8 +604,9 @@ def product_lattice(factors, rng):
 
 def test_product_pentagon_matches_the_whole_product():
     """The pentagon search over factors and coordinates names the same
-    first pentagon as find_pentagon on the product built whole, and the
-    conjoined verdicts are the whole product's, in shuffled index orders:
+    first pentagon as a per-element scan of the product built whole, the
+    product cover pairs are its cover pairs and the conjoined verdicts are
+    its verdicts, in shuffled index orders:
     N5 × 2, N5 × N5, M3 × 2, and seeded pairs and triples of closure
     lattices."""
     rng = random.Random(1515)
@@ -612,10 +622,19 @@ def test_product_pentagon_matches_the_whole_product():
         for _ in range(2):
             whole, coords = product_lattice(factors, rng)
             w = product_pentagon(factors, coords)
-            assert w == find_pentagon(whole)
+            assert w == brute_first_pentagon(whole)
+            covers = product_covers(factors, coords)
+            assert all(np.array_equal(a, b) for a, b in zip(covers, whole.cover_pairs))
             assert product_verdicts(factors) == lattice_verdicts(whole)[0]
             pentagons += w is not None
     assert pentagons >= 40, pentagons
+    # fan2 + chain6 (448 elements, 1920 cover pairs) spans 14 blocks of the
+    # low-end scan, which must take them in order of each coordinate's first element.
+    fan2_chain6 = [("u", "v"), ("u", "w")] + [(f"c{i}", f"c{i + 1}") for i in range(5)]
+    factors = (chain(2), triple_lattice(parse_graph(graph_text(fan2_chain6))))
+    for _ in range(4):
+        whole, coords = product_lattice(factors, rng)
+        assert product_pentagon(factors, coords) == brute_first_pentagon(whole)
 
 
 def test_closure_lattices_reach_every_verdict_combination():
@@ -698,13 +717,14 @@ GAMMA2_DOT = """digraph hasse {
 
 def test_hasse_dot_golden(gamma2):
     lat = triple_lattice(gamma2)
-    assert hasse_dot(lat, render_triple) == GAMMA2_DOT
+    assert hasse_dot(lat.labels, lat.cover_pairs, render_triple) == GAMMA2_DOT
     # byte stability
-    assert hasse_dot(lat, render_triple) == hasse_dot(lat, render_triple)
+    dot = hasse_dot(lat.labels, lat.cover_pairs, render_triple)
+    assert dot == hasse_dot(lat.labels, lat.cover_pairs, render_triple)
 
 
 def test_hasse_dot_escapes_labels():
     lat = from_poset(['say "hi"', "b\\c"], lambda a, b: a == b or a < b)
-    dot = hasse_dot(lat)
+    dot = hasse_dot(lat.labels, lat.cover_pairs)
     assert '\\"hi\\"' in dot
     assert "b\\\\c" in dot
