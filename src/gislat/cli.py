@@ -33,7 +33,7 @@ from .graph import (
     GraphError, LimitError, connectivity_report, forked_vertices, is_acyclic, parse_graph
 )
 from .lattice import (
-    hasse_dot, lattice_verdicts, order_isomorphic, product_covers, product_pentagon,
+    hasse_dot, order_isomorphic, product_covers, product_diamond, product_pentagon,
     product_verdicts,
 )
 from .oracle import check_semigroup_size, congruence_lattice
@@ -135,25 +135,21 @@ def _graph_summary(g) -> dict:
 
 def _enumerated(g, bound, listed: bool = False):
     """Size, probe flag, verdicts, witness, triples (``triple_lattice`` order;
-    when ``listed`` or indexed by a pentagon) and cover pairs (when ``listed``)
+    when ``listed`` or indexed by a witness) and cover pairs (when ``listed``)
     of the triple lattice of ``g``, or a bounded probe of a cyclic graph's,
-    read off its weak components' factors.  A modular product that is not
-    distributive (only a bounded probe) takes its diamond from the whole lattice."""
+    read off its weak components' factors.  The witness of a product that is
+    not distributive is its first diamond if it is modular, else its first pentagon."""
     cyclic = not is_acyclic(g)
     bound = bound if cyclic else None
     factors = component_lattices(g, bound)
     verdicts, witness, labels, covers = product_verdicts(factors), None, (), None
-    if listed or not verdicts["modular"]:
+    distributive = verdicts["distributive"]
+    if listed or not distributive:
         labels, coords = product_coordinates(g, bound, factors)
     if listed:
         covers = product_covers(factors, coords)
-    if not verdicts["modular"]:
-        witness = product_pentagon(factors, coords)
-    elif not verdicts["distributive"]:
-        whole = factors[0] if len(factors) == 1 else triple_lattice(g, bound)
-        verdicts, witness = lattice_verdicts(whole)
-        labels = whole.labels
-    distributive = verdicts["distributive"]
+    if not distributive:
+        witness = (product_diamond if verdicts["modular"] else product_pentagon)(factors, coords)
     if (witness is None) != distributive or (distributive and not verdicts["modular"]):
         raise _CliError(EXIT_INTERNAL, "inconsistent verdicts or witness (bug)")
     return math.prod(len(f) for f in factors), cyclic, verdicts, witness, labels, covers

@@ -21,9 +21,11 @@ join-irreducible j being join-prime, that is {x : j ≰ x} having a
 greatest element.  A failure also gets a pentagon or diamond witness
 from a direct search, an independent route to the same verdict.
 
-:func:`product_verdicts`, :func:`product_covers` and :func:`product_pentagon`
-read the verdicts, cover pairs and first pentagon of a direct product off
-its factors alone; :func:`find_pentagon` is the product of one factor.
+:func:`product_verdicts`, :func:`product_covers`, :func:`product_pentagon` and
+:func:`product_diamond` read the verdicts, cover pairs, first pentagon and first
+diamond of a direct product off its factors alone; :func:`find_pentagon` and
+:func:`find_diamond` are the product of one factor.  :func:`order_isomorphic`
+compares whole order rows, pruned by signatures ranked jointly over both lattices.
 """
 
 from __future__ import annotations
@@ -248,16 +250,17 @@ def _semimodular(low: np.ndarray, up: np.ndarray, join_t: np.ndarray) -> bool:
     """a, b both covering a ∧ b forces a ∨ b to cover both a and b
     (``up[k]`` covers ``low[k]``, sorted by (low, up)).  Two distinct upper
     covers a, b of one x meet at x, so only those pairs are checked, a < b,
-    from one self-join of the cover pairs; y covers x iff the sorted keys
-    ``low * n + up`` hold ``x * n + y``."""
+    from one self-join of the cover pairs; whether y covers x is read off
+    a transient boolean matrix of the cover pairs."""
     later = np.searchsorted(low, low, side="right") - np.arange(len(low)) - 1
     left = np.repeat(np.arange(len(low)), later)  # pair i with each later i' of its x
     start = np.repeat(np.cumsum(later) - later, later)
     right = left + 1 + np.arange(len(left)) - start
     a, b = up[left], up[right]
-    keys = low * len(join_t) + up  # sorted
-    want = np.sort(np.concatenate((a, b)) * len(join_t) + np.tile(join_t[a, b], 2))  # faster search
-    return bool((keys.take(np.searchsorted(keys, want), mode="clip") == want).all())
+    cov = np.zeros(join_t.shape, dtype=bool)  # [x, y]: y covers x
+    cov[low, up] = True
+    j = join_t[a, b]
+    return bool((cov[a, j] & cov[b, j]).all())
 
 
 def is_upper_semimodular(lat: FiniteLattice) -> bool:
@@ -271,6 +274,15 @@ def is_lower_semimodular(lat: FiniteLattice) -> bool:
     low, up = lat.cover_pairs
     by_up = np.argsort(up, kind="stable")
     return _semimodular(up[by_up], low[by_up], lat.meet_t)
+
+
+def _witness(kind: str, factors: Sequence[FiniteLattice], coords, x, y, z) -> SublatticeWitness:
+    """(x∧z, x, y, z, x∨z) in the product of ``factors`` (element i is row i
+    of ``coords``): the bounds have the factors' meets and joins as coordinates."""
+    pairs = list(zip(factors, coords[x], coords[z]))
+    bounds = ([getattr(f, t)[a, b] for f, a, b in pairs] for t in ("meet_t", "join_t"))
+    lo, hi = (int((coords == c).all(axis=1).argmax()) for c in bounds)
+    return SublatticeWitness(kind, (lo, x, y, z, hi))
 
 
 def find_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
@@ -321,11 +333,7 @@ def product_pentagon(factors: Sequence[FiniteLattice], coords) -> SublatticeWitn
         ok &= side(f, x, y)[c]
     b = int(ok.argmax())
 
-    def at(table: str) -> int:  # the element whose coordinates are f_k.table[p_k, b_k]
-        c = [getattr(f, table)[x, y] for f, x, y in zip(factors, coords[p], coords[b])]
-        return int((coords == c).all(axis=1).argmax())
-
-    return SublatticeWitness("pentagon", (at("meet_t"), p, q, b, at("join_t")))
+    return _witness("pentagon", factors, coords, p, q, b)
 
 
 def product_covers(factors: Sequence[FiniteLattice], coords) -> tuple[np.ndarray, np.ndarray]:
@@ -348,23 +356,34 @@ def product_covers(factors: Sequence[FiniteLattice], coords) -> tuple[np.ndarray
 
 
 def find_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
-    """First diamond in lexicographic (atom, atom, atom) index order.
+    """First diamond in lexicographic (atom, atom, atom) index order: the
+    lattice as the product of itself alone (:func:`product_diamond`)."""
+    return product_diamond((lat,), np.arange(lat.n)[:, None])
+
+
+def product_diamond(factors: Sequence[FiniteLattice], coords) -> SublatticeWitness | None:
+    """First diamond, in lexicographic (atom, atom, atom) index order, of
+    the direct product of ``factors`` (element i is row i of the integer
+    array ``coords``), without building its tables.
 
     Three distinct elements whose pairwise (meet, join) keys are equal
     are pairwise incomparable, so with their common meet and join they
-    form a diamond.  For each x, one boolean matrix over the indices
-    y < z after x finds the first such (y, z) in row-major order.
+    form a diamond.  Meets and joins go by coordinates, so a pair's key is
+    its factors' keys ``meet_t * n_k + join_t`` in mixed radix.  For each
+    x, one boolean matrix over the indices y < z after x finds the first
+    such (y, z) in row-major order.
     """
-    n, m, j = lat.n, lat.meet_t, lat.join_t
-    key = m.astype(np.int64) * n + j.astype(np.int64)
-    for x in range(n):
+    key = np.zeros((), dtype=np.int32 if len(coords) ** 2 < 2**31 else np.int64)  # below n²
+    for f, c in zip(factors, coords.T):
+        key = (key * f.n + f.meet_t[np.ix_(c, c)]) * f.n + f.join_t[np.ix_(c, c)]
+    for x in range(len(coords)):
         kx = key[x, x + 1 :]
         # [y, z]: key(x, y) == key(x, z) == key(y, z), indices x < y < z
         eq = np.triu((kx[:, None] == kx) & (key[x + 1 :, x + 1 :] == kx), k=1)
         hits = np.argwhere(eq)
         if hits.size:
             y, z = (x + 1 + int(v) for v in hits[0])
-            return SublatticeWitness("diamond", (int(m[x, y]), x, y, z, int(j[x, y])))
+            return _witness("diamond", factors, coords, x, y, z)
     return None
 
 
@@ -394,32 +413,26 @@ def lattice_verdicts(lat: FiniteLattice) -> tuple[dict[str, bool], SublatticeWit
     return verdicts, witness
 
 
-def _stable_signatures(lat: FiniteLattice) -> list[int]:
-    """Order-invariant element colors, refined until the partition is stable."""
-    lower_covers, upper_covers = [[] for _ in range(lat.n)], [[] for _ in range(lat.n)]
-    for lo, u in zip(*(x.tolist() for x in lat.cover_pairs)):
-        lower_covers[u].append(lo)
-        upper_covers[lo].append(u)
-    # down-set size, up-set size, lower and upper cover counts
-    raw = list(zip(lat.leq.sum(axis=0).tolist(), lat.leq.sum(axis=1).tolist(),
-                   map(len, lower_covers), map(len, upper_covers)))
-    ranks = {s: r for r, s in enumerate(sorted(set(raw)))}
-    sig = [ranks[s] for s in raw]
-    for _ in range(lat.n):
-        raw2 = [
-            (
-                sig[i],
-                tuple(sorted(sig[j] for j in lower_covers[i])),
-                tuple(sorted(sig[j] for j in upper_covers[i])),
-            )
-            for i in range(lat.n)
-        ]
-        ranks = {s: r for r, s in enumerate(sorted(set(raw2)))}
-        new = [ranks[s] for s in raw2]
+def _stable_signatures(lat1: FiniteLattice, lat2: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Order-invariant element colors of both lattices, refined until the
+    partition is stable.  Each round ranks the two lattices' signatures
+    together, so equal colors mean equal invariants across them."""
+    n = lat1.n + lat2.n
+    covers, raw, sig = [([], []) for _ in range(n)], [], None  # lat2's elements follow lat1's
+    for shift, lat in ((0, lat1), (lat1.n, lat2)):
+        # down-set and up-set sizes; the first refinement adds the cover counts
+        raw += zip(lat.leq.sum(axis=0).tolist(), lat.leq.sum(axis=1).tolist())
+        for lo, u in zip(*(x.tolist() for x in lat.cover_pairs)):
+            covers[u + shift][0].append(lo + shift)  # [i]: (lower covers, upper covers)
+            covers[lo + shift][1].append(u + shift)
+    while True:  # each round splits a class or ends
+        ranks = {s: r for r, s in enumerate(sorted(set(raw)))}
+        new = [ranks[s] for s in raw]
         if new == sig:
-            break
+            return tuple(np.split(np.array(sig, dtype=np.intp), [lat1.n]))
         sig = new
-    return sig
+        # a color and the sorted colors of the lower and of the upper covers
+        raw = [(s, *(tuple(sorted(sig[j] for j in c)) for c in cs)) for s, cs in zip(sig, covers)]
 
 
 def order_isomorphic(lat1: FiniteLattice, lat2: FiniteLattice) -> bool:
@@ -428,41 +441,31 @@ def order_isomorphic(lat1: FiniteLattice, lat2: FiniteLattice) -> bool:
     Backtracking over candidate images, pruned by stable order-invariant
     signatures.  The search keeps an explicit stack of candidate
     iterators, one per assigned element, so large lattices cannot exhaust
-    the interpreter's recursion limit."""
-    if lat1.n != lat2.n:
+    the interpreter's recursion limit; a candidate is tested against all
+    the elements assigned before it by one row and one column comparison."""
+    sig1, sig2 = _stable_signatures(lat1, lat2)
+    if not np.array_equal(np.sort(sig1), np.sort(sig2)):  # False on a size mismatch too
         return False
     if lat1.n == 0:
         return True
-    sig1 = _stable_signatures(lat1)
-    sig2 = _stable_signatures(lat2)
-    if sorted(sig1) != sorted(sig2):
-        return False
-    candidates = {
-        i: [j for j in range(lat2.n) if sig2[j] == sig1[i]] for i in range(lat1.n)
-    }
-    order = sorted(range(lat1.n), key=lambda i: len(candidates[i]))
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-    stack = [iter(candidates[order[0]])]
+    order = np.argsort(np.bincount(sig2)[sig1], kind="stable")  # fewest candidates first
+    image = np.empty(lat1.n, dtype=np.intp)  # image[d]: where order[d] goes
+    stack = [iter(np.flatnonzero(sig2 == sig1[order[0]]).tolist())]
     while stack:
-        i = order[len(stack) - 1]
-        if i in assigned:  # back from a failed deeper level: retract i's image
-            used.remove(assigned.pop(i))
+        d = len(stack) - 1  # order[:d] is mapped to image[:d], fixed while d's iterator lives
+        row, col = lat1.leq[order[d], order[:d]], lat1.leq[order[:d], order[d]]
         for j in stack[-1]:
-            if j not in used and all(
-                lat1.leq_idx(i, i2) == lat2.leq_idx(j, j2)
-                and lat1.leq_idx(i2, i) == lat2.leq_idx(j2, j)
-                for i2, j2 in assigned.items()
-            ):
-                assigned[i] = j
-                used.add(j)
+            if (lat2.leq[j, image[:d]] == row).all() and (lat2.leq[image[:d], j] == col).all():
                 break
         else:
             stack.pop()
             continue
-        if len(stack) == len(order):
+        image[d] = j
+        if d + 1 == lat1.n:
             return True
-        stack.append(iter(candidates[order[len(stack)]]))
+        fits = sig2 == sig1[order[d + 1]]  # the next candidates: equal signature, not used
+        fits[image[: d + 1]] = False
+        stack.append(iter(np.flatnonzero(fits).tolist()))
     return False
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 from hypothesis import strategies as st
@@ -224,6 +224,15 @@ def brute_first_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
         if m[x][z] == m[y][z] == o and j[x][z] == j[y][z] == i and len({o, x, y, z, i}) == 5:
             return SublatticeWitness("diamond", (o, x, y, z, i))
     return None
+
+
+def brute_order_isomorphic(lat1: FiniteLattice, lat2: FiniteLattice) -> bool:
+    """Some permutation p has lat1.leq[i, k] == lat2.leq[p[i], p[k]] for
+    all i, k: every permutation is tried, all at once."""
+    if lat1.n != lat2.n:
+        return False
+    perms = np.array(list(permutations(range(lat1.n))), dtype=np.intp).reshape(-1, lat1.n)
+    return bool((lat2.leq[perms[:, :, None], perms[:, None, :]] == lat1.leq).all(axis=(1, 2)).any())
 
 
 def witness_is_valid(lat: FiniteLattice, w: SublatticeWitness) -> bool:
@@ -739,6 +748,18 @@ def closure_lattice(points: int, generators) -> FiniteLattice:
     for gen in generators:
         family |= {gen & m for m in family}
     return from_poset(sorted(family), lambda a, b: a & b == a)
+
+
+def product_lattice(factors, rng: random.Random) -> tuple[FiniteLattice, np.ndarray]:
+    """The direct product of ``factors`` built whole by ``from_poset``, its
+    elements (coordinate tuples) in shuffled order, and those coordinates."""
+    elements = list(product(*(range(len(f)) for f in factors)))
+    rng.shuffle(elements)
+    coords = np.array(elements, dtype=np.intp).reshape(len(elements), len(factors))
+    m = np.ones((len(elements), len(elements)), dtype=bool)
+    for k, f in enumerate(factors):
+        m &= f.leq[np.ix_(coords[:, k], coords[:, k])]
+    return from_poset(elements, m), coords
 
 
 @st.composite

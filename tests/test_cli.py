@@ -392,18 +392,46 @@ def test_classify_product_route_matches_the_whole_lattice(tmp_path, capsys, monk
     assert pentagons >= 20 and bounded >= 30, (pentagons, bounded)
 
 
-def test_modular_nondistributive_product_falls_back_to_the_whole_lattice(tmp_path, capsys, monkeypatch):
+def test_modular_nondistributive_product_takes_its_diamond_from_the_factors(monkeypatch):
     """No triple lattice seen so far is modular but not distributive; were
-    a product so, its diamond would come from the whole lattice."""
+    a product so (only a bounded probe can be), its witness would be the
+    first diamond read off the factors, that of the product built whole:
+    M3 × 2 in shuffled coordinates, with the whole lattice never built."""
+    import gislat.cli
+    from helpers import brute_first_diamond, closure_lattice, product_lattice
+
+    def whole_lattice(*args):
+        raise AssertionError("the witness came from the whole lattice")
+
+    factors = (closure_lattice(3, [1, 2, 4]), closure_lattice(1, [0]))  # M3 and a 2-chain
+    rng = random.Random(19)
+    for _ in range(6):
+        whole, coords = product_lattice(factors, rng)
+        monkeypatch.setattr(gislat.cli, "component_lattices", lambda g, bound: factors)
+        monkeypatch.setattr(gislat.cli, "product_coordinates", lambda *args: (whole.labels, coords))
+        monkeypatch.setattr(gislat.cli, "triple_lattice", whole_lattice)
+        size, bounded, verdicts, witness, labels, covers = gislat.cli._enumerated(
+            parse_graph(GAMMA1_TEXT), None
+        )
+        assert (size, bounded, labels, covers) == (10, False, whole.labels, None)
+        assert (verdicts["modular"], verdicts["distributive"]) == (True, False)
+        assert witness.kind == "diamond" and witness == brute_first_diamond(whole)
+
+
+def test_inconsistent_product_verdicts_are_exit_3(tmp_path, capsys, monkeypatch):
+    """Verdicts that call the non-modular fan2 + chain2 modular but not
+    distributive find no diamond there: exit 3 with one line, on every
+    route, instead of the whole lattice's verdicts replacing them."""
     import gislat.cli
 
     p = tmp_path / "fan2_chain2.graph"
     p.write_text(GAMMA1_TEXT + "vertex a\nvertex b\nedge x a b\n")
-    want = run(capsys, "classify", str(p), "--enumerate", "--json")
+    assert json.loads(run(capsys, "classify", str(p), "--enumerate", "--json")[1])["witness"]
     fake = dict(distributive=False, modular=True, lower_semimodular=True, upper_semimodular=True)
     monkeypatch.setattr(gislat.cli, "product_verdicts", lambda factors: fake)
-    assert run(capsys, "classify", str(p), "--enumerate", "--json") == want
-    assert json.loads(want[1])["witness"]["kind"] == "pentagon"
+    for argv in (["classify", "--enumerate"], ["classify", "--enumerate", "--json"], ["lattice"]):
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert (code, out, err) == (3, "", "error: inconsistent verdicts or witness (bug)\n")
 
 
 def test_product_route_refuses_before_building_a_lattice(tmp_path, capsys):

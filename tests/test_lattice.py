@@ -11,6 +11,7 @@ from gislat.lattice import (
     NotALatticeError,
     _between,
     _levels,
+    _stable_signatures,
     _transposed,
     SublatticeWitness,
     find_diamond,
@@ -24,6 +25,7 @@ from gislat.lattice import (
     lattice_verdicts,
     order_isomorphic,
     product_covers,
+    product_diamond,
     product_pentagon,
     product_verdicts,
 )
@@ -37,10 +39,12 @@ from helpers import (
     brute_first_pentagon,
     brute_glb_index,
     brute_lub_index,
+    brute_order_isomorphic,
     closure_lattice,
     closure_lattice_strategy,
     cyclic_corpus,
     oracle_verdicts,
+    product_lattice,
     witness_is_valid,
 )
 
@@ -590,23 +594,11 @@ def test_find_pentagon_matches_per_element_scan():
     assert pentagons >= 20, pentagons
 
 
-def product_lattice(factors, rng):
-    """The direct product of ``factors`` built whole by ``from_poset``, its
-    elements (coordinate tuples) in shuffled order, and those coordinates."""
-    elements = list(itertools.product(*(range(len(f)) for f in factors)))
-    rng.shuffle(elements)
-    coords = np.array(elements, dtype=np.intp).reshape(len(elements), len(factors))
-    m = np.ones((len(elements), len(elements)), dtype=bool)
-    for k, f in enumerate(factors):
-        m &= f.leq[np.ix_(coords[:, k], coords[:, k])]
-    return from_poset(elements, m), coords
-
-
 def test_product_pentagon_matches_the_whole_product():
-    """The pentagon search over factors and coordinates names the same
-    first pentagon as a per-element scan of the product built whole, the
-    product cover pairs are its cover pairs and the conjoined verdicts are
-    its verdicts, in shuffled index orders:
+    """The pentagon and diamond searches over factors and coordinates name
+    the same first pentagon and diamond as direct scans of the product
+    built whole, the product cover pairs are its cover pairs and the
+    conjoined verdicts are its verdicts, in shuffled index orders:
     N5 × 2, N5 × N5, M3 × 2, and seeded pairs and triples of closure
     lattices."""
     rng = random.Random(1515)
@@ -615,7 +607,7 @@ def test_product_pentagon_matches_the_whole_product():
     cases += [(diamond(), chain(2)), (chain(3), chain(2), pentagon())]
     cases += [tuple(rng.sample(small, 2)) for _ in range(80)]
     cases += [tuple(rng.sample(small, 3)) for _ in range(40)]
-    pentagons = 0
+    pentagons = diamonds = 0
     for factors in cases:
         if np.prod([len(f) for f in factors]) > 500:
             continue
@@ -623,11 +615,14 @@ def test_product_pentagon_matches_the_whole_product():
             whole, coords = product_lattice(factors, rng)
             w = product_pentagon(factors, coords)
             assert w == brute_first_pentagon(whole)
+            d = product_diamond(factors, coords)
+            assert d == brute_first_diamond(whole)
+            diamonds += d is not None
             covers = product_covers(factors, coords)
             assert all(np.array_equal(a, b) for a, b in zip(covers, whole.cover_pairs))
             assert product_verdicts(factors) == lattice_verdicts(whole)[0]
             pentagons += w is not None
-    assert pentagons >= 40, pentagons
+    assert pentagons >= 40 and diamonds >= 10, (pentagons, diamonds)
     # fan2 + chain6 (448 elements, 1920 cover pairs) spans 14 blocks of the
     # low-end scan, which must take them in order of each coordinate's first element.
     fan2_chain6 = [("u", "v"), ("u", "w")] + [(f"c{i}", f"c{i + 1}") for i in range(5)]
@@ -689,6 +684,36 @@ def test_order_isomorphic_under_relabeling(gamma1):
 
 def test_order_isomorphic_distinguishes_same_size(gamma2):
     assert not order_isomorphic(triple_lattice(gamma2), chain(6))
+
+
+def test_order_isomorphic_matches_brute_force():
+    """order_isomorphic agrees with a search over every permutation on
+    each equal-size pair of the distinct seeded closure lattices of 3-7
+    elements, and holds under shuffled relabelings.  Ranked one lattice at
+    a time (a lattice ranked jointly with itself), 65 of those pairs share
+    a signature pattern; ranked jointly, only the 16 isomorphic ones share
+    their signatures, so the others never reach the backtracking search."""
+    rng = random.Random(1919)
+    distinct = {lat.leq.tobytes(): lat for lat in seeded_closure_lattices() if 3 <= len(lat) <= 7}
+    lattices = list(distinct.values())
+    pairs = [(a, b) for a, b in itertools.combinations(lattices, 2) if len(a) == len(b)]
+    assert len(pairs) == 246
+    same_pattern = isomorphic = 0
+    for a, b in pairs:
+        iso = order_isomorphic(a, b)
+        assert iso == brute_order_isomorphic(a, b)
+        if sorted(_stable_signatures(a, a)[0]) == sorted(_stable_signatures(b, b)[0]):
+            same_pattern += 1
+            isomorphic += iso
+            sig_a, sig_b = _stable_signatures(a, b)
+            assert iso == (sorted(sig_a) == sorted(sig_b))
+    assert (same_pattern, isomorphic) == (65, 16)
+    for lat in lattices:
+        for _ in range(3):
+            perm = rng.sample(range(len(lat)), len(lat))
+            relabeled = from_poset(range(len(lat)), lat.leq[np.ix_(perm, perm)])
+            assert order_isomorphic(lat, relabeled) and order_isomorphic(relabeled, lat)
+            assert brute_order_isomorphic(lat, relabeled)
 
 
 # ------------------------------------------------------------ DOT export
