@@ -8,9 +8,9 @@ usual connectivity predicates.
 
 All values are immutable after construction and iteration follows
 declaration order, so every operation is deterministic.  Derived data
-(adjacency, one condensation from a single SCC pass, cycles) is memoised
-on the graph itself and lives as long as the graph; the module keeps no
-memo tables.
+(adjacency, one condensation from a single SCC pass, weak components,
+cycles) is memoised on the graph itself and lives as long as the graph;
+the module keeps no memo tables.
 """
 
 from __future__ import annotations
@@ -132,6 +132,16 @@ class DirectedGraph:
         return tuple(roots), tuple(reach)
 
     @cached_property
+    def weak_components(self) -> tuple[tuple[str, ...], ...]:
+        """Each weak component's vertex names, sorted, and the components
+        in sorted order: :func:`join_labels` over the edges' ends."""
+        links = [(self.vertex_index[e.src], self.vertex_index[e.dst]) for e in self.edges]
+        groups: dict[int, list[str]] = {}
+        for v, r in zip(self.vertices, join_labels(range(len(self.vertices)), links)):
+            groups.setdefault(r, []).append(v)
+        return tuple(sorted(tuple(sorted(members)) for members in groups.values()))
+
+    @cached_property
     def cycles(self) -> tuple[Cycle, ...]:
         """:func:`enumerate_cycles` of this graph, computed once."""
         return enumerate_cycles(self)
@@ -174,6 +184,24 @@ def strong_components(succ) -> list[list[int]]:
                     for w in comps[-1]:
                         found[w] = n
     return comps
+
+
+def join_labels(lab, links) -> tuple[int, ...]:
+    """The equivalence join of the labelling ``lab`` (each label the least
+    member of its class) with the pairs ``links``, as a labelling."""
+    parent = list(lab)
+    for rx, ry in links:
+        while parent[rx] != rx:
+            rx = parent[rx]
+        while parent[ry] != ry:
+            ry = parent[ry]
+        if rx < ry:
+            parent[ry] = rx
+        elif ry < rx:
+            parent[rx] = ry
+    for x, p in enumerate(parent):  # p <= x, so p is settled already
+        parent[x] = parent[p]
+    return tuple(parent)
 
 
 class _Builder:
@@ -246,8 +274,8 @@ def index_relative(g: DirectedGraph, v: str, H) -> int:
     """Number of edges out of ``v`` whose range escapes the vertex set ``H``."""
     g.check_vertex(v)
     members = frozenset(H)
-    for u in members:
-        g.check_vertex(u)
+    if not members <= g.vertex_set:  # name the least unknown vertex, whatever the hash seed
+        g.check_vertex(min(members - g.vertex_set))
     return sum(1 for e in g.out_edges[v] if e.dst not in members)
 
 
@@ -343,42 +371,28 @@ class ConnectivityReport:
 
 
 def connectivity_report(g: DirectedGraph) -> ConnectivityReport:
-    """Weak components (union-find over the edges' ends) and the
+    """Weak components (:attr:`DirectedGraph.weak_components`) and the
     weak/unilateral/strong connectivity flags.
 
     b reaches a iff reach(a) ⊆ reach(b), so the graph is unilateral iff
     its reach masks form a chain under inclusion (each inside the next
     once sorted by size), and strong iff it has at most one strong component."""
-    index = g.vertex_index
-    parent = list(range(len(g.vertices)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for e in g.edges:
-        parent[root(index[e.src])] = root(index[e.dst])
-    groups: dict[int, list[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(root(index[v]), []).append(v)
-    components = tuple(sorted(tuple(sorted(members)) for members in groups.values()))
-
     masks = sorted(g.condensation[1], key=int.bit_count)
     return ConnectivityReport(
-        weak_components=components,
-        is_weakly_connected=len(components) <= 1,
+        weak_components=g.weak_components,
+        is_weakly_connected=len(g.weak_components) <= 1,
         is_unilaterally_connected=all(a & ~b == 0 for a, b in zip(masks, masks[1:])),
         is_strongly_connected=len(g.condensation[0]) <= 1,
     )
 
 
 def weak_component_subgraphs(g: DirectedGraph) -> tuple[DirectedGraph, ...]:
-    """One subgraph per weak component, preserving declaration order."""
+    """One subgraph per weak component, preserving declaration order: a
+    weakly connected graph is its own one part, and the empty graph has none."""
+    if len(g.weak_components) == 1:  # g itself keeps its memoised data
+        return (g,)
     out = []
-    for comp in connectivity_report(g).weak_components:
-        members = set(comp)
-        vs = [v for v in g.vertices if v in members]
-        es = [e for e in g.edges if e.src in members]
-        out.append(DirectedGraph.of(vs, es))
+    for members in map(set, g.weak_components):
+        vs = tuple(v for v in g.vertices if v in members)
+        out.append(DirectedGraph(vs, tuple(e for e in g.edges if e.src in members)))
     return tuple(out)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import LimitError, strong_components
+from .graph import LimitError, join_labels, strong_components
 from .lattice import FiniteLattice, from_poset
 from .semigroup import FiniteSemigroup
 
@@ -93,24 +93,6 @@ def _closure(table, n: int, seeds, gens) -> Congruence:
     return _congruence([find(x) for x in range(n)])
 
 
-def _join(lab, links) -> tuple[int, ...]:
-    """The equivalence join of the labelling ``lab`` (as in
-    :attr:`Congruence.labels`) with the pairs ``links``, as a labelling."""
-    parent = list(lab)
-    for rx, ry in links:
-        while parent[rx] != rx:
-            rx = parent[rx]
-        while parent[ry] != ry:
-            ry = parent[ry]
-        if rx < ry:
-            parent[ry] = rx
-        elif ry < rx:
-            parent[rx] = ry
-    for x, p in enumerate(parent):  # p <= x, so p is settled already
-        parent[x] = parent[p]
-    return tuple(parent)
-
-
 def _links(lab) -> list[tuple[int, int]]:
     return [(x, r) for x, r in enumerate(lab) if r != x]
 
@@ -118,7 +100,7 @@ def _links(lab) -> list[tuple[int, int]]:
 def join_congruences(sem: FiniteSemigroup, c1: Congruence, c2: Congruence) -> Congruence:
     """Least congruence containing both, which is their join as
     equivalences."""
-    return _congruence(_join(c1.labels, _links(c2.labels)))
+    return _congruence(join_labels(c1.labels, _links(c2.labels)))
 
 
 def _refinement(labels: np.ndarray) -> np.ndarray:
@@ -162,9 +144,9 @@ def _principal_labels(sem: FiniteSemigroup) -> dict[tuple[int, ...], tuple[int, 
     for c, members in enumerate(comps):
         below = frozenset(result[d] for d in {comp_of[w] for v in members for w in out[v]} - {c})
         if below not in memo:
-            memo[below] = _join(identity, [p for lab in below for p in _links(lab)])
+            memo[below] = join_labels(identity, [p for lab in below for p in _links(lab)])
         lab, pairs = memo[below], [(lo[v], hi[v]) for v in members]
-        result.append(lab if all(lab[x] == lab[y] for x, y in pairs) else _join(lab, pairs))
+        result.append(lab if all(lab[x] == lab[y] for x, y in pairs) else join_labels(lab, pairs))
         principals.setdefault(result[-1], pairs[0])
     return principals
 
@@ -181,14 +163,14 @@ def enumerate_congruences(sem: FiniteSemigroup, cap: int = 200) -> tuple[Congrue
     np.fill_diagonal(below, False)
     irreducible = [
         (*principals[lab], _links(lab)) for j, lab in enumerate(plabs)
-        if _join(range(n), [p for i in np.flatnonzero(below[:, j]) for p in _links(plabs[i])]) != lab
+        if join_labels(range(n), [p for i in np.flatnonzero(below[:, j]) for p in _links(plabs[i])]) != lab
     ]
     found = {tuple(range(n)), *plabs}
     queue = list(plabs)
     while queue:
         c = queue.pop()
         for a, b, links in irreducible:
-            if c[a] != c[b] and (joined := _join(c, links)) not in found:
+            if c[a] != c[b] and (joined := join_labels(c, links)) not in found:
                 found.add(joined)
                 queue.append(joined)
     return tuple(sorted(map(_congruence, found), key=lambda c: c.blocks))

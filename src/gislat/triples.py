@@ -31,7 +31,6 @@ from .graph import (
     Cycle,
     DirectedGraph,
     LimitError,
-    connectivity_report,
     enumerate_cycles,
     hereditary_subsets,
     index_relative,
@@ -297,6 +296,16 @@ def _triples(g: DirectedGraph, bound: int | None, cap: int | None = None, values
                     yield CongruenceTriple(h, w, CycleFunction.of(zip(free, combo)))
 
 
+def _listed(g: DirectedGraph, bound: int | None, values=None, size: int = 1):
+    """g's triples, as :func:`_triples` gives them, for a factor of a product
+    of ``size`` elements so far: past :data:`TRIPLE_CAP` elements in all the
+    listing stops and :class:`LatticeTooLargeError` is raised."""
+    ts = tuple(islice(_triples(g, bound, TRIPLE_CAP, values), TRIPLE_CAP // size + 1))
+    if size * len(ts) > TRIPLE_CAP:
+        raise LatticeTooLargeError(f"triple lattice capped at {TRIPLE_CAP} elements")
+    return ts
+
+
 def triple_lattice(g: DirectedGraph, bound: int | None = None):
     """The enumerated triples as a finite lattice: ``from_poset`` derives
     meets and joins from :func:`leq_matrix` alone, not from the closed-form
@@ -304,9 +313,7 @@ def triple_lattice(g: DirectedGraph, bound: int | None = None):
     enumeration stops and :class:`LatticeTooLargeError` is raised."""
     from .lattice import from_poset
 
-    ts = tuple(islice(_triples(g, bound, TRIPLE_CAP), TRIPLE_CAP + 1))
-    if len(ts) > TRIPLE_CAP:
-        raise LatticeTooLargeError(f"triple lattice capped at {TRIPLE_CAP} elements")
+    ts = _listed(g, bound)
     return from_poset(ts, leq_matrix(g, ts))
 
 
@@ -319,16 +326,12 @@ def component_lattices(g: DirectedGraph, bound: int | None = None):
     is built."""
     from .lattice import from_poset
 
-    if len(connectivity_report(g).weak_components) <= 1:
-        return (triple_lattice(g, bound),)
     _refusals(g, bound, TRIPLE_CAP)
     values = divisors(bound) + (INF,) if not is_acyclic(g) else ()  # listed once
     parts, size = [], 1
-    for c in weak_component_subgraphs(g):
-        ts = tuple(islice(_triples(c, bound, TRIPLE_CAP, values), TRIPLE_CAP + 1))
+    for c in weak_component_subgraphs(g) or (g,):
+        ts = _listed(c, bound, values, size)
         size *= len(ts)
-        if size > TRIPLE_CAP:
-            raise LatticeTooLargeError(f"triple lattice capped at {TRIPLE_CAP} elements")
         parts.append((c, ts))
     return tuple(from_poset(ts, leq_matrix(c, ts)) for c, ts in parts)
 
@@ -346,7 +349,7 @@ def product_coordinates(g: DirectedGraph, bound: int | None, factors):
     values = (*sorted(v for v in stored if v is not INF), INF) if stored else ()
     ts = tuple(_triples(g, bound, TRIPLE_CAP, values))
     coords = np.empty((len(ts), len(factors)), dtype=np.intp)
-    for k, (comp, lat) in enumerate(zip(connectivity_report(g).weak_components, factors)):
+    for k, (comp, lat) in enumerate(zip(g.weak_components, factors)):
         part = frozenset(comp)
         index = {(t.H, t.W, t.f.entries): i for i, t in enumerate(lat.labels)}
         coords[:, k] = [

@@ -217,12 +217,20 @@ def brute_first_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
 def brute_first_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
     """First diamond in lexicographic (x, y, z) order by direct scan: x,
     y, z with one common pairwise meet o and one common pairwise join i,
-    all five elements distinct."""
-    m, j = lat.meet_t.tolist(), lat.join_t.tolist()
-    for x, y, z in combinations(range(lat.n), 3):
-        o, i = m[x][y], j[x][y]
-        if m[x][z] == m[y][z] == o and j[x][z] == j[y][z] == i and len({o, x, y, z, i}) == 5:
-            return SublatticeWitness("diamond", (o, x, y, z, i))
+    all five elements distinct.  One numpy scan per x covers every pair
+    x < y < z, rows y and columns z, meets and joins compared apart."""
+    m, j, n = lat.meet_t, lat.join_t, lat.n
+    for x in range(n):
+        ys = np.arange(x + 1, n)  # the y and z above x, rows and columns alike
+        o, i = m[x, x + 1:, None], j[x, x + 1:, None]  # x ∧ y and x ∨ y, one row per y
+        hit = (m[x, x + 1:] == o) & (m[x + 1:, x + 1:] == o)  # x ∧ z and y ∧ z
+        hit &= (j[x, x + 1:] == i) & (j[x + 1:, x + 1:] == i)  # x ∨ z and y ∨ z
+        hit &= (o != x) & (o != ys[:, None]) & (o != ys) & (o != i)
+        hit &= (i != x) & (i != ys[:, None]) & (i != ys)
+        hit = np.triu(hit, 1)  # z > y
+        if hit.any():  # the first hit in row-major order has the least y, then z
+            y, z = divmod(int(hit.argmax()), n - x - 1)
+            return SublatticeWitness("diamond", (int(o[y, 0]), x, x + 1 + y, x + 1 + z, int(i[y, 0])))
     return None
 
 

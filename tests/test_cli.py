@@ -265,6 +265,9 @@ def test_bound_cap_refuses_a_complete_digraph_at_once(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: cycle-value bound capped at 1000000000000\n")
 
 
+PATH8_TEXT = "".join(f"vertex v{i}\n" for i in range(8)) + "".join(
+    f"edge e{i} v{i} v{i + 1}\n" for i in range(7)
+)
 PATH20_TEXT = "".join(f"vertex v{i}\n" for i in range(20)) + "".join(
     f"edge e{i} v{i} v{i + 1}\n" for i in range(19)
 )
@@ -356,19 +359,32 @@ def graph_text(g) -> str:
     )
 
 
+def one_component_cases():
+    """The one-component graphs of the acyclic corpus, the cyclic corpus
+    under bound 12 and an 8-vertex path (256 triples), with their bounds."""
+    from helpers import acyclic_corpus, cyclic_corpus
+
+    chain8 = parse_graph(PATH8_TEXT)
+    cases = [(g, None) for g in acyclic_corpus()] + [(g, 12) for g in cyclic_corpus()]
+    return [(g, b) for g, b in cases + [(chain8, None)] if len(g.weak_components) == 1]
+
+
 def test_classify_product_route_matches_the_whole_lattice(tmp_path, capsys, monkeypatch):
-    """classify --enumerate on graphs of several weak components answers
-    from one lattice per component, never building the whole one, with the
-    size, verdicts and witness of the whole lattice (triple_lattice and
-    lattice_verdicts), in --json and in text."""
+    """classify --enumerate answers from one lattice per weak component, a
+    weakly connected graph being its own one, and never calls triple_lattice,
+    with the size, verdicts and witness of the whole lattice (triple_lattice
+    and lattice_verdicts), in --json and in text: on graphs of several weak
+    components and on one_component_cases()."""
     import gislat.cli
+    import gislat.triples
     from helpers import product_corpus
 
     def whole_lattice(*args):
         raise AssertionError("the product route built the whole lattice")
 
-    pentagons = bounded = 0
-    for k, (g, bound) in enumerate(product_corpus()):
+    cases = list(product_corpus()) + one_component_cases()
+    pentagons = bounded = several = 0
+    for k, (g, bound) in enumerate(cases):
         lat = triple_lattice(g, bound)
         verdicts, w = lattice_verdicts(lat)
         witness = w and {"kind": w.kind, "members": [render_triple(lat.labels[i]) for i in w.members]}
@@ -377,10 +393,11 @@ def test_classify_product_route_matches_the_whole_lattice(tmp_path, capsys, monk
         argv = ["classify", str(p), "--enumerate"] + (["--bound", str(bound)] if bound else [])
         with monkeypatch.context() as m:
             m.setattr(gislat.cli, "triple_lattice", whole_lattice)
+            m.setattr(gislat.triples, "triple_lattice", whole_lattice)
             code, out, err = run(capsys, *argv, "--json")
             text = run(capsys, *argv)
         got = json.loads(out)
-        assert (code, err, got["graph"]["weak_components"] > 1) == (0, "", True)
+        assert (code, err, got["graph"]["weak_components"]) == (0, "", len(g.weak_components))
         assert (got["lattice_size"], got["computed"], got["witness"]) == (len(lat), verdicts, witness)
         assert got["bounded"] is (bound is not None) and got["agreement"] is True
         lines = text[1].splitlines()
@@ -389,7 +406,8 @@ def test_classify_product_route_matches_the_whole_lattice(tmp_path, capsys, monk
             assert lines[4] == "witness: pentagon " + " ".join(witness["members"])
         pentagons += witness is not None
         bounded += bound is not None
-    assert pentagons >= 20 and bounded >= 30, (pentagons, bounded)
+        several += len(g.weak_components) > 1
+    assert pentagons >= 20 and bounded >= 30 and several == 60, (pentagons, bounded, several)
 
 
 def test_modular_nondistributive_product_takes_its_diamond_from_the_factors(monkeypatch):
@@ -434,6 +452,23 @@ def test_inconsistent_product_verdicts_are_exit_3(tmp_path, capsys, monkeypatch)
         assert (code, out, err) == (3, "", "error: inconsistent verdicts or witness (bug)\n")
 
 
+def test_weak_components_are_found_once_per_command(tmp_path, capsys, monkeypatch):
+    """One classify --enumerate or lattice on a graph of several weak
+    components runs the union-find once: the summary, the factors and the
+    coordinates all read the graph's memoised components."""
+    import gislat.graph
+
+    calls = []
+    join_labels = gislat.graph.join_labels
+    monkeypatch.setattr(gislat.graph, "join_labels", lambda *a: calls.append(1) or join_labels(*a))
+    p = tmp_path / "fan2_chain2.graph"
+    p.write_text(GAMMA1_TEXT + "vertex a\nvertex b\nedge x a b\n")
+    for argv in (["classify", "--enumerate"], ["classify", "--enumerate", "--json"], ["lattice"]):
+        calls.clear()
+        assert run(capsys, argv[0], str(p), *argv[1:])[0] == 0
+        assert len(calls) == 1, argv
+
+
 def test_product_route_refuses_before_building_a_lattice(tmp_path, capsys):
     # A 12-vertex path beside an isolated vertex: 4096 * 2 triples, refused
     # before the 4096-element lattice of the path is built.
@@ -446,12 +481,14 @@ def test_product_route_refuses_before_building_a_lattice(tmp_path, capsys):
 
 
 def test_lattice_product_route_matches_the_whole_lattice(tmp_path, capsys, monkeypatch):
-    """lattice on graphs of several weak components lists the triples,
-    cover pairs and verdicts of the whole lattice (triple_lattice,
-    lattice_verdicts and hasse_dot) from one lattice per component, in
-    text, --json and --dot, also at the 4096-element cap (three 4-vertex
+    """lattice lists the triples, cover pairs and verdicts of the whole
+    lattice (triple_lattice, lattice_verdicts and hasse_dot) from one
+    lattice per weak component, never calling triple_lattice, in text,
+    --json and --dot: on graphs of several weak components, on
+    one_component_cases() and at the 4096-element cap (three 4-vertex
     paths)."""
     import gislat.cli
+    import gislat.triples
     from helpers import product_corpus
 
     def whole_lattice(*args):
@@ -459,7 +496,8 @@ def test_lattice_product_route_matches_the_whole_lattice(tmp_path, capsys, monke
 
     paths = "".join(f"vertex {c}{i}\n" for c in "abc" for i in range(4))
     paths += "".join(f"edge e{c}{i} {c}{i} {c}{i + 1}\n" for c in "abc" for i in range(3))
-    cases = [(graph_text(g), bound) for g, bound in product_corpus()] + [(paths, None)]
+    cases = [(graph_text(g), bound) for g, bound in product_corpus() + tuple(one_component_cases())]
+    cases += [(paths, None)]
     dot = tmp_path / "hasse.dot"
     for k, (text, bound) in enumerate(cases):
         p = tmp_path / f"p{k}.graph"
@@ -475,6 +513,7 @@ def test_lattice_product_route_matches_the_whole_lattice(tmp_path, capsys, monke
         argv = ["lattice", str(p)] + (["--bound", str(bound)] if bound else [])
         with monkeypatch.context() as m:
             m.setattr(gislat.cli, "triple_lattice", whole_lattice)
+            m.setattr(gislat.triples, "triple_lattice", whole_lattice)
             code, out, err = run(capsys, *argv, "--json")
             assert (code, err) == (0, "")
             assert json.loads(out) == {

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 
+import gislat
 from gislat.graph import (
     DirectedGraph,
     GraphError,
@@ -179,6 +185,29 @@ def test_index_relative_examples(gamma2):
         index_relative(gamma2, "nope", set())
     with pytest.raises(UnknownVertexError):
         index_relative(gamma2, "v2", {"nope"})
+
+
+def test_index_relative_names_the_least_unknown_vertex():
+    """Of several unknown members of H, the error names the least, under
+    any hash seed: frozenset order varies with it (seeds 0 and 1 once
+    named 'y' and 'x')."""
+    code = (
+        "from gislat.graph import UnknownVertexError, index_relative, parse_graph\n"
+        "try:\n"
+        "    index_relative(parse_graph('vertex a'), 'a', {'z', 'x', 'y', 'a'})\n"
+        "except UnknownVertexError as err:\n"
+        "    print(err)\n"
+    )
+    src = str(Path(gislat.__file__).resolve().parent.parent)
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "unknown vertex 'x'\n", "")
 
 
 @settings(max_examples=40)
@@ -454,3 +483,9 @@ def test_weak_component_subgraphs():
     parts = weak_component_subgraphs(g)
     assert [p.vertices for p in parts] == [("a", "b"), ("c",)]
     assert [len(p.edges) for p in parts] == [2, 0]
+    # A weakly connected graph is its own one part, memoised data and all;
+    # the empty graph has no part.
+    for g in (parts[0], parts[1], *acyclic_corpus()[:40]):
+        if len(connectivity_report(g).weak_components) == 1:
+            assert len(weak_component_subgraphs(g)) == 1 and weak_component_subgraphs(g)[0] is g
+    assert weak_component_subgraphs(DirectedGraph.of([], [])) == ()

@@ -433,6 +433,31 @@ def test_component_lattices_refuse_before_building(monkeypatch):
         component_lattices(parse_graph("".join(f"vertex v{i}\n" for i in range(21))))
 
 
+def test_a_later_factor_stops_listing_at_its_share_of_the_cap(monkeypatch):
+    """Past the cap, a factor listed after others of ``size`` triples in all
+    draws at most TRIPLE_CAP // size + 1 triples before the refusal: here an
+    isolated vertex (2 triples) and then a 12-vertex path (4096)."""
+    import gislat.triples
+
+    drawn = []
+    triples = gislat.triples._triples
+
+    def counted(c, *args):
+        for t in triples(c, *args):
+            drawn.append(c.vertices[0])
+            yield t
+
+    monkeypatch.setattr(gislat.triples, "_triples", counted)
+    chain = "".join(f"vertex b{i}\n" for i in range(12)) + "".join(
+        f"edge e{i} b{i} b{i + 1}\n" for i in range(11)
+    )
+    g = parse_graph("vertex a\n" + chain)
+    assert [p.vertices[0] for p in weak_component_subgraphs(g)] == ["a", "b0"]
+    with pytest.raises(LatticeTooLargeError, match="triple lattice capped at 4096 elements"):
+        component_lattices(g)
+    assert (drawn.count("a"), drawn.count("b0")) == (2, TRIPLE_CAP // 2 + 1)
+
+
 # --------------------------------------------------------- rendering
 
 
