@@ -629,6 +629,13 @@ def random_multi_component_graph(rng: random.Random) -> DirectedGraph:
 # --------------------------------------------------------------- corpora
 
 
+def graph_text(g: DirectedGraph) -> str:
+    """The graph file that parses back to ``g``."""
+    return "".join(f"vertex {v}\n" for v in g.vertices) + "".join(
+        f"edge {e.name} {e.src} {e.dst}\n" for e in g.edges
+    )
+
+
 @lru_cache(maxsize=None)
 def acyclic_corpus(count: int = 200, seed: int = 20260809) -> tuple[DirectedGraph, ...]:
     rng = random.Random(seed)

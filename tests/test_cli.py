@@ -20,6 +20,7 @@ from gislat.lattice import hasse_dot, lattice_verdicts
 from gislat.triples import render_triple, triple_lattice, triple_to_json
 
 from conftest import GAMMA1_TEXT, GAMMA2_TEXT, LOOP_TEXT
+from helpers import graph_text
 
 
 @pytest.fixture
@@ -351,12 +352,6 @@ def test_python_dash_m_runs_the_cli(files):
 
 
 # ------------------------------------------------------------ product route
-
-
-def graph_text(g) -> str:
-    return "".join(f"vertex {v}\n" for v in g.vertices) + "".join(
-        f"edge {e.name} {e.src} {e.dst}\n" for e in g.edges
-    )
 
 
 def one_component_cases():
