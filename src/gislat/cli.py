@@ -1,12 +1,12 @@
 """Command line interface.
 
 Subcommands: ``forked``, ``classify``, ``lattice``, ``semigroup``,
-``oracle``.  Exit codes: 0 ok, 1 input error, 2 infinite-structure error
-(cyclic graph without a bound, or a bound, semigroup or graph past a
-brute-force cap: every such refusal is a :class:`~gislat.graph.LimitError`,
-caught in :func:`main` alone), 3 internal consistency violation (a
-predicted/computed, verdict/witness or oracle mismatch, which would mean a
-bug).
+``oracle``.  Exit codes: 0 ok, 1 input error (or output that cannot be
+written), 2 infinite-structure error (cyclic graph without a bound, or a
+bound, semigroup or graph past a brute-force cap: every such refusal is a
+:class:`~gislat.graph.LimitError`, caught in :func:`main` alone), 3
+internal consistency violation (a predicted/computed, verdict/witness or
+oracle mismatch, or an order that is no lattice, which would mean a bug).
 
 JSON output (``--json``) is the stable machine interface; the plain-text
 output is for humans and carries no stability guarantee.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -33,8 +34,8 @@ from .graph import (
     GraphError, LimitError, connectivity_report, forked_vertices, is_acyclic, parse_graph
 )
 from .lattice import (
-    hasse_dot, order_isomorphic, product_covers, product_diamond, product_pentagon,
-    product_verdicts,
+    NotALatticeError, hasse_dot, order_isomorphic, product_covers, product_diamond,
+    product_pentagon, product_verdicts,
 )
 from .oracle import check_semigroup_size, congruence_lattice
 from .semigroup import finite_semigroup, render_element, semigroup_size
@@ -111,12 +112,19 @@ def _json(x, pad: str = "") -> str:
 
 
 def _emit(args, payload, text) -> None:
-    """Print ``payload()`` as JSON or the lines of ``text()``, building only one."""
-    if args.json:
-        print(_json(payload()))
-    else:
-        for line in text():
-            print(line)
+    """Print ``payload()`` as JSON or the lines of ``text()``, building only
+    one; a failed write (a closed pipe, a full disk) is an input error."""
+    try:
+        if args.json:
+            print(_json(payload()))
+        else:
+            for line in text():
+                print(line)
+        sys.stdout.flush()
+    except OSError as err:
+        if isinstance(err, BrokenPipeError):  # so the interpreter's last flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _CliError(EXIT_INPUT, f"cannot write output: {err}") from None
 
 
 def _graph_summary(g) -> dict:
@@ -145,7 +153,7 @@ def _enumerated(g, bound, listed: bool = False):
     verdicts, witness, labels, covers = product_verdicts(factors), None, (), None
     distributive = verdicts["distributive"]
     if listed or not distributive:
-        labels, coords = product_coordinates(g, bound, factors)
+        labels, coords = product_coordinates(g, factors)
     if listed:
         covers = product_covers(factors, coords)
     if not distributive:
@@ -318,6 +326,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NotALatticeError as err:  # triples or congruences that are no lattice
+        print(f"error: {err} (bug)", file=sys.stderr)
+        return EXIT_INTERNAL
     except (LimitError, _CliError) as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code if isinstance(err, _CliError) else EXIT_INFINITE

@@ -16,6 +16,8 @@ H, W and f split by weak component, so the triple lattice of a graph of
 several components is the direct product of theirs:
 :func:`component_lattices` builds one small lattice per component, and
 :func:`product_coordinates` places each of the graph's triples in them.
+A graph's refusals, hereditary sets and free-cycle values are decided
+once, by :func:`_refusals`, and :func:`_triples` only lists.
 """
 
 from __future__ import annotations
@@ -248,14 +250,15 @@ def enumerate_triples(
     found inside it certifies non-modularity / non-distributivity of the
     whole lattice, while absence is evidence only.
     """
-    return tuple(_triples(g, bound))
+    return tuple(_triples(g, *_refusals(g, bound, None)))
 
 
 def _refusals(g: DirectedGraph, bound: int | None, cap: int | None):
-    """The graph's hereditary sets (past ``cap``, ``cap + 1`` of them), once
-    it passes its refusals in this order: a cyclic graph without a bound,
-    the 20-vertex cap, the bound cap and then more than ``cap`` hereditary
-    sets, each the H of a triple with W = ∅."""
+    """g's hereditary sets (past ``cap``, ``cap + 1`` of them) and its
+    free-cycle values, divisors(bound) ∪ {inf} if g is cyclic, once g passes
+    its refusals in this order: a cyclic graph without a bound, the
+    20-vertex cap, the bound cap and then more than ``cap`` hereditary sets,
+    each the H of a triple with W = ∅.  The one place they are decided."""
     if bound is None and not is_acyclic(g):
         raise UnboundedLatticeError(
             "graph has cycles: triple enumeration needs a bound (--bound N)"
@@ -267,16 +270,12 @@ def _refusals(g: DirectedGraph, bound: int | None, cap: int | None):
         raise LatticeTooLargeError(f"cycle-value bound capped at {BOUND_CAP}")
     if cap is not None and len(hereditary) > cap:
         raise LatticeTooLargeError(f"triple lattice capped at {cap} elements")
-    return hereditary
+    return hereditary, divisors(bound) + (INF,) if not is_acyclic(g) else ()
 
 
-def _triples(g: DirectedGraph, bound: int | None, cap: int | None = None, values=None):
-    """The triples, in order, once ``g`` passes its refusals; ``values``,
-    the free-cycle values, may come from a caller that has them."""
-    hereditary = _refusals(g, bound, cap)
-    cyclic = not is_acyclic(g)
-    if values is None:
-        values = divisors(bound) + (INF,) if cyclic else ()
+def _triples(g: DirectedGraph, hereditary, values):
+    """The triples over the hereditary sets ``hereditary``, in order, with
+    free-cycle values from ``values``, as :func:`_refusals` gives them."""
     for h in hereditary:
         index_one = sorted(
             v for v in g.vertices if v not in h and index_relative(g, v, h) == 1
@@ -284,7 +283,7 @@ def _triples(g: DirectedGraph, bound: int | None, cap: int | None = None, values
         # A free cycle leaves H at each source, by that source's one exit
         # edge, so the free cycles are the cycles of the exit edges.
         cycles = ()
-        if cyclic:
+        if values:  # g, or the graph it is a weak component of, is cyclic
             inside = set(index_one)
             exits = tuple(e for v in index_one for e in g.out_edges[v] if e.dst in inside)
             cycles = enumerate_cycles(DirectedGraph(tuple(index_one), exits))
@@ -296,11 +295,11 @@ def _triples(g: DirectedGraph, bound: int | None, cap: int | None = None, values
                     yield CongruenceTriple(h, w, CycleFunction.of(zip(free, combo)))
 
 
-def _listed(g: DirectedGraph, bound: int | None, values=None, size: int = 1):
+def _listed(g: DirectedGraph, hereditary, values, size: int = 1):
     """g's triples, as :func:`_triples` gives them, for a factor of a product
     of ``size`` elements so far: past :data:`TRIPLE_CAP` elements in all the
     listing stops and :class:`LatticeTooLargeError` is raised."""
-    ts = tuple(islice(_triples(g, bound, TRIPLE_CAP, values), TRIPLE_CAP // size + 1))
+    ts = tuple(islice(_triples(g, hereditary, values), TRIPLE_CAP // size + 1))
     if size * len(ts) > TRIPLE_CAP:
         raise LatticeTooLargeError(f"triple lattice capped at {TRIPLE_CAP} elements")
     return ts
@@ -313,7 +312,7 @@ def triple_lattice(g: DirectedGraph, bound: int | None = None):
     enumeration stops and :class:`LatticeTooLargeError` is raised."""
     from .lattice import from_poset
 
-    ts = _listed(g, bound)
+    ts = _listed(g, *_refusals(g, bound, TRIPLE_CAP))
     return from_poset(ts, leq_matrix(g, ts))
 
 
@@ -323,23 +322,23 @@ def component_lattices(g: DirectedGraph, bound: int | None = None):
     f split by component; one component is its own factor.  Refused exactly
     when that is, with the same line: first g's own refusals, then a product
     of triple counts (g's count) past :data:`TRIPLE_CAP`, before any lattice
-    is built."""
+    is built.  No edge leaves a weak component, so its hereditary sets are
+    g's that lie inside it, in g's order."""
     from .lattice import from_poset
 
-    _refusals(g, bound, TRIPLE_CAP)
-    values = divisors(bound) + (INF,) if not is_acyclic(g) else ()  # listed once
+    hereditary, values = _refusals(g, bound, TRIPLE_CAP)
     parts, size = [], 1
     for c in weak_component_subgraphs(g) or (g,):
-        ts = _listed(c, bound, values, size)
+        ts = _listed(c, [h for h in hereditary if h <= c.vertex_set], values, size)
         size *= len(ts)
         parts.append((c, ts))
     return tuple(from_poset(ts, leq_matrix(c, ts)) for c, ts in parts)
 
 
-def product_coordinates(g: DirectedGraph, bound: int | None, factors):
-    """g's triples in ``triple_lattice(g, bound)`` order, and the index of
-    each one's part in each factor of :func:`component_lattices`, keyed by
-    (H ∩ C, W ∩ C, the f entries on cycles in C) for the component C."""
+def product_coordinates(g: DirectedGraph, factors):
+    """g's triples, past its refusals, in ``triple_lattice(g)`` order, and
+    each one's index in the factor of :func:`component_lattices` for each
+    component C, keyed by (H ∩ C, W ∩ C, the f entries on cycles in C)."""
     if len(factors) == 1:  # g's own lattice
         return factors[0].labels, np.arange(len(factors[0]))[:, None]
     # A factor storing any cycle value stores them all, in every combination;
@@ -347,10 +346,9 @@ def product_coordinates(g: DirectedGraph, bound: int | None, factors):
     # the bound need not be listed again.
     stored = {v for lat in factors for t in lat.labels for _, v in t.f.entries}
     values = (*sorted(v for v in stored if v is not INF), INF) if stored else ()
-    ts = tuple(_triples(g, bound, TRIPLE_CAP, values))
+    ts = tuple(_triples(g, hereditary_subsets(g), values))
     coords = np.empty((len(ts), len(factors)), dtype=np.intp)
-    for k, (comp, lat) in enumerate(zip(g.weak_components, factors)):
-        part = frozenset(comp)
+    for k, (part, lat) in enumerate(zip(map(frozenset, g.weak_components), factors)):
         index = {(t.H, t.W, t.f.entries): i for i, t in enumerate(lat.labels)}
         coords[:, k] = [
             index[t.H & part, t.W & part, tuple(e for e in t.f.entries if e[0].sources[0] in part)]

@@ -750,6 +750,43 @@ def small_semigroup_corpus(count: int = 20, seed: int = 512, cap: int = 60) -> t
     return tuple(out)
 
 
+def dag_census(vertices: int, multiplicity: int):
+    """Every graph on v0, v1, ... whose edges each go from a lower to a
+    higher vertex number, at most ``multiplicity`` of them per pair.  Every
+    DAG has a topological order, so these are all DAGs on ``vertices``
+    vertices up to isomorphism, with repetitions."""
+    names = [f"v{i}" for i in range(vertices)]
+    pairs = list(combinations(range(vertices), 2))
+    for counts in product(range(multiplicity + 1), repeat=len(pairs)):
+        edges = [(f"e{i}{j}_{k}", names[i], names[j]) for (i, j), n in zip(pairs, counts) for k in range(n)]
+        yield DirectedGraph.of(names, edges)
+
+
+def census(vertices: int, multiplicity: int, cap: int = 200) -> int:
+    """Check each graph of :func:`dag_census` with at most ``cap`` semigroup
+    elements through its congruences, and return how many were checked:
+    the triple lattice is order isomorphic to the congruence lattice, and
+    the paper's theorem holds on the congruence lattice alone (lower
+    semimodular, modular and distributive exactly when no vertex is forked,
+    upper semimodular always)."""
+    from gislat.lattice import lattice_verdicts, order_isomorphic
+    from gislat.oracle import congruence_lattice
+    from gislat.semigroup import semigroup_size
+    from gislat.triples import triple_lattice
+
+    checked = 0
+    for g in dag_census(vertices, multiplicity):
+        if semigroup_size(g) > cap:
+            continue
+        congruences = congruence_lattice(finite_semigroup(g), cap)
+        assert order_isomorphic(triple_lattice(g), congruences), graph_text(g)
+        unforked = not definition_forked(g)
+        theorem = dict.fromkeys(("distributive", "modular", "lower_semimodular"), unforked)
+        assert lattice_verdicts(congruences)[0] == {**theorem, "upper_semimodular": True}, graph_text(g)
+        checked += 1
+    return checked
+
+
 # ------------------------------------------------------------ hypothesis
 
 

@@ -337,18 +337,68 @@ def test_refusals_share_one_base_class(error):
     assert issubclass(error, gislat.GraphError)
 
 
-def test_python_dash_m_runs_the_cli(files):
-    # The package's own source directory, so the child imports this code.
+def _child(argv, stdout):
+    """``python -m gislat.cli`` with stdout to ``stdout``; the package's own
+    source directory is the child's path, so it imports this code."""
     src = str(Path(gislat.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "gislat.cli", "forked", files["g1"], "--json"],
-        capture_output=True,
+    return subprocess.run(
+        [sys.executable, "-m", "gislat.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli(files):
+    proc = _child(["forked", files["g1"], "--json"], subprocess.PIPE)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == {"forked_vertices": ["v1"]}
+
+
+def test_a_failed_write_is_exit_1_and_one_line(files):
+    """A closed pipe and a full disk end each command with one error line
+    and exit 1, not a traceback, and the interpreter's last flush adds
+    nothing."""
+    import errno
+
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        procs = [(_child(["lattice", files["g1"]], write), errno.EPIPE)]
+    finally:
+        os.close(write)
+    with open("/dev/full", "w") as full:
+        for argv in (["semigroup", files["g1"]], ["forked", files["g1"]], ["forked", files["g1"], "--json"]):
+            procs.append((_child(argv, full), errno.ENOSPC))
+    for proc, code in procs:
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write output: [Errno {code}] ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("module", ["lattice", "oracle"])
+def test_a_lattice_fault_is_exit_3_and_one_line(files, capsys, monkeypatch, module):
+    """A NotALatticeError from from_poset, on the triples' side (every
+    enumerating command) or on the congruences' (oracle), is the one-line
+    exit 3 of an internal fault."""
+    import gislat.lattice
+    import gislat.oracle
+    from gislat.lattice import NotALatticeError
+
+    def broken(labels, leq):
+        raise NotALatticeError((labels[0], labels[-1]), "meet")
+
+    monkeypatch.setattr(getattr(gislat, module), "from_poset", broken)
+    argvs = [["oracle"], ["oracle", "--json"]]
+    if module == "lattice":
+        argvs += [["classify", "--enumerate"], ["classify", "--enumerate", "--json"], ["lattice", "--json"]]
+    for argv in argvs:
+        code, out, err = run(capsys, argv[0], files["g1"], *argv[1:])
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: no unique meet for ") and err.endswith(" (bug)\n")
+        assert err.count("\n") == 1
 
 
 # ------------------------------------------------------------ product route
@@ -462,6 +512,41 @@ def test_weak_components_are_found_once_per_command(tmp_path, capsys, monkeypatc
         calls.clear()
         assert run(capsys, argv[0], str(p), *argv[1:])[0] == 0
         assert len(calls) == 1, argv
+
+
+@pytest.mark.parametrize(
+    "text, bound, most",
+    [
+        (GAMMA1_TEXT, None, 1),
+        (GAMMA2_TEXT, None, 1),
+        ("vertex u\nvertex v\nvertex w\nedge e u v\nedge f u w\nedge x v v\nedge y w w\n", 60, 1),
+        (GAMMA1_TEXT + "vertex a\nvertex b\nedge x a b\n", None, 2),
+        ("vertex p\nedge x p p\nvertex q\nedge y q q\n", 60, 2),
+    ],
+)
+def test_refusals_and_hereditary_sets_are_decided_once_per_command(
+    tmp_path, capsys, monkeypatch, text, bound, most
+):
+    """One classify --enumerate, lattice or oracle passes the graph's
+    refusals once.  The weak components read the graph's hereditary sets,
+    so a weakly connected graph lists them once; a graph of several weak
+    components lists them again at most once, for its product's triples."""
+    import gislat.triples
+
+    calls = []
+    for name in ("_refusals", "hereditary_subsets"):
+        f = getattr(gislat.triples, name)
+        monkeypatch.setattr(gislat.triples, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    p = tmp_path / "g.graph"
+    p.write_text(text)
+    flags = ["--bound", str(bound)] if bound else []
+    argvs = [["classify", "--enumerate", *flags], ["lattice", *flags], ["lattice", *flags, "--json"]]
+    argvs += [] if bound else [["oracle"]]
+    for argv in argvs:
+        calls.clear()
+        assert run(capsys, argv[0], str(p), *argv[1:])[0] == 0
+        assert calls.count("_refusals") == 1, argv
+        assert 1 <= calls.count("hereditary_subsets") <= (1 if argv[0] == "oracle" else most), argv
 
 
 def test_product_route_refuses_before_building_a_lattice(tmp_path, capsys):

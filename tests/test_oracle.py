@@ -23,6 +23,7 @@ from gislat.semigroup import ZERO, NormalForm, finite_semigroup, path_from_edges
 from gislat.triples import triple_lattice
 
 from helpers import (
+    census,
     congruence_to_json,
     identity_congruence,
     is_compatible,
@@ -208,3 +209,11 @@ def test_pair_graph_components_share_and_join():
     assert max(len({q for q in reach[p] if p in reach[q]}) for p in pairs) == 4
     assert reused == {True, False}
     assert enumerate_congruences(sem) == reference_congruences(sem)
+
+
+@pytest.mark.parametrize("vertices, multiplicity, count", [(3, 2, 27), (4, 1, 64)])
+def test_every_small_dag_through_its_congruences(vertices, multiplicity, count):
+    """Every DAG on 3 vertices with at most two parallel edges, and every
+    simple DAG on 4: the triples against the congruences, and the paper's
+    theorem on the congruences alone.  Larger censuses run in CI."""
+    assert census(vertices, multiplicity) == count

@@ -383,7 +383,7 @@ def test_component_lattices_factor_the_triple_lattice():
     and the sizes multiply to the graph's triple count."""
     for g, bound in product_corpus(count=30):
         factors = component_lattices(g, bound)
-        ts, coords = product_coordinates(g, bound, factors)
+        ts, coords = product_coordinates(g, factors)
         assert ts == enumerate_triples(g, bound)
         assert len({tuple(c) for c in coords.tolist()}) == len(ts) == math.prod(map(len, factors))
         parts = weak_component_subgraphs(g)
@@ -409,7 +409,7 @@ def test_product_route_lists_the_divisors_once(monkeypatch):
         "vertex l\nedge z l l\n"
     )
     factors = component_lattices(g, 999999999989)
-    ts, _ = product_coordinates(g, 999999999989, factors)
+    ts, _ = product_coordinates(g, factors)
     assert calls == [999999999989]
     assert ts == gislat.triples.enumerate_triples(g, 999999999989)
 
