@@ -122,8 +122,11 @@ def _emit(args, payload, text) -> None:
                 print(line)
         sys.stdout.flush()
     except OSError as err:
-        if isinstance(err, BrokenPipeError):  # so the interpreter's last flush cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # Whatever stays buffered goes to devnull, so the interpreter's last
+        # flush cannot fail again, whichever error this was.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         raise _CliError(EXIT_INPUT, f"cannot write output: {err}") from None
 
 

@@ -275,7 +275,7 @@ def _refusals(g: DirectedGraph, bound: int | None, cap: int | None):
 
 def _triples(g: DirectedGraph, hereditary, values):
     """The triples over the hereditary sets ``hereditary``, in order, with
-    free-cycle values from ``values``, as :func:`_refusals` gives them."""
+    free-cycle values from ``values`` (none if g is acyclic), as :func:`_refusals` gives them."""
     for h in hereditary:
         index_one = sorted(
             v for v in g.vertices if v not in h and index_relative(g, v, h) == 1
@@ -283,7 +283,7 @@ def _triples(g: DirectedGraph, hereditary, values):
         # A free cycle leaves H at each source, by that source's one exit
         # edge, so the free cycles are the cycles of the exit edges.
         cycles = ()
-        if values:  # g, or the graph it is a weak component of, is cyclic
+        if values:  # g is cyclic
             inside = set(index_one)
             exits = tuple(e for v in index_one for e in g.out_edges[v] if e.dst in inside)
             cycles = enumerate_cycles(DirectedGraph(tuple(index_one), exits))
@@ -329,7 +329,8 @@ def component_lattices(g: DirectedGraph, bound: int | None = None):
     hereditary, values = _refusals(g, bound, TRIPLE_CAP)
     parts, size = [], 1
     for c in weak_component_subgraphs(g) or (g,):
-        ts = _listed(c, [h for h in hereditary if h <= c.vertex_set], values, size)
+        own = [h for h in hereditary if h <= c.vertex_set]
+        ts = _listed(c, own, () if is_acyclic(c) else values, size)  # no cycle search if acyclic
         size *= len(ts)
         parts.append((c, ts))
     return tuple(from_poset(ts, leq_matrix(c, ts)) for c, ts in parts)

@@ -337,12 +337,13 @@ def test_refusals_share_one_base_class(error):
     assert issubclass(error, gislat.GraphError)
 
 
-def _child(argv, stdout):
-    """``python -m gislat.cli`` with stdout to ``stdout``; the package's own
-    source directory is the child's path, so it imports this code."""
+def _child(argv, stdout, entry=("-m", "gislat.cli")):
+    """``python -m gislat.cli`` (or ``python *entry``) with stdout to
+    ``stdout``; the package's own source directory is the child's path, so
+    it imports this code."""
     src = str(Path(gislat.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, "-m", "gislat.cli", *argv],
+        [sys.executable, *entry, *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
@@ -369,9 +370,17 @@ def test_a_failed_write_is_exit_1_and_one_line(files):
         procs = [(_child(["lattice", files["g1"]], write), errno.EPIPE)]
     finally:
         os.close(write)
+    # The pure-Python io keeps the bytes a failed write left buffered, so
+    # there the interpreter's last flush would fail a second time.
+    pyio = (
+        "-c",
+        "import _pyio, sys; sys.stdout = _pyio.open(1, 'w', closefd=False); "
+        "from gislat.cli import main; sys.exit(main(sys.argv[1:]))",
+    )
     with open("/dev/full", "w") as full:
         for argv in (["semigroup", files["g1"]], ["forked", files["g1"]], ["forked", files["g1"], "--json"]):
             procs.append((_child(argv, full), errno.ENOSPC))
+        procs.append((_child(["semigroup", files["g1"]], full, pyio), errno.ENOSPC))
     for proc, code in procs:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith(f"error: cannot write output: [Errno {code}] ")

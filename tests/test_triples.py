@@ -414,6 +414,27 @@ def test_product_route_lists_the_divisors_once(monkeypatch):
     assert ts == gislat.triples.enumerate_triples(g, 999999999989)
 
 
+def test_an_acyclic_part_runs_no_cycle_search(monkeypatch):
+    """Beside a loop, a 6-leaf fan's 65 hereditary sets are listed without
+    looking for free cycles: the loop's part searches once per hereditary
+    set (2), the fan's part not at all, and the factors are unchanged."""
+    import gislat.triples
+
+    searched = []
+    cycles = gislat.triples.enumerate_cycles
+    monkeypatch.setattr(
+        gislat.triples, "enumerate_cycles", lambda g: searched.append(g.vertices) or cycles(g)
+    )
+    g = parse_graph(
+        "vertex l\nedge x l l\nvertex r\n"
+        + "".join(f"vertex s{i}\nedge f{i} r s{i}\n" for i in range(6))
+    )
+    factors = component_lattices(g, 12)
+    assert len(searched) == 2 and all(vs in ((), ("l",)) for vs in searched)
+    for part, lat in zip(weak_component_subgraphs(g), factors):
+        assert lat.labels == enumerate_triples(part, 12 if part.vertices == ("l",) else None)
+
+
 def test_component_lattices_refuse_before_building(monkeypatch):
     """A product of triple counts past the cap is refused before any
     lattice is built, with the whole route's line; so are the graph's own
