@@ -21,6 +21,7 @@ from functools import cached_property
 from itertools import islice
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
+_NAMES = re.compile(r"[A-Za-z0-9_\n]*\Z")  # names joined by newlines
 
 
 class GraphError(ValueError):
@@ -237,9 +238,48 @@ def parse_graph(text: str) -> DirectedGraph:
     """Parse the line-oriented graph format.
 
     Directives, one per line: ``vertex NAME`` and ``edge NAME SRC DST``;
-    blank lines and lines starting with ``#`` are ignored.  Vertices must
-    be declared before any edge uses them.
+    blank lines and lines whose first word starts with ``#`` are ignored.
+    Vertices must be declared before any edge uses them.
+
+    One bulk pass: each line is split once, and the names, duplicates and
+    edge ends are checked together.  A file that fails any check is parsed
+    again by :func:`_parse_lines`, which raises at the first bad line.
     """
+    vertices: list[str] = []
+    rows: list[list[str]] = []  # ["edge", NAME, SRC, DST]
+    later: dict[str, int] = {}  # vertex declared after an edge row: rows before it
+    for parts in map(str.split, text.splitlines()):
+        if not parts:
+            continue
+        if len(parts) == 4 and parts[0] == "edge":
+            rows.append(parts)
+        elif len(parts) == 2 and parts[0] == "vertex":
+            vertices.append(parts[1])
+            if rows:
+                later[parts[1]] = len(rows)
+        elif parts[0][0] != "#":
+            return _parse_lines(text)
+    _, names, srcs, dsts = zip(*rows) if rows else ((),) * 4
+    declared = set(vertices)
+    valid = (
+        _NAMES.match("\n".join([*vertices, *names]))  # words hold no newline
+        and len(declared) == len(vertices)
+        and len(set(names)) == len(names)
+        and declared.issuperset(srcs)
+        and declared.issuperset(dsts)
+    )
+    if valid and later:  # edge row k must come after both its ends
+        valid = all(
+            later.get(s, 0) <= k and later.get(d, 0) <= k for k, (_, _, s, d) in enumerate(rows)
+        )
+    if not valid:
+        return _parse_lines(text)
+    return DirectedGraph(tuple(vertices), tuple(map(Edge, names, srcs, dsts)))
+
+
+def _parse_lines(text: str) -> DirectedGraph:
+    """:func:`parse_graph` one line at a time through :class:`_Builder`,
+    raising :class:`GraphParseError` at the first bad line."""
     builder = _Builder()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()

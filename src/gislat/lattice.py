@@ -215,12 +215,15 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     # A candidate may come from a pair without a glb, so a failed induction
     # only flags a pair for the exact rule (the common bound with the largest
     # down-set holds them all).  Failures are symmetric: the first has i <= j.
-    exact = (("meet", meet_ok, m.T, m.sum(axis=0)), ("join", join_ok, m, m.sum(axis=1)))
-    for i, j in np.argwhere(np.triu(~(meet_ok & join_ok))):
-        for which, ok, bounds, size in exact:
-            common = bounds[i] & bounds[j]
-            if not ok[i, j] and size[common].max(initial=-1) != np.count_nonzero(common):
-                raise NotALatticeError((labels[i], labels[j]), which)
+    # On a lattice no pair is flagged, so the scan is skipped.
+    confirmed = meet_ok & join_ok
+    if not confirmed.all():
+        exact = (("meet", meet_ok, m.T, m.sum(axis=0)), ("join", join_ok, m, m.sum(axis=1)))
+        for i, j in np.argwhere(np.triu(~confirmed)):
+            for which, ok, bounds, size in exact:
+                common = bounds[i] & bounds[j]
+                if not ok[i, j] and size[common].max(initial=-1) != np.count_nonzero(common):
+                    raise NotALatticeError((labels[i], labels[j]), which)
     return FiniteLattice(labels, m, meet_t, join_t, (lower, upper))
 
 

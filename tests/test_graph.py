@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gislat
 from gislat.graph import (
@@ -18,6 +19,7 @@ from gislat.graph import (
     hereditary_subsets,
     index_relative,
     is_acyclic,
+    _parse_lines,
     parse_graph,
     reaches,
     weak_component_subgraphs,
@@ -103,6 +105,7 @@ def test_parse_comment_tab_and_trailing_blank_lines(text):
     "text, line, message",
     [
         ("vertex a\n   # note\nfrob a\n", 3, "unknown directive 'frob'"),
+        ("vertex a\nv# a\n", 2, "unknown directive 'v#'"),
         ("vertex a\nedge\te\ta\n", 2, "expected: edge NAME SRC DST"),
         ("vertex a\nvertex b\nedge e a c\n\n", 3, "edge 'e' references undeclared vertex 'c'"),
     ],
@@ -111,6 +114,120 @@ def test_parse_errors_after_comment_tab_and_blank_lines(text, line, message):
     with pytest.raises(GraphParseError) as err:
         parse_graph(text)
     assert (err.value.line_no, str(err.value)) == (line, f"line {line}: {message}")
+
+
+SEPARATORS = (" ", "  ", "\t", "\x1f", "\xa0", "\u3000")  # none of them ends a line
+LINE_ENDS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+FILLERS = ("", " ", "\t", "\xa0\u3000", "# note", "   # note with words", "#edge e a b", "\x1f#")
+NAMES = st.text("ab0_Z", min_size=1, max_size=2)  # a vertex and an edge may share a name
+BROKEN = (
+    "bad vertex name", "bad edge name", "duplicate vertex", "duplicate edge",
+    "undeclared end", "end declared later", "wrong arity", "unknown directive",
+)
+
+
+@st.composite
+def graph_files(draw, errors: int = 0):
+    """The text of a random graph file and the graph it declares, or None
+    once ``errors`` groups of bad lines are put in.  Declarations are
+    shuffled, each edge after its ends, with blank and comment lines in
+    between; words and lines are split by every kind of whitespace
+    :func:`parse_graph` accepts."""
+    vertices = draw(st.lists(NAMES, max_size=5, unique=True))
+    edges = []
+    if vertices:
+        ends = st.sampled_from(vertices)
+        names = draw(st.lists(NAMES, max_size=6, unique=True))
+        edges = [(name, draw(ends), draw(ends)) for name in names]
+    lines = [["vertex", v] for v in draw(st.permutations(vertices))]
+    for name, src, dst in edges:
+        after = max(lines.index(["vertex", src]), lines.index(["vertex", dst])) + 1
+        lines.insert(draw(st.integers(after, len(lines))), ["edge", name, src, dst])
+    graph = DirectedGraph.of(
+        [w[1] for w in lines if w[0] == "vertex"], [w[1:] for w in lines if w[0] == "edge"]
+    )
+    for _ in range(errors):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = _bad_lines(draw, vertices, edges)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILLERS)))
+    text = ""
+    for line in lines:
+        if isinstance(line, list):
+            sep = st.sampled_from(SEPARATORS)
+            line = draw(sep).join(line)
+            if draw(st.booleans()):
+                line = draw(sep) + line + draw(sep)
+        text += line + draw(st.sampled_from(LINE_ENDS))
+    if draw(st.booleans()):
+        text = text.rstrip("".join(LINE_ENDS))
+    return text, None if errors else graph
+
+
+def _bad_lines(draw, vertices, edges) -> list[list[str]]:
+    """Lines holding one error of a kind drawn from BROKEN.  "nowhere",
+    "late" and "q" name no vertex or edge of :func:`graph_files`."""
+    kind = draw(st.sampled_from(BROKEN))
+    some = draw(st.sampled_from(vertices)) if vertices else "a"
+    if kind == "bad vertex name":
+        return [["vertex", draw(st.sampled_from(("a-b", "é", "vé", "-")))]]
+    if kind == "bad edge name":
+        return [["edge", draw(st.sampled_from(("e-f", "é", "eé"))), some, some]]
+    if kind == "duplicate vertex":
+        return [["vertex", some]] * 2
+    if kind == "duplicate edge":
+        return [["edge", edges[0][0] if edges else "q", some, some]] * 2
+    if kind == "undeclared end":
+        return [["edge", "q", *draw(st.sampled_from((["nowhere", some], [some, "nowhere"])))]]
+    if kind == "end declared later":
+        return [["edge", "q", some, "late"], ["vertex", "late"]]
+    if kind == "wrong arity":
+        return [draw(st.sampled_from(
+            (["vertex"], ["vertex", "a", "b"], ["edge", "q", some], ["edge", "q", some, some, some])
+        ))]
+    return [[draw(st.sampled_from(("frob", "Vertex", "vertices", "edges", "v#"))), some]]
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except GraphParseError as err:
+        return err.line_no, str(err)
+
+
+@settings(max_examples=300)
+@given(graph_files())
+def test_bulk_parse_agrees_with_the_line_pass_on_valid_files(file):
+    text, graph = file
+    assert parse_graph(text) == _parse_lines(text) == graph
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 2).flatmap(lambda k: graph_files(errors=k)))
+def test_bulk_parse_names_the_first_error_of_the_line_pass(file):
+    text, _ = file
+    reference = _parsed(_parse_lines, text)
+    assert isinstance(reference, tuple)
+    assert _parsed(parse_graph, text) == reference
+
+
+def test_valid_files_take_the_bulk_pass(monkeypatch):
+    def refused(text):
+        raise AssertionError("the line-by-line pass ran on a valid file")
+
+    monkeypatch.setattr(gislat.graph, "_parse_lines", refused)
+    grid = [f"vertex v{r}_{c}" for r in range(30) for c in range(30)]
+    grid += [f"edge r{r}_{c} v{r}_{c} v{r}_{c + 1}" for r in range(30) for c in range(29)]
+    grid += [f"edge d{r}_{c} v{r}_{c} v{r + 1}_{c}" for r in range(29) for c in range(30)]
+    ring = [f"vertex v{i}" for i in range(1200)]
+    ring += [f"edge e{i} v{i} v{(i + 1) % 1200}" for i in range(1200)]
+    for text, n, m in (
+        ("\n".join(grid), 900, 1740),
+        ("\n".join(ring), 1200, 1200),
+        ("vertex a\nedge e a a\nvertex b\nedge f a b\n", 2, 2),
+    ):
+        g = parse_graph(text)
+        assert (len(g.vertices), len(g.edges)) == (n, m)
 
 
 def test_of_rejects_bad_input():
