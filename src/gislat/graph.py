@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-_NAME = re.compile(r"[A-Za-z0-9_]+\Z")
-_NAMES = re.compile(r"[A-Za-z0-9_\n]*\Z")  # names joined by newlines
+_WORD = "A-Za-z0-9_"  # the characters of a vertex or edge name
+_NAME = re.compile(f"[{_WORD}]+\\Z")
+_NAMES = re.compile(f"[{_WORD}\\n]*\\Z")  # names joined by newlines
 
 
 class GraphError(ValueError):
@@ -242,21 +243,21 @@ def parse_graph(text: str) -> DirectedGraph:
     Vertices must be declared before any edge uses them.
 
     One bulk pass: each line is split once, and the names, duplicates and
-    edge ends are checked together.  A file that fails any check is parsed
-    again by :func:`_parse_lines`, which raises at the first bad line.
+    edge ends are checked together.  A file that fails any check, or that
+    declares a vertex after an edge line, is parsed again by
+    :func:`_parse_lines`, which raises at the first bad line.
     """
     vertices: list[str] = []
     rows: list[list[str]] = []  # ["edge", NAME, SRC, DST]
-    later: dict[str, int] = {}  # vertex declared after an edge row: rows before it
     for parts in map(str.split, text.splitlines()):
         if not parts:
             continue
         if len(parts) == 4 and parts[0] == "edge":
             rows.append(parts)
         elif len(parts) == 2 and parts[0] == "vertex":
+            if rows:  # a late vertex: the line pass checks each edge in order
+                return _parse_lines(text)
             vertices.append(parts[1])
-            if rows:
-                later[parts[1]] = len(rows)
         elif parts[0][0] != "#":
             return _parse_lines(text)
     _, names, srcs, dsts = zip(*rows) if rows else ((),) * 4
@@ -268,10 +269,6 @@ def parse_graph(text: str) -> DirectedGraph:
         and declared.issuperset(srcs)
         and declared.issuperset(dsts)
     )
-    if valid and later:  # edge row k must come after both its ends
-        valid = all(
-            later.get(s, 0) <= k and later.get(d, 0) <= k for k, (_, _, s, d) in enumerate(rows)
-        )
     if not valid:
         return _parse_lines(text)
     return DirectedGraph(tuple(vertices), tuple(map(Edge, names, srcs, dsts)))

@@ -224,7 +224,6 @@ def test_valid_files_take_the_bulk_pass(monkeypatch):
     for text, n, m in (
         ("\n".join(grid), 900, 1740),
         ("\n".join(ring), 1200, 1200),
-        ("vertex a\nedge e a a\nvertex b\nedge f a b\n", 2, 2),
     ):
         g = parse_graph(text)
         assert (len(g.vertices), len(g.edges)) == (n, m)
