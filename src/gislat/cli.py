@@ -161,7 +161,7 @@ def _enumerated(g, bound, listed: bool = False):
         covers = product_covers(factors, coords)
     if not distributive:
         witness = (product_diamond if verdicts["modular"] else product_pentagon)(factors, coords)
-    if (witness is None) != distributive or (distributive and not verdicts["modular"]):
+    if (witness is None) != distributive:
         raise _CliError(EXIT_INTERNAL, "inconsistent verdicts or witness (bug)")
     return math.prod(len(f) for f in factors), cyclic, verdicts, witness, labels, covers
 

@@ -7,7 +7,11 @@ lies strictly above some k > i is the union of the packed strict up-sets
 of those k.  a ∧ b is the largest c ∧ b over the lower covers c of a,
 confirmed by induction over those lower covers (each c ∧ b confirmed and
 below it), one height level (longest chain below) at a time; joins are
-the same on the dual order.
+the same on the dual order, built on first read.  A finite poset with a
+top in which every pair has a meet is a lattice (a ∨ b is the meet of
+the common upper bounds), so the meet table and a top prove a lattice;
+only a poset that fails that check gets its join table at once, to name
+the first pair without a meet or a join.
 Because no closed-form meet/join ever enters the construction, lattices
 built here double as the poset-theoretic oracle for formula-computed
 meets and joins elsewhere in the package.
@@ -18,7 +22,9 @@ each read off the cover pairs: upper semimodularity as every two distinct
 upper covers of one element having a join that covers both, lower
 semimodularity dually, modularity as both, and distributivity as every
 join-irreducible j being join-prime, that is {x : j ≰ x} having a
-greatest element.  A failure also gets a pentagon or diamond witness
+greatest element.  A distributive lattice is modular, so its two
+semimodularity scans are skipped, and with them the only read of joins.
+A failure also gets a pentagon or diamond witness
 from a direct search, an independent route to the same verdict.
 
 :func:`product_verdicts`, :func:`product_covers`, :func:`product_pentagon` and
@@ -63,16 +69,25 @@ class SublatticeWitness:
 
 
 class FiniteLattice:
-    """Immutable element list, order matrix, meet/join tables and cover pairs."""
+    """Immutable element list, order matrix, meet/join tables and cover pairs.
 
-    def __init__(self, labels, leq_matrix, meet_table, join_table, cover_pairs) -> None:
+    The join table is built on first read: a distributive lattice's
+    verdicts, and the order isomorphism, need only the meet table and the
+    order."""
+
+    def __init__(self, labels, leq_matrix, meet_table, cover_pairs) -> None:
         self.labels: tuple = labels
         self.n: int = len(labels)
         self.leq: np.ndarray = leq_matrix
         self.meet_t: np.ndarray = meet_table
-        self.join_t: np.ndarray = join_table
         # (lower, upper) with upper[k] covering lower[k], sorted by (lower, upper)
         self.cover_pairs: tuple[np.ndarray, np.ndarray] = cover_pairs
+
+    @cached_property
+    def join_t(self) -> np.ndarray:
+        """The meet table of the dual order."""
+        lower, upper = self.cover_pairs
+        return _meet_table(_transposed(self.leq), upper, lower)[0]
 
     @cached_property
     def cover_set(self) -> frozenset[tuple[int, int]]:
@@ -211,20 +226,23 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     del lt, between  # room for the tables at the cap
 
     meet_t, meet_ok = _meet_table(m.copy(), lower, upper)
-    join_t, join_ok = _meet_table(_transposed(m), upper, lower)
-    # A candidate may come from a pair without a glb, so a failed induction
-    # only flags a pair for the exact rule (the common bound with the largest
-    # down-set holds them all).  Failures are symmetric: the first has i <= j.
-    # On a lattice no pair is flagged, so the scan is skipped.
-    confirmed = meet_ok & join_ok
-    if not confirmed.all():
-        exact = (("meet", meet_ok, m.T, m.sum(axis=0)), ("join", join_ok, m, m.sum(axis=1)))
-        for i, j in np.argwhere(np.triu(~confirmed)):
-            for which, ok, bounds, size in exact:
-                common = bounds[i] & bounds[j]
-                if not ok[i, j] and size[common].max(initial=-1) != np.count_nonzero(common):
-                    raise NotALatticeError((labels[i], labels[j]), which)
-    return FiniteLattice(labels, m, meet_t, join_t, (lower, upper))
+    lat = FiniteLattice(labels, m, meet_t, (lower, upper))
+    # A finite poset with a top in which every pair has a meet is a lattice:
+    # a ∨ b is the meet of the common upper bounds, the top among them.
+    if meet_ok.all() and m.all(axis=0).any():
+        return lat
+    # Any other poset but the empty one is no lattice.  A candidate may come
+    # from a pair without a glb, so a failed induction only flags a pair for
+    # the exact rule (the common bound with the largest down-set holds them
+    # all).  Failures are symmetric: the first has i <= j.
+    _, join_ok = _meet_table(_transposed(m), upper, lower)
+    exact = (("meet", meet_ok, m.T, m.sum(axis=0)), ("join", join_ok, m, m.sum(axis=1)))
+    for i, j in np.argwhere(np.triu(~(meet_ok & join_ok))):
+        for which, ok, bounds, size in exact:
+            common = bounds[i] & bounds[j]
+            if not ok[i, j] and size[common].max(initial=-1) != np.count_nonzero(common):
+                raise NotALatticeError((labels[i], labels[j]), which)
+    return lat
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
@@ -394,11 +412,13 @@ def product_verdicts(factors: Sequence[FiniteLattice]) -> dict[str, bool]:
     """The four verdicts of the direct product of ``factors``, each the
     conjunction of the factors' own: a product is distributive (modular)
     iff every factor is, and its covers change one coordinate, so the
-    semimodularities carry over too."""
-    upper = all(is_upper_semimodular(f) for f in factors)
-    lower = all(is_lower_semimodular(f) for f in factors)
+    semimodularities carry over too.  A distributive factor is modular,
+    hence semimodular both ways, so only the other factors are scanned."""
+    rest = [f for f in factors if not is_distributive(f)]
+    upper = all(is_upper_semimodular(f) for f in rest)
+    lower = all(is_lower_semimodular(f) for f in rest)
     return {
-        "distributive": all(is_distributive(f) for f in factors),
+        "distributive": not rest,
         "modular": upper and lower,
         "lower_semimodular": lower,
         "upper_semimodular": upper,

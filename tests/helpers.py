@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 from hypothesis import strategies as st
@@ -765,21 +765,27 @@ def dag_census(vertices: int, multiplicity: int):
 def census(vertices: int, multiplicity: int, cap: int = 200) -> int:
     """Check each graph of :func:`dag_census` with at most ``cap`` semigroup
     elements through its congruences, and return how many were checked:
-    the triple lattice is order isomorphic to the congruence lattice, and
-    the paper's theorem holds on the congruence lattice alone (lower
-    semimodular, modular and distributive exactly when no vertex is forked,
-    upper semimodular always)."""
+    the closed-form meet and join agree with the triple lattice's tables on
+    every pair, the triple lattice is order isomorphic to the congruence
+    lattice, and the paper's theorem holds on the congruence lattice alone
+    (lower semimodular, modular and distributive exactly when no vertex is
+    forked, upper semimodular always)."""
     from gislat.lattice import lattice_verdicts, order_isomorphic
     from gislat.oracle import congruence_lattice
     from gislat.semigroup import semigroup_size
-    from gislat.triples import triple_lattice
+    from gislat.triples import join, meet, triple_lattice
 
     checked = 0
     for g in dag_census(vertices, multiplicity):
         if semigroup_size(g) > cap:
             continue
+        lat = triple_lattice(g)
+        ts = lat.labels
+        for i, j in combinations_with_replacement(range(lat.n), 2):
+            assert meet(g, ts[i], ts[j]) == ts[lat.meet(i, j)], graph_text(g)
+            assert join(g, ts[i], ts[j]) == ts[lat.join(i, j)], graph_text(g)
         congruences = congruence_lattice(finite_semigroup(g), cap)
-        assert order_isomorphic(triple_lattice(g), congruences), graph_text(g)
+        assert order_isomorphic(lat, congruences), graph_text(g)
         unforked = not definition_forked(g)
         theorem = dict.fromkeys(("distributive", "modular", "lower_semimodular"), unforked)
         assert lattice_verdicts(congruences)[0] == {**theorem, "upper_semimodular": True}, graph_text(g)

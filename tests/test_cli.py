@@ -558,6 +558,50 @@ def test_refusals_and_hereditary_sets_are_decided_once_per_command(
         assert 1 <= calls.count("hereditary_subsets") <= (1 if argv[0] == "oracle" else most), argv
 
 
+def path_text(n: int, prefix: str = "v") -> str:
+    return "".join(f"vertex {prefix}{i}\n" for i in range(n)) + "".join(
+        f"edge e{prefix}{i} {prefix}{i} {prefix}{i + 1}\n" for i in range(n - 1)
+    )
+
+
+ENUMERATING = (["classify", "--enumerate"], ["lattice"], ["lattice", "--json"])
+
+
+@pytest.mark.parametrize(
+    "text, bound, argvs, tables",
+    [
+        (path_text(7), None, ENUMERATING, 1),  # one distributive factor
+        ("".join(path_text(4, c) for c in "abc"), None, ENUMERATING, 3),  # three
+        ("vertex p\nedge x p p\nvertex q\nedge y q q\n", 60, ENUMERATING, 2),  # two
+        ("vertex u\nvertex a\nvertex b\nvertex c\nedge e u a\nedge f u b\nedge g u c\n",
+         None, ENUMERATING, 2),  # one factor, not distributive
+        ("vertex u\nvertex v\nvertex w\nedge e u v\nedge f u w\nedge x v v\nedge y w w\n",
+         60, ENUMERATING, 2),  # one factor, not distributive
+        (path_text(5), None, (["oracle"],), 2),  # one meet table on either side
+        ("".join(f"vertex v{i}\n" for i in range(8)), None, (["oracle"],), 2),
+    ],
+    ids=["chain7", "u3x4", "loops2", "fan3", "forkloops", "oracle-chain5", "oracle-iso8"],
+)
+def test_join_tables_are_built_only_where_read(tmp_path, capsys, monkeypatch, text, bound, argvs, tables):
+    """A lattice's meet table and a top prove it a lattice, and only a
+    non-distributive factor's semimodularity scans and witness read its
+    join table: classify --enumerate and lattice build one meet table per
+    distributive factor and two per other factor, and oracle, which
+    compares orders, one per side."""
+    import gislat.lattice
+
+    calls = []
+    original = gislat.lattice._meet_table
+    monkeypatch.setattr(gislat.lattice, "_meet_table", lambda *a: calls.append(1) or original(*a))
+    p = tmp_path / "g.graph"
+    p.write_text(text)
+    flags = ["--bound", str(bound)] if bound else []
+    for argv in argvs:
+        calls.clear()
+        assert run(capsys, argv[0], str(p), *argv[1:], *flags)[0] == 0
+        assert len(calls) == tables, argv
+
+
 def test_product_route_refuses_before_building_a_lattice(tmp_path, capsys):
     # A 12-vertex path beside an isolated vertex: 4096 * 2 triples, refused
     # before the 4096-element lattice of the path is built.

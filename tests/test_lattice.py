@@ -11,6 +11,7 @@ from gislat.lattice import (
     NotALatticeError,
     _between,
     _levels,
+    _meet_table,
     _stable_signatures,
     _transposed,
     SublatticeWitness,
@@ -138,6 +139,38 @@ def test_from_poset_antichain_is_not_a_lattice():
     with pytest.raises(NotALatticeError) as err:
         from_poset(["x", "y"], lambda a, b: a == b)
     assert set(err.value.pair) == {"x", "y"}
+
+
+@pytest.mark.parametrize(
+    "labels, covers, pair, which",
+    [
+        ("oab", ["oa", "ob"], ("a", "b"), "join"),  # every meet, no top
+        ("cdabi", ["ca", "cb", "da", "db", "ai", "bi"], ("c", "d"), "meet"),  # a top
+        ("oabcdi", ["oa", "ob", "ac", "ad", "bc", "bd", "ci", "di"], ("a", "b"), "join"),
+    ],
+)
+def test_from_poset_names_the_first_missing_bound(labels, covers, pair, which):
+    """The first pair without a meet or join, the meet before the join,
+    whether or not the poset has a top: a bottom under two maximal
+    elements, a top over two elements with two maximal lower bounds, and a
+    bounded poset whose first failing pair lacks a join though a later one
+    lacks a meet."""
+    with pytest.raises(NotALatticeError) as err:
+        lattice_from_covers(labels, covers)
+    assert (err.value.pair, err.value.which) == (pair, which)
+
+
+def test_join_table_is_built_on_first_read():
+    """A lattice's join table waits for its first read.  It is then the
+    least upper bounds by direct scan, and the table an eager _meet_table
+    call on the dual order builds, on the seeded closure lattices."""
+    for lat in seeded_closure_lattices():
+        assert "join_t" not in vars(lat)
+        lower, upper = lat.cover_pairs
+        eager = _meet_table(_transposed(lat.leq), upper, lower)[0]
+        rows = lat.leq.tolist()
+        lub = [[brute_lub_index(rows, i, j) for j in range(lat.n)] for i in range(lat.n)]
+        assert lat.join_t.tolist() == eager.tolist() == lub
 
 
 def test_from_poset_rejects_non_partial_orders():
@@ -556,6 +589,32 @@ def test_cover_verdicts_match_definitions():
     lattices += [triple_lattice(g) for g in acyclic_corpus()]
     lattices += [triple_lattice(g, 12) for g in cyclic_corpus()]
     assert len({tuple(check_verdict_pass(lat).values()) for lat in lattices}) == 5
+
+
+def test_distributive_factors_skip_the_semimodularity_scans(monkeypatch, gamma2):
+    """A distributive factor is modular, so semimodular both ways:
+    product_verdicts scans only the other factors, and never builds a
+    distributive factor's join table."""
+    import gislat.lattice
+
+    scanned = []
+    for name in ("is_upper_semimodular", "is_lower_semimodular"):
+        f = getattr(gislat.lattice, name)
+        monkeypatch.setattr(gislat.lattice, name, lambda lat, f=f: scanned.append(lat) or f(lat))
+    distributive = [chain(1), chain(4), closure_lattice(3, range(8)), triple_lattice(gamma2)]
+    assert product_verdicts(distributive) == dict.fromkeys(
+        ("distributive", "modular", "lower_semimodular", "upper_semimodular"), True
+    )
+    assert scanned == []
+    assert not any("join_t" in vars(f) for f in distributive)
+    m3, n5 = diamond(), pentagon()
+    assert product_verdicts([*distributive, m3]) == {
+        "distributive": False, "modular": True, "lower_semimodular": True, "upper_semimodular": True
+    }
+    assert scanned == [m3, m3]
+    scanned.clear()
+    assert not product_verdicts([n5, *distributive])["upper_semimodular"]
+    assert scanned == [n5, n5]
 
 
 def test_implication_chain_on_corpus():
