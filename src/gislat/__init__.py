@@ -39,7 +39,6 @@ from .lattice import (
     is_lower_semimodular,
     is_modular,
     is_upper_semimodular,
-    lattice_verdicts,
     order_isomorphic,
 )
 from .oracle import (

@@ -34,10 +34,10 @@ from .graph import (
     GraphError, LimitError, connectivity_report, forked_vertices, is_acyclic, parse_graph
 )
 from .lattice import (
-    NotALatticeError, hasse_dot, order_isomorphic, product_covers, product_diamond,
-    product_pentagon, product_verdicts,
+    NotALatticeError, hasse_dot, order_isomorphic, product_covers, product_verdicts,
+    product_witness,
 )
-from .oracle import check_semigroup_size, congruence_lattice
+from .oracle import ORACLE_CAP, check_semigroup_size, congruence_lattice
 from .semigroup import finite_semigroup, render_element, semigroup_size
 from .triples import (
     component_lattices, product_coordinates, render_triple, triple_lattice, triple_to_json
@@ -148,22 +148,19 @@ def _enumerated(g, bound, listed: bool = False):
     """Size, probe flag, verdicts, witness, triples (``triple_lattice`` order;
     when ``listed`` or indexed by a witness) and cover pairs (when ``listed``)
     of the triple lattice of ``g``, or a bounded probe of a cyclic graph's,
-    read off its weak components' factors.  The witness of a product that is
-    not distributive is its first diamond if it is modular, else its first pentagon."""
-    cyclic = not is_acyclic(g)
-    bound = bound if cyclic else None
+    read off its weak components' factors (``bound`` is ignored if ``g`` is
+    acyclic)."""
     factors = component_lattices(g, bound)
-    verdicts, witness, labels, covers = product_verdicts(factors), None, (), None
+    verdicts, labels, coords, covers = product_verdicts(factors), (), None, None
     distributive = verdicts["distributive"]
     if listed or not distributive:
         labels, coords = product_coordinates(g, factors)
     if listed:
         covers = product_covers(factors, coords)
-    if not distributive:
-        witness = (product_diamond if verdicts["modular"] else product_pentagon)(factors, coords)
+    witness = product_witness(factors, coords, verdicts)
     if (witness is None) != distributive:
         raise _CliError(EXIT_INTERNAL, "inconsistent verdicts or witness (bug)")
-    return math.prod(len(f) for f in factors), cyclic, verdicts, witness, labels, covers
+    return math.prod(len(f) for f in factors), not is_acyclic(g), verdicts, witness, labels, covers
 
 
 def _flags(d: dict) -> str:
@@ -320,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("semigroup", cmd_semigroup, "list elements and the multiplication table")
 
     p = add("oracle", cmd_oracle, "brute-force congruences and compare with triples")
-    p.add_argument("--cap", type=positive_int, default=200, help="semigroup size cap (default 200)")
+    p.add_argument("--cap", type=positive_int, default=ORACLE_CAP,
+                   help="semigroup size cap (default %(default)s)")
 
     return parser
 

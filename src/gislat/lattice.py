@@ -16,22 +16,23 @@ Because no closed-form meet/join ever enters the construction, lattices
 built here double as the poset-theoretic oracle for formula-computed
 meets and joins elsewhere in the package.
 
-:func:`lattice_verdicts` decides the four verdicts in one pass from
-known characterisations (Grätzer, *Lattice Theory: Foundation*, ch. IV),
-each read off the cover pairs: upper semimodularity as every two distinct
-upper covers of one element having a join that covers both, lower
-semimodularity dually, modularity as both, and distributivity as every
-join-irreducible j being join-prime, that is {x : j ≰ x} having a
-greatest element.  A distributive lattice is modular, so its two
-semimodularity scans are skipped, and with them the only read of joins.
-A failure also gets a pentagon or diamond witness
-from a direct search, an independent route to the same verdict.
+:func:`product_verdicts` decides the four verdicts of a direct product,
+a lattice being the product of itself alone, from known characterisations
+(Grätzer, *Lattice Theory: Foundation*, ch. IV), each read off the cover
+pairs: upper semimodularity as every two distinct upper covers of one
+element having a join that covers both, lower semimodularity dually,
+modularity as both, and distributivity as every join-irreducible j being
+join-prime, that is {x : j ≰ x} having a greatest element.  A distributive
+lattice is modular, so its two semimodularity scans are skipped, and with
+them the only read of joins.  :func:`product_witness` gives a failure its
+pentagon or diamond from a direct search, an independent route to the same
+verdict.
 
-:func:`product_verdicts`, :func:`product_covers`, :func:`product_pentagon` and
-:func:`product_diamond` read the verdicts, cover pairs, first pentagon and first
-diamond of a direct product off its factors alone; :func:`find_pentagon` and
-:func:`find_diamond` are the product of one factor.  :func:`order_isomorphic`
-compares whole order rows, pruned by signatures ranked jointly over both lattices.
+:func:`product_covers`, :func:`product_pentagon` and :func:`product_diamond`
+read the cover pairs, first pentagon and first diamond of a direct product
+off its factors alone; :func:`find_pentagon` and :func:`find_diamond` are the
+product of one factor.  :func:`order_isomorphic` compares whole order rows,
+pruned by signatures ranked jointly over both lattices.
 """
 
 from __future__ import annotations
@@ -96,15 +97,6 @@ class FiniteLattice:
 
     def __len__(self) -> int:
         return self.n
-
-    def leq_idx(self, i: int, j: int) -> bool:
-        return bool(self.leq[i, j])
-
-    def meet(self, i: int, j: int) -> int:
-        return int(self.meet_t[i, j])
-
-    def join(self, i: int, j: int) -> int:
-        return int(self.join_t[i, j])
 
 
 def _between(lt: np.ndarray) -> np.ndarray:
@@ -425,15 +417,15 @@ def product_verdicts(factors: Sequence[FiniteLattice]) -> dict[str, bool]:
     }
 
 
-def lattice_verdicts(lat: FiniteLattice) -> tuple[dict[str, bool], SublatticeWitness | None]:
-    """The four verdicts, and for a non-distributive lattice the first
-    pentagon if it is not modular, else the first diamond (None if the
-    search disagrees with the verdicts)."""
-    verdicts = product_verdicts((lat,))
-    witness = None
-    if not verdicts["distributive"]:
-        witness = find_diamond(lat) if verdicts["modular"] else find_pentagon(lat)
-    return verdicts, witness
+def product_witness(factors: Sequence[FiniteLattice], coords, verdicts) -> SublatticeWitness | None:
+    """The witness of the direct product of ``factors`` (element i is row i of
+    ``coords``) with :func:`product_verdicts` ``verdicts``: None if it is
+    distributive (``coords`` unread), else its first diamond if it is
+    modular, else its first pentagon (None if the search disagrees with the
+    verdicts)."""
+    if verdicts["distributive"]:
+        return None
+    return (product_diamond if verdicts["modular"] else product_pentagon)(factors, coords)
 
 
 def _stable_signatures(lat1: FiniteLattice, lat2: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:

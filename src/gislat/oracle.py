@@ -26,6 +26,9 @@ from .lattice import FiniteLattice, from_poset
 from .semigroup import FiniteSemigroup
 
 
+ORACLE_CAP = 200  # the default brute-force cap on |S|
+
+
 class SemigroupTooLargeError(LimitError):
     """The semigroup exceeds the configured brute-force cap."""
 
@@ -151,7 +154,7 @@ def _principal_labels(sem: FiniteSemigroup) -> dict[tuple[int, ...], tuple[int, 
     return principals
 
 
-def enumerate_congruences(sem: FiniteSemigroup, cap: int = 200) -> tuple[Congruence, ...]:
+def enumerate_congruences(sem: FiniteSemigroup, cap: int = ORACLE_CAP) -> tuple[Congruence, ...]:
     """All congruences, sorted by partition fingerprint (see the module
     docstring).  A principal congruence is join-irreducible iff it is not
     the join of the principal ones strictly below it."""
@@ -176,7 +179,7 @@ def enumerate_congruences(sem: FiniteSemigroup, cap: int = 200) -> tuple[Congrue
     return tuple(sorted(map(_congruence, found), key=lambda c: c.blocks))
 
 
-def congruence_lattice(sem: FiniteSemigroup, cap: int = 200) -> FiniteLattice:
+def congruence_lattice(sem: FiniteSemigroup, cap: int = ORACLE_CAP) -> FiniteLattice:
     """The enumerated congruences ordered by refinement.
 
     Congruence sets are always lattices; a NotALatticeError here signals an

@@ -162,29 +162,26 @@ def semigroup_size(g: DirectedGraph) -> int:
     return 1 + sum(k * k for k in ending.values())
 
 
-def element_key(g: DirectedGraph, x: Element) -> tuple:
-    if isinstance(x, Zero):
-        return (0,)
-    return (
-        1,
-        len(x.alpha.edges) + len(x.beta.edges),
-        path_key(g, x.alpha),
-        path_key(g, x.beta),
+def _listing(g: DirectedGraph):
+    """The elements, the paths (:func:`enumerate_paths`) and each nonzero
+    element's (alpha, beta) path indices.  Zero comes first, then every pair
+    of paths with a common range, by total length, then alpha, then beta:
+    the paths come in :func:`path_key` order, so their indices do too."""
+    paths = enumerate_paths(g)
+    by_range: dict[str, list[int]] = {}
+    for i, p in enumerate(paths):
+        by_range.setdefault(p.range, []).append(i)
+    length = [len(p.edges) for p in paths]
+    pairs = sorted(
+        ((a, b) for group in by_range.values() for a in group for b in group),
+        key=lambda ab: (length[ab[0]] + length[ab[1]], ab),
     )
+    return (ZERO, *(NormalForm(paths[a], paths[b]) for a, b in pairs)), paths, pairs
 
 
 def enumerate_elements(g: DirectedGraph) -> tuple[Element, ...]:
     """Zero plus every normal-form pair of paths with a common range."""
-    paths = enumerate_paths(g)
-    by_range: dict[str, list[Path]] = {}
-    for p in paths:
-        by_range.setdefault(p.range, []).append(p)
-    elems: list[Element] = [ZERO]
-    for group in by_range.values():
-        for a in group:
-            for b in group:
-                elems.append(NormalForm(a, b))
-    return tuple(sorted(elems, key=lambda x: element_key(g, x)))
+    return _listing(g)[0]
 
 
 class FiniteSemigroup:
@@ -195,21 +192,22 @@ class FiniteSemigroup:
 
     def __init__(self, graph: DirectedGraph) -> None:
         self.graph = graph
-        self.elements: tuple[Element, ...] = enumerate_elements(graph)
+        self.elements, paths, pairs = _listing(graph)
         self._index = {x: i for i, x in enumerate(self.elements)}
         # Row by row, so only one row's list is alive beside the tuples.
         self.table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(row.tolist()) for row in self._table()
+            tuple(row.tolist()) for row in self._table(paths, pairs)
         )
 
-    def _table(self) -> np.ndarray:
-        """:func:`multiply` on path indices.  With index P for "none",
-        ``rest[b, c]`` is the xi with c = b.xi, ``cat[a, xi]`` the path
-        a.xi and ``pair[a, b]`` the element a.b* (0 for none).  So
-        (a.b*)(c.d*) is ``pair[cat[a, rest[b, c]], d]`` when b is a prefix
-        of c, ``pair[a, cat[d, rest[c, b]]]`` when c is a prefix of b, and
-        0 otherwise: the larger of the two, which agree when b == c."""
-        paths = enumerate_paths(self.graph)
+    def _table(self, paths, pairs) -> np.ndarray:
+        """:func:`multiply` on the indices of ``paths``, the nonzero elements
+        being the path pairs ``pairs`` (as :func:`_listing` gives them).  With
+        index P for "none", ``rest[b, c]`` is the xi with c = b.xi,
+        ``cat[a, xi]`` the path a.xi and ``pair[a, b]`` the element a.b* (0
+        for none).  So (a.b*)(c.d*) is ``pair[cat[a, rest[b, c]], d]`` when
+        b is a prefix of c, ``pair[a, cat[d, rest[c, b]]]`` when c is a
+        prefix of b, and 0 otherwise: the larger of the two, which agree when
+        b == c."""
         p, n = len(paths), len(self.elements)
         index = {q: i for i, q in enumerate(paths)}
         by_source: dict[str, list[int]] = {}
@@ -226,7 +224,6 @@ class FiniteSemigroup:
         b, c, xi = np.array(splits, np.int32).reshape(-1, 3).T
         rest[b, c] = xi
         cat[b, xi] = c
-        pairs = [(index[x.alpha], index[x.beta]) for x in self.elements[1:]]
         alpha, beta = np.array(pairs, np.int32).reshape(-1, 2).T
         pair[alpha, beta] = np.arange(1, n)
         a, b = alpha[:, None], beta[:, None]  # the left factor, down the rows

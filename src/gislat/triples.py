@@ -258,19 +258,21 @@ def _refusals(g: DirectedGraph, bound: int | None, cap: int | None):
     free-cycle values, divisors(bound) ∪ {inf} if g is cyclic, once g passes
     its refusals in this order: a cyclic graph without a bound, the
     20-vertex cap, the bound cap and then more than ``cap`` hereditary sets,
-    each the H of a triple with W = ∅.  The one place they are decided."""
-    if bound is None and not is_acyclic(g):
+    each the H of a triple with W = ∅.  The one place they are decided; an
+    acyclic g ignores ``bound``."""
+    cyclic = not is_acyclic(g)
+    if bound is None and cyclic:
         raise UnboundedLatticeError(
             "graph has cycles: triple enumeration needs a bound (--bound N)"
         )
     if bound is not None and bound < 1:
         raise ValueError("bound must be a positive integer")
     hereditary = hereditary_subsets(g, cap)  # its size cap comes before the bound cap
-    if not is_acyclic(g) and bound > BOUND_CAP:
+    if cyclic and bound > BOUND_CAP:
         raise LatticeTooLargeError(f"cycle-value bound capped at {BOUND_CAP}")
     if cap is not None and len(hereditary) > cap:
         raise LatticeTooLargeError(f"triple lattice capped at {cap} elements")
-    return hereditary, divisors(bound) + (INF,) if not is_acyclic(g) else ()
+    return hereditary, divisors(bound) + (INF,) if cyclic else ()
 
 
 def _triples(g: DirectedGraph, hereditary, values):

@@ -191,15 +191,15 @@ def test_criterion_05_meet_join_formula_vs_poset_bounds(
                 ti = ts[i]
                 for j in range(i, n):
                     tj = ts[j]
-                    assert meet(g, ti, tj) == lat.labels[lat.meet(i, j)]
-                    assert join(g, ti, tj) == lat.labels[lat.join(i, j)]
+                    assert meet(g, ti, tj) == lat.labels[lat.meet_t[i, j]]
+                    assert join(g, ti, tj) == lat.labels[lat.join_t[i, j]]
         # guard the poset side itself with a raw scan on a subsample
         for g, ts, lat in cases[:20]:
             rows = lat.leq.tolist()
             for i in range(len(ts)):
                 for j in range(len(ts)):
-                    assert lat.meet(i, j) == brute_glb_index(rows, i, j)
-                    assert lat.join(i, j) == brute_lub_index(rows, i, j)
+                    assert lat.meet_t[i, j] == brute_glb_index(rows, i, j)
+                    assert lat.join_t[i, j] == brute_lub_index(rows, i, j)
 
 
 def test_criterion_06_forked_vertex_equivalence(corpus_lattices):

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 import gislat
 from gislat.cli import main
 from gislat.graph import parse_graph
-from gislat.lattice import hasse_dot, lattice_verdicts
+from gislat.lattice import hasse_dot
 from gislat.triples import render_triple, triple_lattice, triple_to_json
 
 from conftest import GAMMA1_TEXT, GAMMA2_TEXT, LOOP_TEXT
-from helpers import graph_text
+from helpers import graph_text, lattice_verdicts
 
 
 @pytest.fixture
@@ -238,6 +238,20 @@ def test_bound_cap_comes_before_the_divisors(files, capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ") and str(10**12) in err
     code, _, _ = run(capsys, argv[0], files["loop"], *argv[1:], "--bound", str(10**12))
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["classify", "--enumerate"], ["lattice"]])
+def test_an_acyclic_graph_ignores_its_bound(tmp_path, capsys, argv):
+    """An acyclic graph's lattice is exact whatever the bound, one past the
+    bound cap included: the same bytes and exit code as without one, in text
+    and --json, on one weak component and on several."""
+    p = tmp_path / "g.graph"
+    for graph in (GAMMA2_TEXT, GAMMA1_TEXT, GAMMA1_TEXT + "vertex a\nvertex b\nedge x a b\n"):
+        p.write_text(graph)
+        for form in ([], ["--json"]):
+            plain = run(capsys, argv[0], str(p), *argv[1:], *form)
+            assert plain[0] == 0 and plain[1]
+            assert run(capsys, argv[0], str(p), *argv[1:], *form, "--bound", str(10**18)) == plain
 
 
 def _complete_digraph(n: int) -> str:

@@ -23,12 +23,12 @@ from gislat.lattice import (
     is_lower_semimodular,
     is_modular,
     is_upper_semimodular,
-    lattice_verdicts,
     order_isomorphic,
     product_covers,
     product_diamond,
     product_pentagon,
     product_verdicts,
+    product_witness,
 )
 from gislat.triples import render_triple, triple_lattice
 
@@ -44,6 +44,7 @@ from helpers import (
     closure_lattice,
     closure_lattice_strategy,
     cyclic_corpus,
+    lattice_verdicts,
     oracle_verdicts,
     product_lattice,
     witness_is_valid,
@@ -131,7 +132,7 @@ def test_from_poset_trivial():
     for labels in ([], ["x"]):
         lat = from_poset(labels, lambda a, b: True)
         assert len(lat) == len(labels)
-        assert all(lat.meet(i, i) == i and lat.join(i, i) == i for i in range(len(labels)))
+        assert all(lat.meet_t[i, i] == i and lat.join_t[i, i] == i for i in range(len(labels)))
         assert lat.cover_set == frozenset()
 
 
@@ -358,8 +359,8 @@ def test_tables_on_wide_down_set_groups():
         n, leq = len(lat), lat.leq.tolist()
         for a in range(n) if n <= 64 else rows + rng.sample(range(n), 6):
             for b in range(n):
-                assert lat.meet(a, b) == brute_glb_index(leq, a, b)
-                assert lat.join(a, b) == brute_lub_index(leq, a, b)
+                assert lat.meet_t[a, b] == brute_glb_index(leq, a, b)
+                assert lat.join_t[a, b] == brute_lub_index(leq, a, b)
 
 
 def graph_text(edges, loops=()):
@@ -429,14 +430,14 @@ def test_tables_match_bruteforce_bounds(gamma1, gamma2):
     blocks mix cover counts: a block's width is its largest count, not its
     first row's, and padding repeats a row's own cover."""
     mixed = mixed_cover_counts()
-    assert mixed.join(2, 4) == 0 and mixed.meet(6, 7) == 4  # a1 ∨ a3 = top, y ∧ z = a3
+    assert mixed.join_t[2, 4] == 0 and mixed.meet_t[6, 7] == 4  # a1 ∨ a3 = top, y ∧ z = a3
     extra = [mixed, *height_level_lattices()]
     for lat in (triple_lattice(gamma1), triple_lattice(gamma2), pentagon(), diamond(), *extra):
         rows = lat.leq.tolist()
         for i in range(len(lat)):
             for j in range(len(lat)):
-                assert lat.meet(i, j) == brute_glb_index(rows, i, j)
-                assert lat.join(i, j) == brute_lub_index(rows, i, j)
+                assert lat.meet_t[i, j] == brute_glb_index(rows, i, j)
+                assert lat.join_t[i, j] == brute_lub_index(rows, i, j)
 
 
 def test_cover_relation_definition(gamma1):
@@ -445,11 +446,11 @@ def test_cover_relation_definition(gamma1):
     for a in range(n):
         for b in range(n):
             strictly_between = any(
-                lat.leq_idx(b, x) and lat.leq_idx(x, a) and x not in (a, b)
+                lat.leq[b, x] and lat.leq[x, a] and x not in (a, b)
                 for x in range(n)
             )
             expected = (
-                lat.leq_idx(b, a) and a != b and not strictly_between
+                lat.leq[b, a] and a != b and not strictly_between
             )
             assert ((a, b) in lat.cover_set) == expected
 
@@ -497,8 +498,8 @@ def test_gamma1_lower_semimodularity_failure_is_the_expected_one(gamma1):
     e = names["({w1},{v1},{})"]
     bottom = names["({},{},{})"]
     assert (top, c) in lat.cover_set and (top, e) in lat.cover_set
-    assert lat.join(c, e) == top
-    assert lat.meet(c, e) == bottom
+    assert lat.join_t[c, e] == top
+    assert lat.meet_t[c, e] == bottom
     assert (c, bottom) not in lat.cover_set
     assert (e, bottom) not in lat.cover_set
 
@@ -535,6 +536,25 @@ def test_pentagon_witness_in_pentagon():
     w = find_pentagon(lat)
     assert w is not None and witness_is_valid(lat, w)
     assert lattice_verdicts(lat)[1] == w
+
+
+def test_product_witness_is_the_first_pentagon_else_the_first_diamond():
+    """product_witness names none for a distributive product, else the
+    first diamond of a modular one, else the first pentagon: whichever
+    direct scans of the product built whole find first, pentagons before
+    diamonds.  On N5, M3 and a chain alone, and on shuffled products."""
+    rng = random.Random(2525)
+    cases = [(pentagon(),), (diamond(),), (chain(4),), (chain(2), chain(3))]
+    cases += [(pentagon(), chain(2)), (diamond(), chain(2)), (diamond(), pentagon()), (diamond(), diamond())]
+    kinds = []
+    for factors in cases:
+        for _ in range(2):
+            whole, coords = product_lattice(factors, rng)
+            w = product_witness(factors, coords, product_verdicts(factors))
+            assert w == (brute_first_pentagon(whole) or brute_first_diamond(whole))
+            assert w is None or witness_is_valid(whole, w)
+            kinds.append(w and w.kind)
+    assert [kinds.count(k) for k in (None, "diamond", "pentagon")] == [4, 6, 6], kinds
 
 
 def test_witness_is_valid_rejects_garbage(gamma2):
@@ -736,7 +756,7 @@ def test_order_isomorphic_under_relabeling(gamma1):
     lat = triple_lattice(gamma1)
     n = len(lat)
     perm = [3, 0, 6, 2, 5, 1, 4]
-    relabeled = from_poset(list(range(n)), lambda a, b: lat.leq_idx(perm[a], perm[b]))
+    relabeled = from_poset(list(range(n)), lambda a, b: lat.leq[perm[a], perm[b]])
     assert order_isomorphic(lat, relabeled)
     assert order_isomorphic(relabeled, lat)
 

@@ -22,6 +22,7 @@ from gislat.semigroup import (
 
 from helpers import (
     acyclic_corpus,
+    element_key,
     graph_strategy,
     idempotents,
     multi_component_corpus,
@@ -182,6 +183,30 @@ def test_count_formula(gamma1, gamma2):
             per_range[p.range] = per_range.get(p.range, 0) + 1
         assert len(enumerate_elements(g)) == 1 + sum(k * k for k in per_range.values())
         assert semigroup_size(g) == len(enumerate_elements(g))
+
+
+def test_elements_in_element_key_order(gamma1, gamma2):
+    """The elements come sorted by element_key: zero, then by total path
+    length, then alpha and beta in path order, each normal form once."""
+    for g in (gamma1, gamma2, *small_semigroup_corpus()):
+        paths = enumerate_paths(g)
+        forms = [NormalForm(a, b) for a in paths for b in paths if a.range == b.range]
+        want = tuple(sorted([ZERO, *forms], key=lambda x: element_key(g, x)))
+        assert enumerate_elements(g) == finite_semigroup(g).elements == want
+
+
+def test_paths_are_listed_once_per_semigroup(gamma2, monkeypatch):
+    """finite_semigroup lists the paths once, for its elements and its
+    table alike."""
+    import gislat.semigroup
+
+    calls = []
+    listing = gislat.semigroup.enumerate_paths
+    monkeypatch.setattr(gislat.semigroup, "enumerate_paths", lambda g: calls.append(g) or listing(g))
+    for g in (gamma2, *small_semigroup_corpus()):
+        calls.clear()
+        sem = finite_semigroup(g)
+        assert calls == [g] and sem.table == reference_table(sem)
 
 
 def check_generator_indices(g):

@@ -44,6 +44,7 @@ from helpers import (
     UnknownCycleError,
     acyclic_corpus,
     bounded_triple_count,
+    cyclic_census,
     cyclic_corpus,
     definition_leq,
     outdeg_le1_corpus,
@@ -477,6 +478,15 @@ def test_a_later_factor_stops_listing_at_its_share_of_the_cap(monkeypatch):
     with pytest.raises(LatticeTooLargeError, match="triple lattice capped at 4096 elements"):
         component_lattices(g)
     assert (drawn.count("a"), drawn.count("b0")) == (2, TRIPLE_CAP // 2 + 1)
+
+
+@pytest.mark.parametrize("max_edges, unforked, forked", [(6, False, 42), (4, True, 15)])
+def test_every_small_cyclic_multigraph_probe_decides(max_edges, unforked, forked):
+    """On 3 vertices, every forked cyclic multigraph with at most 6 edges
+    has a non-distributive probe under the bounds 1 and 2, so classify
+    --enumerate never answers "inconclusive" there, and every unforked one
+    with at most 4 edges a distributive probe.  Larger censuses run in CI."""
+    assert cyclic_census(3, max_edges, unforked) == forked
 
 
 # --------------------------------------------------------- rendering
