@@ -205,12 +205,16 @@ def set_trace(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> S
     return SetTrace(V0=v0, X=x, J=j)
 
 
+def _cycles_within(g: DirectedGraph, vs) -> tuple[Cycle, ...]:
+    """:func:`enumerate_cycles` of the subgraph that the vertex set ``vs`` induces."""
+    inside = frozenset(vs)
+    edges = tuple(e for v in inside for e in g.out_edges[v] if e.dst in inside)
+    return enumerate_cycles(DirectedGraph(tuple(inside), edges))
+
+
 def _combined_values(g, t1, t2, h, w, combine) -> CycleFunction:
-    entries = {}
-    for c in g.cycles:
-        if c.source_set <= w and not c.source_set <= h:
-            entries[c] = combine(t1.cycle_value(c), t2.cycle_value(c))
-    return CycleFunction.of(entries.items())
+    free = (c for c in _cycles_within(g, w) if not c.source_set <= h)  # no other cycle is stored
+    return CycleFunction.of((c, combine(t1.cycle_value(c), t2.cycle_value(c))) for c in free)
 
 
 def meet(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> CongruenceTriple:
@@ -283,12 +287,8 @@ def _triples(g: DirectedGraph, hereditary, values):
             v for v in g.vertices if v not in h and index_relative(g, v, h) == 1
         )
         # A free cycle leaves H at each source, by that source's one exit
-        # edge, so the free cycles are the cycles of the exit edges.
-        cycles = ()
-        if values:  # g is cyclic
-            inside = set(index_one)
-            exits = tuple(e for v in index_one for e in g.out_edges[v] if e.dst in inside)
-            cycles = enumerate_cycles(DirectedGraph(tuple(index_one), exits))
+        # edge, so the free cycles are the cycles among the index-1 vertices.
+        cycles = _cycles_within(g, index_one) if values else ()  # no values: g is acyclic
         for size in range(len(index_one) + 1):
             for chosen in combinations(index_one, size):
                 w = frozenset(chosen)

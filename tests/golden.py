@@ -6,10 +6,11 @@ for none).
 Graph files are named by a digest of their text and, like the DOT files,
 written to relative paths under a temporary working directory, because
 ``dot written to <path>`` is part of the output.  So the manifest does not
-depend on where it runs, nor on the hash seed.
+depend on where it runs, nor on the hash seed.  The manifest covers the
+cap-sized graphs too (:func:`scale_cases`), so no answer needs a hand-written check.
 
-    PYTHONPATH=src python tests/golden.py          # compare with the manifest
-    PYTHONPATH=src python tests/golden.py --write  # rewrite it
+    PYTHONPATH=src:tests python tests/golden.py          # compare with the manifest
+    PYTHONPATH=src:tests python tests/golden.py --write  # rewrite it
 
 A change to the manifest is a change to an answer, a refusal or an exit
 code, and must be declared as such.
@@ -59,7 +60,38 @@ def cases() -> list[tuple[str, list[str]]]:
         out += [(graph_text(g), ["oracle"]), (graph_text(g), ["semigroup", "--json"])]
     for text, argv, _ in REFUSALS:
         out += [(text, argv.split()), (text, [*argv.split(), "--json"])]
-    return out
+    return out + scale_cases()
+
+
+def _shape(n: int, pairs) -> str:
+    """The graph file on vertices v0 .. v(n-1) with edge ek from vi to vj
+    for the k-th pair (i, j)."""
+    return "".join(f"vertex v{i}\n" for i in range(n)) + "".join(
+        f"edge e{k} v{i} v{j}\n" for k, (i, j) in enumerate(pairs)
+    )
+
+
+def scale_cases() -> list[tuple[str, list[str]]]:
+    """Commands at the caps: 4096- and 3584-element lattices, 2048
+    congruences, a 1786-element semigroup and files of 10000 lines."""
+    path = {k: _shape(k, [(i, i + 1) for i in range(k - 1)]) for k in (5, 7, 12, 13, 17)}
+    fan = {k: _shape(k + 1, [(0, i) for i in range(1, k + 1)]) for k in (9, 11)}
+    u3x4 = _shape(12, [(4 * c + i, 4 * c + i + 1) for c in range(3) for i in range(3)])
+    fan2chain9 = _shape(12, [(0, 1), (0, 2), *((i, i + 1) for i in range(3, 11))])
+    loops3 = _shape(3, [(i, i) for i in range(3)])
+    k12 = _shape(12, [(i, j) for i in range(12) for j in range(12) if i != j])
+    forkloops = _shape(4, [(0, 1), (0, 2), (1, 1), (2, 2), (3, 3)])
+    ring = _shape(5000, [(i, (i + 1) % 5000) for i in range(5000)])
+    grid = _shape(900, [(v, v + 1) for v in range(900) if v % 30 < 29] + [(v, v + 30) for v in range(870)])
+    classify, lattice = ["classify", "--enumerate", "--json"], ["lattice", "--json"]
+    out = [(g, argv) for g in (path[12], u3x4, fan2chain9) for argv in (classify, lattice)]
+    out += [(fan[11], classify), (loops3, [*classify, "--bound", "60"])]
+    out += [(k12, [*classify, "--bound", "6"])]
+    out += [(forkloops, [*argv, "--bound", "60"]) for argv in (classify, lattice)]
+    out += [(g, ["oracle", "--json"]) for g in (path[5], path[7], fan[9], _shape(10, []), _shape(11, []))]
+    out += [(path[k], ["semigroup", "--json"]) for k in (13, 17)]
+    out += [(ring, ["forked"]), (ring, ["classify", "--json"]), (grid, ["classify", "--json"])]
+    return out + [(ring + "edge bad v0 nowhere\n", ["forked"])]
 
 
 def _run(argv: list[str]) -> tuple[int, bytes, bytes]:
