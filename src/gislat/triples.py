@@ -102,10 +102,7 @@ class CycleFunction:
 
     @staticmethod
     def of(items) -> "CycleFunction":
-        table = dict(items)
-        return CycleFunction(
-            tuple(sorted(table.items(), key=lambda cv: cv[0].sort_key()))
-        )
+        return CycleFunction(tuple(sorted(dict(items).items(), key=lambda cv: cv[0].sort_key())))
 
     @cached_property
     def _table(self) -> dict[Cycle, ExtNat]:
@@ -206,14 +203,17 @@ def set_trace(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> S
 
 
 def _cycles_within(g: DirectedGraph, vs) -> tuple[Cycle, ...]:
-    """:func:`enumerate_cycles` of the subgraph that the vertex set ``vs`` induces."""
+    """:func:`enumerate_cycles` of the subgraph that the vertices ``vs``
+    induce, in the order given; none, and no subgraph, if g is acyclic."""
+    if is_acyclic(g):
+        return ()
     inside = frozenset(vs)
-    edges = tuple(e for v in inside for e in g.out_edges[v] if e.dst in inside)
-    return enumerate_cycles(DirectedGraph(tuple(inside), edges))
+    edges = tuple(e for v in vs for e in g.out_edges[v] if e.dst in inside)
+    return enumerate_cycles(DirectedGraph(tuple(vs), edges))
 
 
 def _combined_values(g, t1, t2, h, w, combine) -> CycleFunction:
-    free = (c for c in _cycles_within(g, w) if not c.source_set <= h)  # no other cycle is stored
+    free = (c for c in _cycles_within(g, sorted(w)) if not c.source_set <= h)
     return CycleFunction.of((c, combine(t1.cycle_value(c), t2.cycle_value(c))) for c in free)
 
 

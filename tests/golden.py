@@ -7,7 +7,8 @@ Graph files are named by a digest of their text and, like the DOT files,
 written to relative paths under a temporary working directory, because
 ``dot written to <path>`` is part of the output.  So the manifest does not
 depend on where it runs, nor on the hash seed.  The manifest covers the
-cap-sized graphs too (:func:`scale_cases`), so no answer needs a hand-written check.
+cap-sized graphs too (:func:`scale_cases`), and ``tests/test_golden.py``
+checks their answers as well, so a rewritten manifest cannot hide a wrong one.
 
     PYTHONPATH=src:tests python tests/golden.py          # compare with the manifest
     PYTHONPATH=src:tests python tests/golden.py --write  # rewrite it
@@ -101,8 +102,8 @@ def _run(argv: list[str]) -> tuple[int, bytes, bytes]:
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
-def manifest_lines() -> list[str]:
-    lines = []
+def runs():
+    """(argv, exit code, stdout, stderr, DOT digest) of each case, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -115,11 +116,17 @@ def manifest_lines() -> list[str]:
                 command, *flags = [name + ".dot" if a == "DOT" else a for a in args]
                 argv = [command, name + ".graph", *flags]
                 code, out, err = _run(argv)
-                dot_digest = _digest(dot.read_bytes()) if dot.exists() else "-"
-                lines.append(f"{' '.join(argv)}\t{code}\t{_digest(out)}\t{_digest(err)}\t{dot_digest}")
+                yield argv, code, out, err, _digest(dot.read_bytes()) if dot.exists() else "-"
         finally:
             os.chdir(cwd)
-    return lines
+
+
+def manifest_line(argv, code, out, err, dot_digest) -> str:
+    return f"{' '.join(argv)}\t{code}\t{_digest(out)}\t{_digest(err)}\t{dot_digest}"
+
+
+def manifest_lines() -> list[str]:
+    return [manifest_line(*run) for run in runs()]
 
 
 def first_difference(got: list[str], want: list[str]) -> str | None:

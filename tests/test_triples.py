@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import gislat.lattice
 from gislat.graph import (
-    DirectedGraph,
     LimitError,
     UnknownVertexError,
     enumerate_cycles,
@@ -93,32 +92,21 @@ def test_divisors():
 
 
 def test_triple_lattice_never_builds_graph_cycles():
-    # The free cycles of each hereditary set come from its exit edges;
-    # the graph-wide cycle list is never built.
-    g = parse_graph("vertex a\nvertex b\nedge e a b\nedge f b a\nedge l a a")
-    assert len(triple_lattice(g, 6)) > 1
-    assert "cycles" not in vars(g)
-
-
-def test_meet_and_join_read_only_the_cycles_inside_w(monkeypatch):
-    # K12 (about 1.2·10^8 simple cycles) beside a loop: the closed forms
-    # list the cycles inside W only, so they agree with the order's bounds
-    # without the graph-wide cycle list.
-    g = parse_graph(
-        "".join(f"vertex v{i}\n" for i in range(12)) + "vertex l\nedge z l l\n"
-        + "".join(f"edge e{i}_{j} v{i} v{j}\n" for i in range(12) for j in range(12) if i != j)
+    # The free cycles of each hereditary set come from its exit edges, and
+    # the closed-form meet and join list only the cycles inside W: on K12
+    # (about 1.2·10^8 simple cycles) beside a loop they agree with the
+    # order's bounds, and the graph-wide cycle list is never built.
+    k12 = "".join(f"vertex v{i}\n" for i in range(12)) + "vertex l\nedge z l l\n" + "".join(
+        f"edge e{i}_{j} v{i} v{j}\n" for i in range(12) for j in range(12) if i != j
     )
-
-    def unlisted(self):
-        raise AssertionError("the graph-wide cycle list was read")
-
-    monkeypatch.setattr(DirectedGraph, "cycles", property(unlisted))
-    ts, lat = enumerate_triples(g, 2), triple_lattice(g, 2)
-    assert lat.labels == ts and len(ts) == 10
-    index = {t: i for i, t in enumerate(ts)}
-    for i, j in product(range(len(ts)), repeat=2):
-        assert index[meet(g, ts[i], ts[j])] == lat.meet_t[i, j]
-        assert index[join(g, ts[i], ts[j])] == lat.join_t[i, j]
+    for text, bound in (("vertex a\nvertex b\nedge e a b\nedge f b a\nedge l a a", 6), (k12, 2)):
+        g = parse_graph(text)
+        ts, lat = enumerate_triples(g, bound), triple_lattice(g, bound)
+        assert lat.labels == ts and len(ts) > 1
+        for i, j in product(range(len(ts)), repeat=2):
+            assert meet(g, ts[i], ts[j]) == ts[lat.meet_t[i, j]]
+            assert join(g, ts[i], ts[j]) == ts[lat.join_t[i, j]]
+        assert "cycles" not in vars(g)
 
 
 def test_exit_edge_cycles_match_graph_cycles():
