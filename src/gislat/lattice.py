@@ -1,17 +1,22 @@
-"""Finite lattices with explicit meet/join tables.
+"""Finite lattices from their order, with meet/join tables built on first read.
 
 A lattice is built from an element list and its order, as a predicate
-or a boolean matrix; the tables come from that matrix alone.  The cover
-pairs and the transitivity check come from one OR over the order's pairs: what
-lies strictly above some k > i is the union of the packed strict up-sets
-of those k.  a ∧ b is the largest c ∧ b over the lower covers c of a,
-confirmed by induction over those lower covers (each c ∧ b confirmed and
-below it), one height level (longest chain below) at a time; joins are
-the same on the dual order, built on first read.  A finite poset with a
-top in which every pair has a meet is a lattice (a ∨ b is the meet of
-the common upper bounds), so the meet table and a top prove a lattice;
-only a poset that fails that check gets its join table at once, to name
-the first pair without a meet or a join.
+or a boolean matrix, and from that matrix alone.  A distributive lattice
+with at most 63 join-irreducibles is certified first, by Birkhoff's
+theorem (it is the lattice of down-sets of its join-irreducibles J, x
+going to J ∩ ↓x): its elements are keyed by the bitsets J ∩ ↓x, and the
+keys give its cover pairs, with no table built.  Any other order takes
+the table route.  The cover pairs and the transitivity check come from
+one OR over the order's pairs: what lies strictly above some k > i is
+the union of the packed strict up-sets of those k.  a ∧ b is the largest
+c ∧ b over the lower covers c of a, confirmed by induction over those
+lower covers (each c ∧ b confirmed and below it), one height level
+(longest chain below) at a time; joins are the same on the dual order.
+A finite poset with a top in which every pair has a meet is a lattice
+(a ∨ b is the meet of the common upper bounds), so the meet table and a
+top prove a lattice; only a poset that fails that check gets its join
+table at once, to name the first pair without a meet or a join.  Every
+other table waits for its first read.
 Because no closed-form meet/join ever enters the construction, lattices
 built here double as the poset-theoretic oracle for formula-computed
 meets and joins elsewhere in the package.
@@ -70,19 +75,23 @@ class SublatticeWitness:
 
 
 class FiniteLattice:
-    """Immutable element list, order matrix, meet/join tables and cover pairs.
+    """Immutable element list, order matrix, cover pairs and meet/join tables.
 
-    The join table is built on first read: a distributive lattice's
-    verdicts, and the order isomorphism, need only the meet table and the
-    order."""
+    Both tables are built on first read: a distributive lattice's
+    verdicts, its covers and DOT, and the order isomorphism need only the
+    order and the cover pairs."""
 
-    def __init__(self, labels, leq_matrix, meet_table, cover_pairs) -> None:
+    def __init__(self, labels, leq_matrix, cover_pairs) -> None:
         self.labels: tuple = labels
         self.n: int = len(labels)
         self.leq: np.ndarray = leq_matrix
-        self.meet_t: np.ndarray = meet_table
         # (lower, upper) with upper[k] covering lower[k], sorted by (lower, upper)
         self.cover_pairs: tuple[np.ndarray, np.ndarray] = cover_pairs
+
+    @cached_property
+    def meet_t(self) -> np.ndarray:
+        """The greatest lower bound of every pair (:func:`_meet_table`)."""
+        return _meet_table(self.leq.copy(), *self.cover_pairs)[0]
 
     @cached_property
     def join_t(self) -> np.ndarray:
@@ -189,9 +198,54 @@ def _meet_table(
     return table, ok
 
 
+def _birkhoff(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cover pairs of ``m`` (``m[x, y]``: x <= y) if it is the order of
+    a distributive lattice with at most 63 join-irreducibles, else None,
+    read off ``m`` alone (Birkhoff: such a lattice is the lattice O(J) of
+    the down-sets of its join-irreducibles J, x going to J ∩ ↓x).
+
+    J' holds each j with some c < j and |↓c| = |↓j| − 1, that is whose
+    strict down-set has a greatest element: in a lattice, J.  x is keyed
+    by the bitset J' ∩ ↓x.  Distinct keys, ∅ among them, and ``m`` equal
+    to key inclusion make ``m`` a partial order and the keys down-sets of
+    J'; if K ∪ {j} is a key for every key K and every j ∉ K whose strict
+    J'-down-set lies in K, every down-set is a key, added one element at a
+    time, so ``m`` is O(J'), whose covers are those K ⊂ K ∪ {j}.  The
+    checks go cheapest first, the n × n comparison in row blocks last."""
+    n = len(m)
+    size = m.sum(axis=0)  # [x]: |↓x|
+    step = max(1, (1 << 18) // max(1, n))
+    irreducible = np.zeros(n, dtype=bool)
+    for s in range(0, n, step):
+        irreducible |= (m[s : s + step] & (size[s : s + step, None] == size - 1)).any(axis=0)
+    j = np.flatnonzero(irreducible)
+    if not n or len(j) > 63:
+        return None
+    bit = np.left_shift(np.uint64(1), np.arange(len(j), dtype=np.uint64))
+    key = m[j].T.astype(np.uint64) @ bit  # [x]: J' ∩ ↓x
+    order = np.argsort(key)
+    ranked = key[order]
+    if ranked[0] or (ranked[1:] == ranked[:-1]).any():
+        return None
+    below = key[j] & ~bit  # [t]: the strict J'-down-set of j[t]
+    low, t = np.nonzero(((key[:, None] & bit) == 0) & ((below & ~key[:, None]) == 0))
+    grown = key[low] | bit[t]
+    at = np.minimum(np.searchsorted(ranked, grown), n - 1)
+    if (ranked[at] != grown).any():
+        return None
+    for s in range(0, n, step):
+        if (((key[s : s + step, None] & ~key) == 0) != m[s : s + step]).any():
+            return None
+    up = order[at]
+    by = np.lexsort((up, low))
+    return low[by], up[by]
+
+
 def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     """Build a lattice from elements and their order, as a predicate
-    ``leq(a, b)`` or an n × n boolean matrix (bounds: :func:`_meet_table`).
+    ``leq(a, b)`` or an n × n boolean matrix: a distributive lattice with
+    at most 63 join-irreducibles through :func:`_birkhoff`, any other
+    order through :func:`_between` and :func:`_meet_table`.
 
     Raises ValueError if ``leq`` is not a partial order and
     :class:`NotALatticeError` naming the first pair (i <= j, row-major)
@@ -203,6 +257,9 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     if callable(leq):
         leq = [[bool(leq(a, b)) for b in labels] for a in labels]
     m = np.array(leq, dtype=bool).reshape(n, n)  # no labels give shape (0,)
+    covers = _birkhoff(m)
+    if covers is not None:
+        return FiniteLattice(labels, m, covers)
 
     if not m.diagonal().all():
         raise ValueError("leq is not reflexive")
@@ -218,7 +275,8 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     del lt, between  # room for the tables at the cap
 
     meet_t, meet_ok = _meet_table(m.copy(), lower, upper)
-    lat = FiniteLattice(labels, m, meet_t, (lower, upper))
+    lat = FiniteLattice(labels, m, (lower, upper))
+    lat.meet_t = meet_t  # built already: fills the cached_property
     # A finite poset with a top in which every pair has a meet is a lattice:
     # a ∨ b is the meet of the common upper bounds, the top among them.
     if meet_ok.all() and m.all(axis=0).any():

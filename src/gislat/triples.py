@@ -152,14 +152,18 @@ def leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
 
 def leq_matrix(g: DirectedGraph, ts: tuple[CongruenceTriple, ...]) -> np.ndarray:
     """``m[i, j] = leq(g, ts[i], ts[j])``, broadcast over H and W as vertex
-    bitmasks and gathered, per cycle stored in some triple, from the
-    divisibility table of its distinct full values.  A cycle stored in no
-    triple is 1 inside H and inf elsewhere: one inside H1 but not H2 fails
-    the H test anyway, and inf is divisible by everything."""
+    bitmasks in row blocks and gathered, per cycle stored in some triple,
+    from the divisibility table of its distinct full values.  A cycle
+    stored in no triple is 1 inside H and inf elsewhere: one inside H1 but
+    not H2 fails the H test anyway, and inf is divisible by everything."""
     bit = {v: 1 << i for v, i in g.vertex_index.items()}
     h = np.array([sum(bit[v] for v in t.H) for t in ts], dtype=np.int32)  # at most 20 vertices
     w = np.array([sum(bit[v] for v in t.W) for t in ts], dtype=np.int32)
-    m = ((h[:, None] & ~h) == 0) & ((w[:, None] & ~(h | w)) == 0)
+    m, outside = np.empty((len(ts), len(ts)), dtype=bool), ~(h | w)
+    step = max(1, (1 << 16) // max(1, len(ts)))
+    for s in range(0, len(ts), step):
+        hs, ws = h[s : s + step, None], w[s : s + step, None]
+        m[s : s + step] = ((hs & ~h) == 0) & ((ws & outside) == 0)
     for c in dict.fromkeys(c for t in ts for c, _ in t.f.entries):
         pos: dict = {}  # distinct full values of c, in order of appearance
         k = np.array([pos.setdefault(t.cycle_value(c), len(pos)) for t in ts], dtype=np.intp)
@@ -212,9 +216,12 @@ def _cycles_within(g: DirectedGraph, vs) -> tuple[Cycle, ...]:
     return enumerate_cycles(DirectedGraph(tuple(vs), edges))
 
 
-def _combined_values(g, t1, t2, h, w, combine) -> CycleFunction:
-    free = (c for c in _cycles_within(g, sorted(w)) if not c.source_set <= h)
-    return CycleFunction.of((c, combine(t1.cycle_value(c), t2.cycle_value(c))) for c in free)
+def _combined_values(g, t1, t2, w, combine) -> CycleFunction:
+    """The free cycles' values of a meet or join whose W is ``w``: both keep
+    W outside H, so every cycle inside W is free."""
+    return CycleFunction.of(
+        (c, combine(t1.cycle_value(c), t2.cycle_value(c))) for c in _cycles_within(g, sorted(w))
+    )
 
 
 def meet(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> CongruenceTriple:
@@ -223,7 +230,7 @@ def meet(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> Congru
     h = t1.H & t2.H
     trace = set_trace(g, t1, t2)
     w = (t1.W & t2.H) | (t2.W & t1.H) | trace.X
-    return CongruenceTriple(h, w, _combined_values(g, t1, t2, h, w, ext_lcm))
+    return CongruenceTriple(h, w, _combined_values(g, t1, t2, w, ext_lcm))
 
 
 def join(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> CongruenceTriple:
@@ -232,7 +239,7 @@ def join(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> Congru
     trace = set_trace(g, t1, t2)
     h = t1.H | t2.H | trace.J
     w = (t1.W | t2.W) - h
-    return CongruenceTriple(h, w, _combined_values(g, t1, t2, h, w, ext_gcd))
+    return CongruenceTriple(h, w, _combined_values(g, t1, t2, w, ext_gcd))
 
 
 def divisors(n: int) -> tuple[int, ...]:

@@ -73,8 +73,8 @@ def _shape(n: int, pairs) -> str:
 
 
 def scale_cases() -> list[tuple[str, list[str]]]:
-    """Commands at the caps: 4096- and 3584-element lattices, 2048
-    congruences, a 1786-element semigroup and files of 10000 lines."""
+    """Commands at the caps: 4096- and 3584-element lattices, 2048 and
+    4096 congruences, a 1786-element semigroup and files of 10000 lines."""
     path = {k: _shape(k, [(i, i + 1) for i in range(k - 1)]) for k in (5, 7, 12, 13, 17)}
     fan = {k: _shape(k + 1, [(0, i) for i in range(1, k + 1)]) for k in (9, 11)}
     u3x4 = _shape(12, [(4 * c + i, 4 * c + i + 1) for c in range(3) for i in range(3)])
@@ -92,7 +92,7 @@ def scale_cases() -> list[tuple[str, list[str]]]:
     out += [(g, ["oracle", "--json"]) for g in (path[5], path[7], fan[9], _shape(10, []), _shape(11, []))]
     out += [(path[k], ["semigroup", "--json"]) for k in (13, 17)]
     out += [(ring, ["forked"]), (ring, ["classify", "--json"]), (grid, ["classify", "--json"])]
-    return out + [(ring + "edge bad v0 nowhere\n", ["forked"])]
+    return out + [(ring + "edge bad v0 nowhere\n", ["forked"]), (_shape(12, []), ["oracle", "--json"])]
 
 
 def _run(argv: list[str]) -> tuple[int, bytes, bytes]:

@@ -584,24 +584,26 @@ ENUMERATING = (["classify", "--enumerate"], ["lattice"], ["lattice", "--json"])
 @pytest.mark.parametrize(
     "text, bound, argvs, tables",
     [
-        (path_text(7), None, ENUMERATING, 1),  # one distributive factor
-        ("".join(path_text(4, c) for c in "abc"), None, ENUMERATING, 3),  # three
-        ("vertex p\nedge x p p\nvertex q\nedge y q q\n", 60, ENUMERATING, 2),  # two
+        (path_text(7), None, ENUMERATING, 0),  # one distributive factor
+        ("".join(path_text(4, c) for c in "abc"), None, ENUMERATING, 0),  # three
+        ("vertex p\nedge x p p\nvertex q\nedge y q q\n", 60, ENUMERATING, 0),  # two
         ("vertex u\nvertex a\nvertex b\nvertex c\nedge e u a\nedge f u b\nedge g u c\n",
          None, ENUMERATING, 2),  # one factor, not distributive
         ("vertex u\nvertex v\nvertex w\nedge e u v\nedge f u w\nedge x v v\nedge y w w\n",
          60, ENUMERATING, 2),  # one factor, not distributive
-        (path_text(5), None, (["oracle"],), 2),  # one meet table on either side
-        ("".join(f"vertex v{i}\n" for i in range(8)), None, (["oracle"],), 2),
+        (path_text(5), None, (["oracle"],), 0),  # distributive on either side
+        ("".join(f"vertex v{i}\n" for i in range(8)), None, (["oracle"],), 0),
+        (path_text(12), None, (["classify", "--enumerate"],), 0),  # 4096 elements, the cap
     ],
-    ids=["chain7", "u3x4", "loops2", "fan3", "forkloops", "oracle-chain5", "oracle-iso8"],
+    ids=["chain7", "u3x4", "loops2", "fan3", "forkloops", "oracle-chain5", "oracle-iso8", "chain12"],
 )
 def test_join_tables_are_built_only_where_read(tmp_path, capsys, monkeypatch, text, bound, argvs, tables):
-    """A lattice's meet table and a top prove it a lattice, and only a
-    non-distributive factor's semimodularity scans and witness read its
-    join table: classify --enumerate and lattice build one meet table per
-    distributive factor and two per other factor, and oracle, which
-    compares orders, one per side."""
+    """A distributive lattice is certified from its order alone, and only
+    a non-distributive factor builds tables: its meet table and a top prove
+    it a lattice, and its semimodularity scans and witness read its join
+    table.  So classify --enumerate and lattice build no table for a
+    distributive factor and two for any other, and oracle, which compares
+    orders of distributive lattices here, none."""
     import gislat.lattice
 
     calls = []

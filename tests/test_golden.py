@@ -7,7 +7,7 @@ import json
 import pytest
 from golden import MANIFEST, cases, first_difference, manifest_line, runs, scale_cases
 
-READ = (0, 1, 2, 3, 4, 5, 11, 12, 13, 14, 15, 16, 18, 20, 21)  # positions in scale_cases()
+READ = (0, 1, 2, 3, 4, 5, 11, 12, 13, 14, 15, 16, 18, 20, 21, 22)  # positions in scale_cases()
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +40,9 @@ def test_the_cap_sized_commands_give_the_predicted_answers(recorded):
         assert doc[k]["computed"]["distributive"] and doc[k + 1]["verdicts"]["distributive"]
     assert doc[4]["witness"]["kind"] == "pentagon" and not doc[4]["computed"]["modular"]
     assert not doc[5]["verdicts"]["modular"]
-    # oracle on path5, path7, fan9, iso10 and iso11: the congruence count,
-    # order-isomorphic to the triple lattice
-    for k, n in zip(range(11, 16), (32, 128, 522, 1024, 2048)):
+    # oracle on path5, path7, fan9, iso10, iso11 and iso12: the congruence
+    # count, order-isomorphic to the triple lattice
+    for k, n in zip((*range(11, 16), 22), (32, 128, 522, 1024, 2048, 4096)):
         assert (doc[k]["congruences"], doc[k]["order_isomorphic"]) == (n, True)
     assert len(doc[16]["elements"]) == 820  # semigroup on path13
     assert kept[18] == (0, b"", b"")  # forked on ring5000: none

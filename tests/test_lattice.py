@@ -10,6 +10,7 @@ from gislat.graph import DirectedGraph, parse_graph
 from gislat.lattice import (
     NotALatticeError,
     _between,
+    _birkhoff,
     _levels,
     _meet_table,
     _stable_signatures,
@@ -172,6 +173,60 @@ def test_join_table_is_built_on_first_read():
         rows = lat.leq.tolist()
         lub = [[brute_lub_index(rows, i, j) for j in range(lat.n)] for i in range(lat.n)]
         assert lat.join_t.tolist() == eager.tolist() == lub
+
+
+def test_birkhoff_certificate_accepts_exactly_the_distributive_lattices(monkeypatch):
+    """_birkhoff certifies an order exactly when the table route (_between
+    and _meet_table) builds a distributive lattice from it, on the seeded
+    closure lattices and on random posets.  Then its cover pairs are the
+    table route's, and the meet table built on first read is the one the
+    table route builds at once."""
+    rng = random.Random(27)
+    orders = [(lat.labels, lat.leq) for lat in seeded_closure_lattices()]
+    for labels, leq in (random_poset(rng) for _ in range(1000)):
+        orders.append((labels, np.array([[leq(a, b) for b in labels] for a in labels], dtype=bool)))
+    accepted = 0
+    for labels, m in orders:
+        covers = _birkhoff(m)
+        with monkeypatch.context() as patch:
+            patch.setattr("gislat.lattice._birkhoff", lambda m: None)
+            try:
+                eager = from_poset(labels, m)
+            except NotALatticeError:
+                eager = None
+        assert (covers is not None) == (eager is not None and is_distributive(eager))
+        if covers is not None:
+            accepted += 1
+            assert [c.tolist() for c in covers] == [c.tolist() for c in eager.cover_pairs]
+            lat = from_poset(labels, m)
+            assert "meet_t" not in vars(lat) and "meet_t" in vars(eager)
+            assert lat.meet_t.tolist() == eager.meet_t.tolist()
+    assert 300 <= accepted <= len(orders) - 300, accepted
+
+
+def test_birkhoff_certificate_compares_the_whole_order():
+    """The chain 0 < 1 < 2 < 3 without 1 <= 3 is not transitive, yet its
+    keys over J' = {1, 2}, {} {1} {1, 2} {2}, are distinct and grow by
+    every element they may: only the comparison of the order with key
+    inclusion declines it, and the table route names the failure."""
+    m = np.tri(4, dtype=bool).T
+    m[1, 3] = False
+    assert _birkhoff(m) is None
+    with pytest.raises(ValueError, match="not transitive"):
+        from_poset(range(4), m)
+
+
+def test_birkhoff_certificate_holds_63_join_irreducibles():
+    """A chain of n elements has n - 1 join-irreducibles: 63 fit the
+    certificate's 64-bit keys, and 64 take the table route, to the same
+    cover pairs, meets and verdict."""
+    for n in (64, 65):
+        i = np.arange(n)
+        m = i[:, None] <= i
+        assert (_birkhoff(m) is None) == (n == 65)
+        lat = from_poset(i.tolist(), m)
+        assert [c.tolist() for c in lat.cover_pairs] == [i[:-1].tolist(), i[1:].tolist()]
+        assert (lat.meet_t == np.minimum(i[:, None], i)).all() and is_distributive(lat)
 
 
 def test_from_poset_rejects_non_partial_orders():
