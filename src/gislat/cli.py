@@ -8,8 +8,9 @@ bound, semigroup or graph past a brute-force cap: every such refusal is a
 internal consistency violation (a predicted/computed, verdict/witness or
 oracle mismatch, or an order that is no lattice, which would mean a bug).
 
-JSON output (``--json``) is the stable machine interface; the plain-text
-output is for humans and carries no stability guarantee.
+JSON output (``--json``: ``json.dumps``'s indented bytes, from one writer
+that fills templates for int tables and triples) is the stable machine
+interface; the plain-text output is for humans and carries no stability guarantee.
 
 ``classify --enumerate`` and ``lattice`` build one lattice per weak
 component and answer for their product (the whole triple lattice) with
@@ -25,6 +26,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -82,19 +84,21 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 def _json(x, pad: str = "") -> str:
     """``json.dumps(x, indent=2, sort_keys=True)`` at indent ``pad``: the
     same bytes, but lists of ints or strings are joined at C speed, where an
-    indent sends ``json`` to its pure-Python encoder item by item."""
+    indent sends ``json`` to its pure-Python encoder item by item, and a list
+    of equal-length int lists fills one ``%`` template.  A callable gives
+    its own text at ``pad``."""
     t = type(x)
     if t is list or t is tuple:
         if not x:
             return "[]"
-        inner = pad + "  "
         if all(type(v) is int for v in x):
-            items = map(int.__repr__, x)
-        elif all(type(v) is str for v in x):
-            items = map(_quote, x)
-        else:
-            items = [_json(v, inner) for v in x]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+            return _listing(map(int.__repr__, x), pad)
+        if all(type(v) is str for v in x):
+            return _listing(map(_quote, x), pad)
+        rows = {*map(type, x)} <= {list, tuple} and len({*map(len, x)}) == 1 and tuple(chain(*x))
+        if rows and {*map(type, rows)} == {int}:  # equal-length rows of ints, not empty
+            return _listing([_listing(["%d"] * len(x[0]), pad + "  ")] * len(x), pad) % rows
+        return _listing([_json(v, pad + "  ") for v in x], pad)
     if t is dict and all(type(k) is str for k in x):
         if not x:
             return "{}"
@@ -107,8 +111,26 @@ def _json(x, pad: str = "") -> str:
         return int.__repr__(x)
     if x is None or t is bool:
         return _LITERALS[x]
+    if callable(x):
+        return x(pad)
     # Floats and the rest: json itself, its newlines re-indented.
     return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _listing(items, pad: str) -> str:
+    """A JSON list of the rendered ``items`` (at least one) at indent ``pad``."""
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def _triples_json(ts, pad: str) -> str:
+    """``_json([triple_to_json(t) for t in ts], pad)`` for a lattice's triples
+    (at least one): each from one template, each distinct H or W rendered once."""
+    key = pad + "    "
+    sets = {s: _json(sorted(s), key) for s in {s for t in ts for s in (t.H, t.W)}}
+    row = f'{{\n{key}"H": %s,\n{key}"W": %s,\n{key}"f": %s\n{pad}  }}'
+    fs = [_json(triple_to_json(t)["f"], key) if t.f.entries else "{}" for t in ts]
+    return _listing([row % (sets[t.H], sets[t.W], f) for t, f in zip(ts, fs)], pad)
 
 
 def _emit(args, payload, text) -> None:
@@ -239,7 +261,7 @@ def cmd_lattice(args) -> int:
             yield f"dot written to {args.dot}"
 
     _emit(args, lambda: {
-        "elements": [triple_to_json(t) for t in labels],
+        "elements": lambda pad: _triples_json(labels, pad),
         "covers": np.transpose(covers).tolist(),  # [lower, upper], sorted
         "verdicts": verdicts, "bounded": bounded,
     }, text)

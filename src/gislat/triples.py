@@ -17,7 +17,7 @@ several components is the direct product of theirs:
 :func:`component_lattices` builds one small lattice per component, and
 :func:`product_coordinates` places each of the graph's triples in them.
 A graph's refusals, hereditary sets and free-cycle values are decided
-once, by :func:`_refusals`, and :func:`_triples` only lists.
+once, by :func:`_refusals`; :func:`_triples` only lists, from vertex bitmasks.
 """
 
 from __future__ import annotations
@@ -152,23 +152,25 @@ def leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
 
 def leq_matrix(g: DirectedGraph, ts: tuple[CongruenceTriple, ...]) -> np.ndarray:
     """``m[i, j] = leq(g, ts[i], ts[j])``, broadcast over H and W as vertex
-    bitmasks in row blocks and gathered, per cycle stored in some triple,
-    from the divisibility table of its distinct full values.  A cycle
-    stored in no triple is 1 inside H and inf elsewhere: one inside H1 but
-    not H2 fails the H test anyway, and inf is divisible by everything."""
+    bitmasks (one per distinct set) in row blocks and gathered, per cycle stored
+    in some triple, from one int64 ``%`` table of its distinct full values.  A
+    cycle stored in no triple is 1 inside H and inf elsewhere: one inside H1
+    but not H2 fails the H test anyway, and inf is divisible by everything."""
     bit = {v: 1 << i for v, i in g.vertex_index.items()}
-    h = np.array([sum(bit[v] for v in t.H) for t in ts], dtype=np.int32)  # at most 20 vertices
-    w = np.array([sum(bit[v] for v in t.W) for t in ts], dtype=np.int32)
+    mask = {s: sum(map(bit.__getitem__, s)) for s in {s for t in ts for s in (t.H, t.W)}}
+    h = np.array([mask[t.H] for t in ts], dtype=np.int32)  # at most 20 vertices
+    w = np.array([mask[t.W] for t in ts], dtype=np.int32)
     m, outside = np.empty((len(ts), len(ts)), dtype=bool), ~(h | w)
     step = max(1, (1 << 16) // max(1, len(ts)))
     for s in range(0, len(ts), step):
         hs, ws = h[s : s + step, None], w[s : s + step, None]
         m[s : s + step] = ((hs & ~h) == 0) & ((ws & outside) == 0)
     for c in dict.fromkeys(c for t in ts for c, _ in t.f.entries):
-        pos: dict = {}  # distinct full values of c, in order of appearance
-        k = np.array([pos.setdefault(t.cycle_value(c), len(pos)) for t in ts], dtype=np.intp)
-        divides = np.array([[ext_divides(a, b) for b in pos] for a in pos], dtype=bool)
-        m &= divides.reshape(len(pos), len(pos))[k, k[:, None]]  # f_j divides f_i
+        full = np.array([0 if (v := t.cycle_value(c)) is INF else v for t in ts], dtype=np.int64)
+        a, k = np.unique(full, return_inverse=True)  # inf coded 0; values at most BOUND_CAP
+        # multiple[x, y]: a[y] divides a[x]; inf is a multiple of all and divides only inf
+        multiple = (a[:, None] == 0) | ((a != 0) & (a[:, None] % np.maximum(a, 1) == 0))
+        m &= multiple[k].take(k, axis=1)  # f_j divides f_i
     return m
 
 
@@ -288,20 +290,26 @@ def _refusals(g: DirectedGraph, bound: int | None, cap: int | None):
 
 def _triples(g: DirectedGraph, hereditary, values):
     """The triples over the hereditary sets ``hereditary``, in order, with
-    free-cycle values from ``values`` (none if g is acyclic), as :func:`_refusals` gives them."""
+    free-cycle values from ``values`` (none if g is acyclic), as :func:`_refusals` gives them;
+    a vertex's index relative to H is read off vertex bitmasks."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
+    exits = [(v, b, [bit[e.dst] for e in g.out_edges[v]]) for v, b in bit.items()]
     for h in hereditary:
-        index_one = sorted(
-            v for v in g.vertices if v not in h and index_relative(g, v, h) == 1
-        )
+        inside = sum(map(bit.__getitem__, h))
+        index_one = [
+            v for v, b, ends in exits if not inside & b and [inside & d for d in ends].count(0) == 1
+        ]
         # A free cycle leaves H at each source, by that source's one exit
-        # edge, so the free cycles are the cycles among the index-1 vertices.
+        # edge, so the free cycles are the cycles among the index-1 vertices,
+        # already in Cycle.sort_key order.
         cycles = _cycles_within(g, index_one) if values else ()  # no values: g is acyclic
         for size in range(len(index_one) + 1):
             for chosen in combinations(index_one, size):
                 w = frozenset(chosen)
                 free = [c for c in cycles if c.source_set <= w]
                 for combo in product(values, repeat=len(free)):
-                    yield CongruenceTriple(h, w, CycleFunction.of(zip(free, combo)))
+                    f = CycleFunction(tuple(zip(free, combo))) if free else EMPTY_CYCLE_FUNCTION
+                    yield CongruenceTriple(h, w, f)
 
 
 def _listed(g: DirectedGraph, hereditary, values, size: int = 1):

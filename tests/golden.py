@@ -92,7 +92,9 @@ def scale_cases() -> list[tuple[str, list[str]]]:
     out += [(g, ["oracle", "--json"]) for g in (path[5], path[7], fan[9], _shape(10, []), _shape(11, []))]
     out += [(path[k], ["semigroup", "--json"]) for k in (13, 17)]
     out += [(ring, ["forked"]), (ring, ["classify", "--json"]), (grid, ["classify", "--json"])]
-    return out + [(ring + "edge bad v0 nowhere\n", ["forked"]), (_shape(12, []), ["oracle", "--json"])]
+    out += [(ring + "edge bad v0 nowhere\n", ["forked"]), (_shape(12, []), ["oracle", "--json"])]
+    lattices = ((path[12], []), (forkloops, ["--bound", "60"]))  # their text and DOT bytes too
+    return out + [(g, ["lattice", *b, *dot]) for g, b in lattices for dot in ([], ["--dot", "DOT", "--json"])]
 
 
 def _run(argv: list[str]) -> tuple[int, bytes, bytes]:

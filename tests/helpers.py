@@ -46,6 +46,7 @@ from gislat.semigroup import (
 from gislat.triples import (
     INF,
     CongruenceTriple,
+    CycleFunction,
     component_lattices,
     divisors,
     enumerate_triples,
@@ -497,6 +498,26 @@ def bounded_triple_count(g: DirectedGraph, bound: int) -> int:
                 )
                 total += nvals**free
     return total
+
+
+def reference_triples(g: DirectedGraph, bound: int | None = None) -> tuple[CongruenceTriple, ...]:
+    """``enumerate_triples(g, bound)`` as the definition lists it, in the
+    same order: for each hereditary set H, each set W of vertices of index
+    1 relative to H (:func:`index_relative` per vertex; by size, then in
+    sorted order) and each assignment of divisors(bound) ∪ {inf} to the
+    graph's cycles inside W, stored through ``CycleFunction.of``."""
+    cycles = enumerate_cycles(g)
+    values = divisors(bound) + (INF,) if cycles else ()
+    out = []
+    for h in hereditary_subsets(g):
+        index_one = sorted(v for v in g.vertices if v not in h and index_relative(g, v, h) == 1)
+        for size in range(len(index_one) + 1):
+            for chosen in combinations(index_one, size):
+                w = frozenset(chosen)
+                free = [c for c in cycles if c.source_set <= w]
+                for combo in product(values, repeat=len(free)):
+                    out.append(CongruenceTriple(h, w, CycleFunction.of(zip(free, combo))))
+    return tuple(out)
 
 
 # ------------------------------------------------ definition-level checks

@@ -20,7 +20,7 @@ from gislat.lattice import hasse_dot
 from gislat.triples import render_triple, triple_lattice, triple_to_json
 
 from conftest import GAMMA1_TEXT, GAMMA2_TEXT, LOOP_TEXT
-from helpers import graph_text, lattice_verdicts
+from helpers import acyclic_corpus, cyclic_corpus, graph_text, lattice_verdicts
 
 
 @pytest.fixture
@@ -894,8 +894,13 @@ def test_json_rendering_matches_the_indenting_encoder():
     """The --json renderer gives json.dumps(indent=2, sort_keys=True)'s
     bytes on seeded nested payloads: bools, None, big and negative ints,
     floats with nan and inf, escapes and non-ASCII text, tuples, empty
-    containers, and dicts with int keys."""
+    containers, dicts with int keys, and lists of int lists (the template
+    path), equal in length or ragged, a bool among the ints, empty rows and
+    tuples of lists."""
     from gislat.cli import _json
+
+    for x in ([[1, True]], [[], []], [[0, 1], [2]], ([3, -4], [5, 6]), [(7,), [10**20]], [[1.0, 2]]):
+        assert _json(x) == json.dumps(x, indent=2, sort_keys=True)
 
     rng = random.Random(2718)
     scalars = [0, -5, 10**20, True, False, None, 1.5, float("nan"), float("-inf"), "", "a", 'é\n"\\', "☃"]
@@ -908,8 +913,12 @@ def test_json_rendering_matches_the_indenting_encoder():
             return [payload(depth + 1) for _ in range(rng.randint(0, 4))]
         if r < 0.6:
             return [rng.randint(-3, 9) for _ in range(rng.randint(0, 4))]
-        if r < 0.7:
+        if r < 0.65:
             return tuple(rng.choice(["x", "é", ""]) for _ in range(rng.randint(0, 3)))
+        if r < 0.7:
+            k = rng.randint(0, 3)  # usually equal lengths, now and then ragged or not all ints
+            row = lambda: [rng.choice([-2, 0, 7, 10**20, True]) for _ in range(k + (rng.random() < 0.1))]
+            return [row() if rng.random() < 0.5 else tuple(row()) for _ in range(rng.randint(1, 4))]
         if r < 0.75:
             return {rng.randint(1, 3): payload(depth + 1) for _ in range(rng.randint(0, 3))}
         return {rng.choice(["b", "a", "Z", "é", ""]): payload(depth + 1) for _ in range(rng.randint(0, 4))}
@@ -917,6 +926,27 @@ def test_json_rendering_matches_the_indenting_encoder():
     for _ in range(3000):
         x = payload()
         assert _json(x) == json.dumps(x, indent=2, sort_keys=True)
+
+
+def test_lattice_json_elements_are_the_triples_json(tmp_path):
+    """The templated ``elements`` of ``lattice --json`` are json.dumps's
+    bytes for triple_to_json of each triple, the whole output included: on
+    seeded acyclic lattices and on bounded cyclic probes with f entries."""
+    cases = [(g, None) for g in acyclic_corpus()[:40]]
+    cases += [(g, b) for g in cyclic_corpus()[:15] for b in (1, 12)]
+    stored = 0  # cases whose triples store cycle values
+    for k, (g, bound) in enumerate(cases):
+        p = tmp_path / f"g{k}.graph"
+        p.write_text(graph_text(g))
+        lat = triple_lattice(g, bound)
+        argv = ["lattice", str(p), "--json"] + (["--bound", str(bound)] if bound else [])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        doc = {**json.loads(out.getvalue()), "elements": [triple_to_json(t) for t in lat.labels]}
+        assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n", graph_text(g)
+        stored += any(t.f.entries for t in lat.labels)
+    assert stored == 20  # the ten rich cyclic graphs under both bounds
 
 
 # ------------------------------------------------------------ usage

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gislat.lattice
 from gislat.graph import (
+    DirectedGraph,
     LimitError,
     UnknownVertexError,
     enumerate_cycles,
@@ -18,6 +19,7 @@ from gislat.graph import (
 )
 from gislat.triples import (
     EMPTY_CYCLE_FUNCTION,
+    BOUND_CAP,
     INF,
     TRIPLE_CAP,
     CongruenceTriple,
@@ -47,9 +49,13 @@ from helpers import (
     bounded_triple_count,
     cyclic_census,
     cyclic_corpus,
+    cyclic_multigraphs,
+    dag_census,
     definition_leq,
+    graph_text,
     outdeg_le1_corpus,
     product_corpus,
+    reference_triples,
     validate_triple,
 )
 
@@ -215,6 +221,24 @@ def test_leq_matches_definition_on_corpus_lattices():
         assert lat.leq.tolist() == definition
 
 
+def test_leq_matrix_divides_as_leq_across_inf_and_the_bound_cap():
+    """The divisibility tables of the order matrix against pairwise leq,
+    with inf on either side of a test: one loop at bound 1 and at
+    BOUND_CAP (169 divisors and inf, past the int32 range), and the
+    3810-triple forkloops at bound 60 (every 20th row and column)."""
+    loop = parse_graph("vertex v\nedge e v v\n")
+    forkloops = DirectedGraph.of(
+        ["v0", "v1", "v2", "v3"],
+        [("e0", "v0", "v1"), ("e1", "v0", "v2"), ("e2", "v1", "v1"), ("e3", "v2", "v2"), ("e4", "v3", "v3")],
+    )
+    for g, bound, step in ((loop, 1, 1), (loop, BOUND_CAP, 1), (forkloops, 60, 20)):
+        ts = enumerate_triples(g, bound)
+        m = leq_matrix(g, ts)
+        assert m[::step].tolist() == [[leq(g, a, b) for b in ts] for a in ts[::step]]
+        assert m[:, ::step].T.tolist() == [[leq(g, a, b) for a in ts] for b in ts[::step]]
+    assert len(enumerate_triples(loop, BOUND_CAP)) == 1 + 169 + 1 + 1
+
+
 # --------------------------------------------------------- meet / join
 
 
@@ -334,6 +358,18 @@ def test_enumerate_counts_match_formula():
             )
             expected += 2**k
         assert len(enumerate_triples(g)) == expected
+
+
+def test_listing_matches_the_reference_listing():
+    """The bitmask listing gives the definition's triples in the same order:
+    every DAG on 4 vertices (whose fans have vertices of index 2), the
+    acyclic corpus, and every cyclic multigraph on 3 vertices with at most
+    4 edges under the bounds 1, 2 and 60."""
+    for g in (*dag_census(4, 1), *acyclic_corpus()):
+        assert enumerate_triples(g) == reference_triples(g), graph_text(g)
+    for g in cyclic_multigraphs(3, 4):
+        for bound in (1, 2, 60):
+            assert enumerate_triples(g, bound) == reference_triples(g, bound), (bound, graph_text(g))
 
 
 def test_enumerate_cyclic_needs_bound(loop_graph):
