@@ -134,14 +134,16 @@ def _triples_json(ts, pad: str) -> str:
 
 
 def _emit(args, payload, text) -> None:
-    """Print ``payload()`` as JSON or the lines of ``text()``, building only
-    one; a failed write (a closed pipe, a full disk) is an input error."""
+    """Print ``payload()`` as JSON or the lines of ``text()`` (nothing for
+    no lines), building only one, in one ``print``; a failed write (a closed
+    pipe, a full disk) is an input error."""
     try:
-        if args.json:
-            print(_json(payload()))
-        else:
-            for line in text():
-                print(line)
+        lines = [_json(payload())] if args.json else list(text())
+        if lines:
+            # print writes the last newline apart: with an unbuffered stdout
+            # (python -u) a cut-short write of the text passes unreported,
+            # but that newline then fails.
+            print("\n".join(lines))
         sys.stdout.flush()
     except OSError as err:
         # Whatever stays buffered goes to devnull, so the interpreter's last
@@ -162,7 +164,7 @@ def _graph_summary(g) -> dict:
         "weakly_connected": rep.is_weakly_connected,
         "unilaterally_connected": rep.is_unilaterally_connected,
         "strongly_connected": rep.is_strongly_connected,
-        "max_out_degree": max((len(g.out_edges[v]) for v in g.vertices), default=0),
+        "max_out_degree": max(map(len, g.successors), default=0),
     }
 
 

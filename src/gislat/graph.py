@@ -8,9 +8,10 @@ usual connectivity predicates.
 
 All values are immutable after construction and iteration follows
 declaration order, so every operation is deterministic.  Derived data
-(adjacency, one condensation from a single SCC pass, weak components,
-cycles) is memoised on the graph itself and lives as long as the graph;
-the module keeps no memo tables.
+(the integer adjacency ``successors`` and the ``Edge`` lists it sits
+beside, one condensation from a single SCC pass over ``successors``, weak
+components, cycles) is memoised on the graph itself as tuples and lives as
+long as the graph; the module keeps no memo tables.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
+from typing import NamedTuple
 
 _WORD = "A-Za-z0-9_"  # the characters of a vertex or edge name
 _NAME = re.compile(f"[{_WORD}]+\\Z")
@@ -46,8 +48,10 @@ class UnknownVertexError(GraphError):
     """A vertex name that is not declared in the graph."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A named edge.  A tuple, so it equals and unpacks like its
+    ``(name, src, dst)`` triple and is built at tuple speed."""
+
     name: str
     src: str
     dst: str
@@ -94,7 +98,7 @@ class DirectedGraph:
         for v in vertices:
             builder.vertex(v)
         for item in edges:
-            builder.edge(item if isinstance(item, Edge) else Edge(*item))
+            builder.edge(Edge(*item))
         return builder.build()
 
     @cached_property
@@ -113,6 +117,16 @@ class DirectedGraph:
         return {v: tuple(es) for v, es in out.items()}
 
     @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's out-edge ends as ``vertex_index`` positions, in the
+        order of ``out_edges``."""
+        index = self.vertex_index
+        out: list[list[int]] = [[] for _ in self.vertices]
+        for _, src, dst in self.edges:
+            out[index[src]].append(index[dst])
+        return tuple(map(tuple, out))
+
+    @cached_property
     def condensation(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """One representative vertex per strongly connected component, each
         component after every component it reaches, and each vertex's reach
@@ -120,12 +134,13 @@ class DirectedGraph:
 
         A component's mask ORs its own bits with the masks of the components
         its edges enter, each listed before it by :func:`strong_components`."""
-        succ = [[self.vertex_index[e.dst] for e in self.out_edges[v]] for v in self.vertices]
+        succ = self.successors
         reach = [0] * len(succ)
         roots: list[str] = []
         for members in strong_components(succ):
-            mask = sum(1 << w for w in members)
+            mask = 0
             for w in members:
+                mask |= 1 << w
                 for x in succ[w]:
                     mask |= reach[x]
             for w in members:
@@ -137,7 +152,7 @@ class DirectedGraph:
     def weak_components(self) -> tuple[tuple[str, ...], ...]:
         """Each weak component's vertex names, sorted, and the components
         in sorted order: :func:`join_labels` over the edges' ends."""
-        links = [(self.vertex_index[e.src], self.vertex_index[e.dst]) for e in self.edges]
+        links = [(v, w) for v, ends in enumerate(self.successors) for w in ends]
         groups: dict[int, list[str]] = {}
         for v, r in zip(self.vertices, join_labels(range(len(self.vertices)), links)):
             groups.setdefault(r, []).append(v)
@@ -271,7 +286,9 @@ def parse_graph(text: str) -> DirectedGraph:
     )
     if not valid:
         return _parse_lines(text)
-    return DirectedGraph(tuple(vertices), tuple(map(Edge, names, srcs, dsts)))
+    # tuple.__new__ skips Edge.__new__, a Python-level call per edge.
+    edges = map(tuple.__new__, repeat(Edge), zip(names, srcs, dsts))
+    return DirectedGraph(tuple(vertices), tuple(edges))
 
 
 def _parse_lines(text: str) -> DirectedGraph:
@@ -344,36 +361,52 @@ def enumerate_cycles(g: DirectedGraph) -> tuple[Cycle, ...]:
     """All simple cycles (pairwise distinct edge sources), one canonical
     representative per rotation class, sorted by (length, edge names).
 
-    Each cycle is found from its smallest source: the search only visits
-    vertices strictly larger than the base, so every rotation class is
-    emitted exactly once, already canonically rotated.  The walk keeps an
-    explicit stack of out-edge iterators, one per vertex on the path, so
-    long cycles cannot exhaust the interpreter's recursion limit.
+    Johnson's outer loop (D. B. Johnson, SIAM J. Comput. 4(1), 1975): each
+    strong component that holds a cycle (two or more vertices, or a loop)
+    is walked from its least vertex name, the base, through its own
+    vertices only, so each cycle is found from its smallest source, already
+    canonically rotated.  The component less its base is then split into
+    strong components again, so a walk never runs along a path that cannot
+    close: a long ring costs two passes, not one walk per vertex.  The walk
+    keeps an explicit stack of out-edge iterators, one per vertex on the
+    path, so long cycles cannot exhaust the interpreter's recursion limit.
     """
-    if is_acyclic(g):
+    if not g.edges:
         return ()
+    succ, names = g.successors, g.vertices
+    out = [g.out_edges[v] for v in names]
     found: list[Cycle] = []
-    for base in sorted(g.vertices):
+    todo = strong_components(succ)
+    while todo:
+        members = todo.pop()
+        base = min(members, key=names.__getitem__)
+        if len(members) == 1 and base not in succ[base]:
+            continue
+        free = set(members)  # the component's vertices off the path
+        free.remove(base)
         path: list[Edge] = []
-        visited = {base}
-        stack = [iter(g.out_edges[base])]
+        stack = [iter(zip(out[base], succ[base]))]
         while stack:
-            e = next(stack[-1], None)
-            if e is None:
+            for e, w in stack[-1]:
+                if w == base:
+                    edges, sources, _ = zip(*path, e)
+                    found.append(Cycle(edges, sources))
+                elif w in free:
+                    free.remove(w)
+                    path.append(e)
+                    stack.append(iter(zip(out[w], succ[w])))
+                    break
+            else:
                 stack.pop()
                 if path:
-                    visited.remove(path.pop().dst)
-            elif e.dst == base:
-                found.append(
-                    Cycle(
-                        tuple(x.name for x in path) + (e.name,),
-                        tuple(x.src for x in path) + (e.src,),
-                    )
-                )
-            elif e.dst > base and e.dst not in visited:
-                visited.add(e.dst)
-                path.append(e)
-                stack.append(iter(g.out_edges[e.dst]))
+                    free.add(g.vertex_index[path.pop().dst])
+        rest = [v for v in members if v != base]
+        if len(rest) > 1:
+            local = {v: i for i, v in enumerate(rest)}
+            sub = [[local[w] for w in succ[v] if w in local] for v in rest]
+            todo += ([rest[i] for i in comp] for comp in strong_components(sub))
+        elif rest:  # one vertex is its own component
+            todo.append(rest)
     return tuple(sorted(found, key=Cycle.sort_key))
 
 
@@ -382,19 +415,19 @@ def forked_vertices(g: DirectedGraph) -> frozenset[str]:
     out-edge's range reaches r(e), and likewise for r(f).
 
     Each range is in its own reach mask, so another out-edge's range
-    reaches r(e) iff r(e)'s bit is in at least two of the masks."""
+    reaches r(e) iff r(e)'s bit is in at least two of the masks (parallel
+    edges put their common range there too)."""
     forked: set[str] = set()
-    for v in g.vertices:
-        out = g.out_edges[v]
+    for v, out in zip(g.vertices, g.successors):
         if len(out) < 2:  # the condensation is built only past this test
             continue
-        reach, index = g.condensation[1], g.vertex_index
-        ends = [index[e.dst] for e in out]
-        once = twice = 0
-        for w in ends:
+        reach = g.condensation[1]
+        ends = once = twice = 0
+        for w in out:
+            ends |= 1 << w
             twice |= once & reach[w]
             once |= reach[w]
-        if sum(not twice >> w & 1 for w in ends) >= 2:
+        if (ends & ~twice).bit_count() > 1:
             forked.add(v)
     return frozenset(forked)
 

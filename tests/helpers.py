@@ -169,6 +169,32 @@ def brute_cycle_classes(g: DirectedGraph) -> set[tuple[str, ...]]:
     return classes
 
 
+def reference_cycles(g: DirectedGraph) -> tuple[Cycle, ...]:
+    """:func:`enumerate_cycles` by one walk from every vertex name in order,
+    through larger names only (quadratic on a long ring): each cycle is
+    found from its smallest source, already canonically rotated."""
+    found: list[Cycle] = []
+    for base in sorted(g.vertices):
+        path = []
+        visited = {base}
+        stack = [iter(g.out_edges[base])]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if path:
+                    visited.remove(path.pop().dst)
+            elif e.dst == base:
+                found.append(
+                    Cycle(tuple(x.name for x in path) + (e.name,), tuple(x.src for x in path) + (e.src,))
+                )
+            elif e.dst > base and e.dst not in visited:
+                visited.add(e.dst)
+                path.append(e)
+                stack.append(iter(g.out_edges[e.dst]))
+    return tuple(sorted(found, key=Cycle.sort_key))
+
+
 def brute_glb_index(leq_rows, i: int, j: int):
     """Unique maximum of the common down-set, by direct scan; None if it
     does not exist."""

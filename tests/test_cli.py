@@ -401,6 +401,33 @@ def test_a_failed_write_is_exit_1_and_one_line(files):
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_pipe_closed_mid_write_is_exit_1_and_one_line(tmp_path, unbuffered):
+    """The text of lattice on a 10-vertex path (114 kB, more than a
+    pipe holds) to a reader that closes the pipe after 100 bytes: one error
+    line and exit 1, with stdout buffered or not (python -u)."""
+    import errno
+
+    path = tmp_path / "chain10.graph"
+    path.write_text("".join(f"vertex v{i}\n" for i in range(10))
+                    + "".join(f"edge e{i} v{i} v{i + 1}\n" for i in range(9)))
+    src = str(Path(gislat.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gislat.cli", "lattice", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered),
+    )
+    assert proc.stdout.read(100).startswith(b"1024 elements:\n")
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert code == 1, err
+    assert err.startswith(f"error: cannot write output: [Errno {errno.EPIPE}] ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("module", ["lattice", "oracle"])
 def test_a_lattice_fault_is_exit_3_and_one_line(files, capsys, monkeypatch, module):
     """A NotALatticeError from from_poset, on the triples' side (every
