@@ -317,38 +317,58 @@ def positive_int(text: str) -> int:
     return value
 
 
+# Each command's function, help line and options past graph_file and --json.
+_COMMANDS = {
+    "forked": (cmd_forked, "list forked vertices", {}),
+    "classify": (cmd_classify, "predict and optionally verify lattice verdicts", {
+        "--enumerate": dict(action="store_true", help="build the lattice and cross-check"),
+        "--bound": dict(type=positive_int, help="free-cycle value bound for cyclic graphs")}),
+    "lattice": (cmd_lattice, "dump the congruence-triple lattice", {
+        "--bound": dict(type=positive_int, help="free-cycle value bound for cyclic graphs"),
+        "--dot": dict(metavar="PATH", help="write the Hasse diagram as DOT")}),
+    "semigroup": (cmd_semigroup, "list elements and the multiplication table", {}),
+    "oracle": (cmd_oracle, "brute-force congruences and compare with triples", {
+        "--cap": dict(type=positive_int, default=ORACLE_CAP,
+                      help="semigroup size cap (default %(default)s)")}),
+}
+
+
+def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    func, _, options = _COMMANDS[name]
+    p.add_argument("graph_file", help="graph description file")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    for flag, kwargs in options.items():
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: :func:`main` builds it only for top-level help and
+    errors, and otherwise only the named command's parser."""
     parser = _Parser(prog="gislat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("graph_file", help="graph description file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=func)
-        return p
-
-    add("forked", cmd_forked, "list forked vertices")
-
-    p = add("classify", cmd_classify, "predict and optionally verify lattice verdicts")
-    p.add_argument("--enumerate", action="store_true", help="build the lattice and cross-check")
-    p.add_argument("--bound", type=positive_int, help="free-cycle value bound for cyclic graphs")
-
-    p = add("lattice", cmd_lattice, "dump the congruence-triple lattice")
-    p.add_argument("--bound", type=positive_int, help="free-cycle value bound for cyclic graphs")
-    p.add_argument("--dot", metavar="PATH", help="write the Hasse diagram as DOT")
-
-    add("semigroup", cmd_semigroup, "list elements and the multiplication table")
-
-    p = add("oracle", cmd_oracle, "brute-force congruences and compare with triples")
-    p.add_argument("--cap", type=positive_int, default=ORACLE_CAP,
-                   help="semigroup size cap (default %(default)s)")
-
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` to the byte, but a command's own
+    parser takes its arguments; the full parser gets what that leaves over."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = _command_parser(_Parser(prog=f"gislat {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command that ``argv`` (``sys.argv[1:]`` for None) names: only
+    its parser is built, the full one only for top-level help and errors."""
+    args = parse_args(argv)
     try:
         return args.func(args)
     except NotALatticeError as err:  # triples or congruences that are no lattice

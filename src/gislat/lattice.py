@@ -245,7 +245,9 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     """Build a lattice from elements and their order, as a predicate
     ``leq(a, b)`` or an n × n boolean matrix: a distributive lattice with
     at most 63 join-irreducibles through :func:`_birkhoff`, any other
-    order through :func:`_between` and :func:`_meet_table`.
+    order through :func:`_between` and :func:`_meet_table`.  A bool
+    ndarray is kept as the lattice's ``leq`` without a copy, and nothing
+    writes to it.
 
     Raises ValueError if ``leq`` is not a partial order and
     :class:`NotALatticeError` naming the first pair (i <= j, row-major)
@@ -256,7 +258,7 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     n = len(labels)
     if callable(leq):
         leq = [[bool(leq(a, b)) for b in labels] for a in labels]
-    m = np.array(leq, dtype=bool).reshape(n, n)  # no labels give shape (0,)
+    m = np.asarray(leq, dtype=bool).reshape(n, n)  # no labels give shape (0,)
     covers = _birkhoff(m)
     if covers is not None:
         return FiniteLattice(labels, m, covers)

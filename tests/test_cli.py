@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gislat
-from gislat.cli import main
+from gislat.cli import build_parser, main, parse_args
 from gislat.graph import parse_graph
 from gislat.lattice import hasse_dot
 from gislat.triples import render_triple, triple_lattice, triple_to_json
@@ -989,6 +989,52 @@ def test_unknown_subcommand_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate", "x"])
     assert err.value.code == 1
+
+
+PARSER_ARGVS = [
+    [], ["--help"], ["-h"], ["-h", "--bogus"], ["--bogus"], ["frobnicate", "g"],
+    ["--", "forked", "g"], ["forked"], ["forked", "g"], ["forked", "g", "--json"],
+    ["forked", "--help"], ["forked", "g", "h"], ["forked", "g", "-x", "h"], ["forked", "-"],
+    ["classify", "-h", "--bogus"], ["classify", "g", "--he"],
+    ["classify", "g", "--enumerate", "--bound", "3"], ["classify", "g", "--enum", "--bou", "6"],
+    ["classify", "g", "--e"], ["classify", "g", "--bound", "0"], ["classify", "g", "--bound=-3"],
+    ["classify", "g", "--bound", "x"], ["classify", "g", "--", "--enumerate"],
+    ["lattice", "g", "--bound", "60", "--json"], ["lattice", "g", "--dot", "out.dot"],
+    ["lattice", "g", "--bogus"], ["lattice", "g", "--bogus", "--bound", "0"],
+    ["lattice", "g", "--", "--json"], ["lattice", "--", "g"], ["lattice", "g", "--bound"],
+    ["lattice", "g", "--d"], ["lattice", "g", "--json=1"],
+    ["semigroup", "g", "--json", "--json"], ["semigroup", "--json"],
+    ["oracle", "g", "--cap", "x"], ["oracle", "g", "--cap", "5"], ["oracle", "g", "--ca=7", "--js"],
+    ["oracle", "--cap", "3"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """The namespace ``parse(argv)`` returns, or its exit code and output."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as stop:
+        out = capsys.readouterr()
+        return stop.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, capsys, monkeypatch):
+    # main builds one command's parser; its help, errors and namespace are
+    # those of the full parser, with help wrapped at a fixed width.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parsed(parse_args, argv, capsys) == _parsed(build_parser().parse_args, argv, capsys)
+
+
+def test_main_without_argv_reads_sys_argv(files, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["gislat", "forked", files["g1"], "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out) == {"forked_vertices": ["v1"]}
+    monkeypatch.setattr(sys, "argv", ["gislat", "forked", files["g1"], "--bogus"])
+    with pytest.raises(SystemExit) as err:
+        main()
+    assert err.value.code == 1
+    assert capsys.readouterr().err.endswith("gislat: error: unrecognized arguments: --bogus\n")
 
 
 # ------------------------------------------------------------ fuzz

@@ -342,7 +342,8 @@ def check_against_bruteforce(labels, leq):
             ]
             for i in range(n)
         ]
-    for order in (leq, np.array(rows, dtype=bool).reshape(n, n)):
+    matrix = np.array(rows, dtype=bool).reshape(n, n)
+    for order in (leq, matrix):
         if first_failure is None:
             lat = from_poset(labels, order)
             assert lat.meet_t.tolist() == meets
@@ -353,6 +354,8 @@ def check_against_bruteforce(labels, leq):
             with pytest.raises(NotALatticeError) as err:
                 from_poset(labels, order)
             assert (err.value.pair, err.value.which) == ((labels[i], labels[j]), which)
+    # from_poset reads a bool matrix without a copy, and writes nothing to it.
+    assert matrix.tolist() == [[bool(x) for x in row] for row in rows]
     return "lattice" if first_failure is None else first_failure[2]
 
 
