@@ -8,6 +8,10 @@ bound, semigroup or graph past a brute-force cap: every such refusal is a
 internal consistency violation (a predicted/computed, verdict/witness or
 oracle mismatch, or an order that is no lattice, which would mean a bug).
 
+A plain argv, a command and then one graph file and that command's exact
+option strings with their values, is read off the command table; any
+other, help and usage errors included, goes to the full argparse parser.
+
 JSON output (``--json``: ``json.dumps``'s indented bytes, from one writer
 that fills templates for int tables and triples) is the stable machine
 interface; the plain-text output is for humans and carries no stability guarantee.
@@ -317,35 +321,33 @@ def positive_int(text: str) -> int:
     return value
 
 
-# Each command's function, help line and options past graph_file and --json.
+_JSON = {"--json": dict(action="store_true", help="machine-readable output")}
+# Each command's function, help line and options past graph_file.
 _COMMANDS = {
-    "forked": (cmd_forked, "list forked vertices", {}),
-    "classify": (cmd_classify, "predict and optionally verify lattice verdicts", {
+    "forked": (cmd_forked, "list forked vertices", _JSON),
+    "classify": (cmd_classify, "predict and optionally verify lattice verdicts", {**_JSON,
         "--enumerate": dict(action="store_true", help="build the lattice and cross-check"),
         "--bound": dict(type=positive_int, help="free-cycle value bound for cyclic graphs")}),
-    "lattice": (cmd_lattice, "dump the congruence-triple lattice", {
+    "lattice": (cmd_lattice, "dump the congruence-triple lattice", {**_JSON,
         "--bound": dict(type=positive_int, help="free-cycle value bound for cyclic graphs"),
         "--dot": dict(metavar="PATH", help="write the Hasse diagram as DOT")}),
-    "semigroup": (cmd_semigroup, "list elements and the multiplication table", {}),
-    "oracle": (cmd_oracle, "brute-force congruences and compare with triples", {
+    "semigroup": (cmd_semigroup, "list elements and the multiplication table", _JSON),
+    "oracle": (cmd_oracle, "brute-force congruences and compare with triples", {**_JSON,
         "--cap": dict(type=positive_int, default=ORACLE_CAP,
                       help="semigroup size cap (default %(default)s)")}),
 }
 
 
-def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+def _command_parser(p: argparse.ArgumentParser, name: str) -> None:
     func, _, options = _COMMANDS[name]
     p.add_argument("graph_file", help="graph description file")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     for flag, kwargs in options.items():
         p.add_argument(flag, **kwargs)
     p.set_defaults(func=func)
-    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser: :func:`main` builds it only for top-level help and
-    errors, and otherwise only the named command's parser."""
+    """The full parser: the one source of help, usage and error bytes."""
     parser = _Parser(prog="gislat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, _) in _COMMANDS.items():
@@ -353,21 +355,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain(name: str, tokens) -> argparse.Namespace | None:
+    """The namespace of command ``name`` and its ``tokens`` if they are
+    plain (see :func:`parse_args`), else None."""
+    func, _, options = _COMMANDS[name]
+    args = {f[2:]: kw.get("default", False if "action" in kw else None) for f, kw in options.items()}
+    args.update(command=name, graph_file=None, func=func)
+    tokens = iter(tokens)
+    for token in tokens:
+        kw = options.get(token)
+        if kw is None:
+            if token.startswith("-") or args["graph_file"] is not None:
+                return None
+            args["graph_file"] = token
+        elif "action" in kw:  # store_true
+            args[token[2:]] = True
+        else:
+            value = next(tokens, "-")  # no value left reads as "-"
+            if value.startswith("-"):
+                return None
+            try:
+                args[token[2:]] = kw.get("type", str)(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+    return argparse.Namespace(**args) if args["graph_file"] is not None else None
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` to the byte, but a command's own
-    parser takes its arguments; the full parser gets what that leaves over."""
+    """``build_parser().parse_args(argv)`` (``sys.argv[1:]`` for None).  A
+    plain argv is read off ``_COMMANDS`` with no parser built: a command
+    name, then one graph file and the command's exact option strings, each
+    value the next token, converted by the option's ``type``; only option
+    strings start with ``-``.  Any other argv goes to the full parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMANDS:
-        parser = _command_parser(_Parser(prog=f"gislat {argv[0]}"), argv[0])
-        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    args = _plain(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
-    """Run the command that ``argv`` (``sys.argv[1:]`` for None) names: only
-    its parser is built, the full one only for top-level help and errors."""
+    """Run the command that ``argv`` (``sys.argv[1:]`` for None) names, as
+    :func:`parse_args` reads it."""
     args = parse_args(argv)
     try:
         return args.func(args)

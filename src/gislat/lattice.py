@@ -100,6 +100,11 @@ class FiniteLattice:
         return _meet_table(_transposed(self.leq), upper, lower)[0]
 
     @cached_property
+    def distributive(self) -> bool:
+        """:func:`is_distributive`, decided once."""
+        return is_distributive(self)
+
+    @cached_property
     def cover_set(self) -> frozenset[tuple[int, int]]:
         """(upper, lower) for every cover pair."""
         return frozenset(zip(self.cover_pairs[1].tolist(), self.cover_pairs[0].tolist()))
@@ -351,10 +356,16 @@ def is_lower_semimodular(lat: FiniteLattice) -> bool:
 
 def _witness(kind: str, factors: Sequence[FiniteLattice], coords, x, y, z) -> SublatticeWitness:
     """(x∧z, x, y, z, x∨z) in the product of ``factors`` (element i is row i
-    of ``coords``): the bounds have the factors' meets and joins as coordinates."""
-    pairs = list(zip(factors, coords[x], coords[z]))
-    bounds = ([getattr(f, t)[a, b] for f, a, b in pairs] for t in ("meet_t", "join_t"))
-    lo, hi = (int((coords == c).all(axis=1).argmax()) for c in bounds)
+    of ``coords``): the bounds have the factors' meets and joins as
+    coordinates, read off order rows with no table: a ∧ b is the common
+    lower bound with the smallest up-set, a ∨ b the common upper bound with
+    the largest."""
+    meets, joins = [], []
+    for f, a, b in zip(factors, coords[x], coords[z]):
+        below, above = np.flatnonzero(f.leq[:, a] & f.leq[:, b]), np.flatnonzero(f.leq[a] & f.leq[b])
+        meets.append(below[f.leq[below].sum(axis=1).argmin()])
+        joins.append(above[f.leq[above].sum(axis=1).argmax()])
+    lo, hi = (int((coords == c).all(axis=1).argmax()) for c in (meets, joins))
     return SublatticeWitness(kind, (lo, x, y, z, hi))
 
 
@@ -376,9 +387,12 @@ def product_pentagon(factors: Sequence[FiniteLattice], coords) -> SublatticeWitn
     side) iff p < q and (p_k, q_k, b_k) is one in every factor k with
     p_k ≠ q_k: p is the first element with a coordinate at a low end in
     its factor, q the first above p each of whose changed coordinates has
-    some side, and b the first side of them all."""
+    some side, and b the first side of them all.  A distributive factor
+    has no low end, and q keeps p's coordinate there: no table is read."""
     p = len(coords)
     for f, c in zip(factors, coords.T):
+        if f.distributive:
+            continue
         first = np.unique(c, return_index=True)[1]  # [x]: the first element with c = x
         lows, ups = (x[np.argsort(first[f.cover_pairs[0]], kind="stable")] for x in f.cover_pairs)
         step = max(1, (1 << 16) // max(1, f.n))
@@ -396,6 +410,9 @@ def product_pentagon(factors: Sequence[FiniteLattice], coords) -> SublatticeWitn
 
     high = np.ones(len(coords), dtype=bool)
     for f, x, c in zip(factors, coords[p], coords.T):
+        if f.distributive:
+            high &= c == x
+            continue
         above, some = f.leq[x], np.zeros(f.n, dtype=bool)
         some[above] = side(f, x, above).any(axis=1)  # all of x's own row holds
         high &= some[c]
@@ -403,7 +420,8 @@ def product_pentagon(factors: Sequence[FiniteLattice], coords) -> SublatticeWitn
     q = int(high.argmax())
     ok = np.ones(len(coords), dtype=bool)
     for f, x, y, c in zip(factors, coords[p], coords[q], coords.T):
-        ok &= side(f, x, y)[c]
+        if x != y:  # every b is a side of an unchanged coordinate
+            ok &= side(f, x, y)[c]
     b = int(ok.argmax())
 
     return _witness("pentagon", factors, coords, p, q, b)
@@ -466,7 +484,7 @@ def product_verdicts(factors: Sequence[FiniteLattice]) -> dict[str, bool]:
     iff every factor is, and its covers change one coordinate, so the
     semimodularities carry over too.  A distributive factor is modular,
     hence semimodular both ways, so only the other factors are scanned."""
-    rest = [f for f in factors if not is_distributive(f)]
+    rest = [f for f in factors if not f.distributive]
     upper = all(is_upper_semimodular(f) for f in rest)
     lower = all(is_lower_semimodular(f) for f in rest)
     return {

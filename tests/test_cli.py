@@ -7,7 +7,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -618,19 +620,22 @@ ENUMERATING = (["classify", "--enumerate"], ["lattice"], ["lattice", "--json"])
          None, ENUMERATING, 2),  # one factor, not distributive
         ("vertex u\nvertex v\nvertex w\nedge e u v\nedge f u w\nedge x v v\nedge y w w\n",
          60, ENUMERATING, 2),  # one factor, not distributive
+        ("vertex u\nvertex a\nvertex b\nedge e u a\nedge f u b\n" + path_text(3, "c") + path_text(3, "d"),
+         None, ENUMERATING, 2),  # fan2 and two distributive factors, whose tables no witness reads
         (path_text(5), None, (["oracle"],), 0),  # distributive on either side
         ("".join(f"vertex v{i}\n" for i in range(8)), None, (["oracle"],), 0),
         (path_text(12), None, (["classify", "--enumerate"],), 0),  # 4096 elements, the cap
     ],
-    ids=["chain7", "u3x4", "loops2", "fan3", "forkloops", "oracle-chain5", "oracle-iso8", "chain12"],
+    ids=["chain7", "u3x4", "loops2", "fan3", "forkloops", "union3", "oracle-chain5", "oracle-iso8", "chain12"],
 )
 def test_join_tables_are_built_only_where_read(tmp_path, capsys, monkeypatch, text, bound, argvs, tables):
     """A distributive lattice is certified from its order alone, and only
     a non-distributive factor builds tables: its meet table and a top prove
-    it a lattice, and its semimodularity scans and witness read its join
-    table.  So classify --enumerate and lattice build no table for a
-    distributive factor and two for any other, and oracle, which compares
-    orders of distributive lattices here, none."""
+    it a lattice, and its semimodularity scans and pentagon search read its
+    join table; the witness's bounds come from the orders.  So classify
+    --enumerate and lattice build no table for a distributive factor, even
+    beside a non-distributive one, and two for any other, and oracle, which
+    compares orders of distributive lattices here, none."""
     import gislat.lattice
 
     calls = []
@@ -1006,24 +1011,65 @@ PARSER_ARGVS = [
     ["semigroup", "g", "--json", "--json"], ["semigroup", "--json"],
     ["oracle", "g", "--cap", "x"], ["oracle", "g", "--cap", "5"], ["oracle", "g", "--ca=7", "--js"],
     ["oracle", "--cap", "3"],
+    ["lattice", "g", "--bound", "3", "--bound", "6"], ["lattice", "g", "--dot", "--json"],
+    ["lattice", "g", "--dot", "-"], ["classify", "g", "--bound", "-3"],
+    ["classify", "g", "--bound", "\u0663"], ["classify", "g", "--bound", " 7"],
+    ["classify", "forked"], ["lattice", "--json", "g"], ["forked", ""],
+    ["oracle", "g", "--cap", "99999999999999999999"], ["oracle", "g"],
 ]
 
 
-def _parsed(parse, argv, capsys):
-    """The namespace ``parse(argv)`` returns, or its exit code and output."""
+def _parsed(parse, argv):
+    """The namespace ``parse(argv)`` returns, or its exit code and output,
+    with help wrapped at a fixed width."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        return vars(parse(argv))
+        with mock.patch.dict(os.environ, COLUMNS="80"):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                return vars(parse(argv))
     except SystemExit as stop:
-        out = capsys.readouterr()
-        return stop.code, out.out, out.err
+        return stop.code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
-def test_main_parses_as_the_full_parser(argv, capsys, monkeypatch):
-    # main builds one command's parser; its help, errors and namespace are
-    # those of the full parser, with help wrapped at a fixed width.
-    monkeypatch.setenv("COLUMNS", "80")
-    assert _parsed(parse_args, argv, capsys) == _parsed(build_parser().parse_args, argv, capsys)
+def test_main_parses_as_the_full_parser(argv):
+    # parse_args reads a plain argv off the command table and hands any
+    # other to the full parser; either way its help, errors and namespace
+    # are the full parser's.
+    assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv)
+
+
+COMMANDS = ["forked", "classify", "lattice", "semigroup", "oracle"]
+VALUES = ["0", "3", "-3", "x", "g", ""]
+ARGV_TOKENS = st.sampled_from(
+    COMMANDS + ["--json", "--enumerate", "--bound", "--dot", "--cap"]
+    + ["--enum", "--bound=6", "--", "-", "-h"] + VALUES
+)
+
+
+@st.composite
+def drawn_argvs(draw):
+    """An argv over a fixed alphabet: at times any tokens, more often a
+    command, a value and some of that command's options in any order, a
+    value after each option that takes one, and at times one more token
+    anywhere, so that many argvs are plain and many others one token off."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(ARGV_TOKENS, max_size=5))
+    name = draw(st.sampled_from(COMMANDS))
+    chunks = [[draw(st.sampled_from(VALUES))]]
+    for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[name]), max_size=3)):
+        valued = flag in ("--bound", "--dot", "--cap")
+        chunks.append([flag, draw(st.sampled_from(VALUES))] if valued else [flag])
+    argv = [name, *chain.from_iterable(draw(st.permutations(chunks)))]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(ARGV_TOKENS))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_argvs())
+def test_parse_args_matches_the_full_parser_on_drawn_argvs(argv):
+    assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv)
 
 
 def test_main_without_argv_reads_sys_argv(files, capsys, monkeypatch):
