@@ -46,7 +46,7 @@ from .lattice import (
 from .oracle import ORACLE_CAP, check_semigroup_size, congruence_lattice
 from .semigroup import finite_semigroup, render_element, semigroup_size
 from .triples import (
-    component_lattices, product_coordinates, render_triple, triple_lattice, triple_to_json
+    component_lattices, product_coordinates, render_ext, render_triple, triple_lattice
 )
 
 EXIT_OK = 0
@@ -129,12 +129,14 @@ def _listing(items, pad: str) -> str:
 
 def _triples_json(ts, pad: str) -> str:
     """``_json([triple_to_json(t) for t in ts], pad)`` for a lattice's triples
-    (at least one): each from one template, each distinct H or W rendered once."""
+    (at least one): each from one template, each distinct H or W and each
+    cycle function object rendered once, f straight from its entries."""
     key = pad + "    "
     sets = {s: _json(sorted(s), key) for s in {s for t in ts for s in (t.H, t.W)}}
+    fs = {id(f): _json({".".join(c.edges): render_ext(v) for c, v in f.entries}, key)
+          for f in {id(t.f): t.f for t in ts}.values()}
     row = f'{{\n{key}"H": %s,\n{key}"W": %s,\n{key}"f": %s\n{pad}  }}'
-    fs = [_json(triple_to_json(t)["f"], key) if t.f.entries else "{}" for t in ts]
-    return _listing([row % (sets[t.H], sets[t.W], f) for t, f in zip(ts, fs)], pad)
+    return _listing([row % (sets[t.H], sets[t.W], fs[id(t.f)]) for t in ts], pad)
 
 
 def _emit(args, payload, text) -> None:
@@ -174,7 +176,8 @@ def _graph_summary(g) -> dict:
 
 def _enumerated(g, bound, listed: bool = False):
     """Size, probe flag, verdicts, witness, triples (``triple_lattice`` order;
-    when ``listed`` or indexed by a witness) and cover pairs (when ``listed``)
+    a tuple when ``listed``, else rows that build only the triples a witness
+    reads) and cover pairs (when ``listed``)
     of the triple lattice of ``g``, or a bounded probe of a cyclic graph's,
     read off its weak components' factors (``bound`` is ignored if ``g`` is
     acyclic)."""
@@ -182,9 +185,9 @@ def _enumerated(g, bound, listed: bool = False):
     verdicts, labels, coords, covers = product_verdicts(factors), (), None, None
     distributive = verdicts["distributive"]
     if listed or not distributive:
-        labels, coords = product_coordinates(g, factors)
+        labels, coords = product_coordinates(factors)
     if listed:
-        covers = product_covers(factors, coords)
+        labels, covers = tuple(labels), product_covers(factors, coords)
     witness = product_witness(factors, coords, verdicts)
     if (witness is None) != distributive:
         raise _CliError(EXIT_INTERNAL, "inconsistent verdicts or witness (bug)")

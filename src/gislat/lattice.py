@@ -77,16 +77,22 @@ class SublatticeWitness:
 class FiniteLattice:
     """Immutable element list, order matrix, cover pairs and meet/join tables.
 
-    Both tables are built on first read: a distributive lattice's
-    verdicts, its covers and DOT, and the order isomorphism need only the
-    order and the cover pairs."""
+    Both tables, and the tuple of labels, are built on first read: a
+    distributive lattice's verdicts, its covers and DOT, and the order
+    isomorphism need only the order and the cover pairs."""
 
     def __init__(self, labels, leq_matrix, cover_pairs) -> None:
-        self.labels: tuple = labels
+        self.listing: Sequence = labels
         self.n: int = len(labels)
         self.leq: np.ndarray = leq_matrix
         # (lower, upper) with upper[k] covering lower[k], sorted by (lower, upper)
         self.cover_pairs: tuple[np.ndarray, np.ndarray] = cover_pairs
+
+    @cached_property
+    def labels(self) -> tuple:
+        """The elements: ``listing``, the sequence given, as a tuple made on
+        first read."""
+        return tuple(self.listing)
 
     @cached_property
     def meet_t(self) -> np.ndarray:
@@ -252,14 +258,14 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     at most 63 join-irreducibles through :func:`_birkhoff`, any other
     order through :func:`_between` and :func:`_meet_table`.  A bool
     ndarray is kept as the lattice's ``leq`` without a copy, and nothing
-    writes to it.
+    writes to it.  ``labels`` is kept as given, a sequence that the
+    lattice's ``labels`` makes a tuple of on first read.
 
     Raises ValueError if ``leq`` is not a partial order and
     :class:`NotALatticeError` naming the first pair (i <= j, row-major)
     without a unique greatest lower bound or least upper bound, the meet
     reported before the join.
     """
-    labels = tuple(labels)
     n = len(labels)
     if callable(leq):
         leq = [[bool(leq(a, b)) for b in labels] for a in labels]

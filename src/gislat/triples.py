@@ -17,7 +17,9 @@ several components is the direct product of theirs:
 :func:`component_lattices` builds one small lattice per component, and
 :func:`product_coordinates` places each of the graph's triples in them.
 A graph's refusals, hereditary sets and free-cycle values are decided
-once, by :func:`_refusals`; :func:`_triples` only lists, from vertex bitmasks.
+once, by :func:`_refusals`; :func:`_triples` only lists, as integer rows
+(:class:`TripleRows`), from which the order is computed and triple
+objects are built only where one is read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import chain, combinations, compress, islice, product
 
 import numpy as np
 
@@ -151,27 +153,92 @@ def leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
 
 
 def leq_matrix(g: DirectedGraph, ts: tuple[CongruenceTriple, ...]) -> np.ndarray:
-    """``m[i, j] = leq(g, ts[i], ts[j])``, broadcast over H and W as vertex
-    bitmasks (one per distinct set) in row blocks and gathered, per cycle stored
-    in some triple, from one int64 ``%`` table of its distinct full values.  A
-    cycle stored in no triple is 1 inside H and inf elsewhere: one inside H1
-    but not H2 fails the H test anyway, and inf is divisible by everything."""
-    bit = {v: 1 << i for v, i in g.vertex_index.items()}
-    mask = {s: sum(map(bit.__getitem__, s)) for s in {s for t in ts for s in (t.H, t.W)}}
-    h = np.array([mask[t.H] for t in ts], dtype=np.int32)  # at most 20 vertices
-    w = np.array([mask[t.W] for t in ts], dtype=np.int32)
-    m, outside = np.empty((len(ts), len(ts)), dtype=bool), ~(h | w)
-    step = max(1, (1 << 16) // max(1, len(ts)))
-    for s in range(0, len(ts), step):
-        hs, ws = h[s : s + step, None], w[s : s + step, None]
-        m[s : s + step] = ((hs & ~h) == 0) & ((ws & outside) == 0)
-    for c in dict.fromkeys(c for t in ts for c, _ in t.f.entries):
-        full = np.array([0 if (v := t.cycle_value(c)) is INF else v for t in ts], dtype=np.int64)
-        a, k = np.unique(full, return_inverse=True)  # inf coded 0; values at most BOUND_CAP
-        # multiple[x, y]: a[y] divides a[x]; inf is a multiple of all and divides only inf
-        multiple = (a[:, None] == 0) | ((a != 0) & (a[:, None] % np.maximum(a, 1) == 0))
-        m &= multiple[k].take(k, axis=1)  # f_j divides f_i
-    return m
+    """``m[i, j] = leq(g, ts[i], ts[j])``: the triples as :class:`TripleRows`
+    (codes over their distinct stored values) and :meth:`TripleRows.order`."""
+    names, bit = tuple(sorted(g.vertices)), _bits(g.vertices)
+    cycles = tuple(dict.fromkeys(c for t in ts for c, _ in t.f.entries))
+    values = tuple(dict.fromkeys(v for t in ts for _, v in t.f.entries))
+    codes = [[-1 if (v := t.f.get(c)) is None else values.index(v) for c in cycles] for t in ts]
+    h = np.array([sum(map(bit.__getitem__, t.H)) for t in ts], dtype=np.int64)
+    w = np.array([sum(map(bit.__getitem__, t.W)) for t in ts], dtype=np.int64)
+    codes = np.array(codes, dtype=np.int32).reshape(len(ts), len(cycles))
+    return TripleRows(names, values, cycles, h, w, codes).order()
+
+
+def _bits(names) -> dict[str, int]:
+    """Each vertex's bit in a mask over ``names`` sorted: the first on top."""
+    names = sorted(names)
+    return dict(zip(names, (1 << i for i in reversed(range(len(names))))))
+
+
+class TripleRows:
+    """Triples as integer rows, read one at a time or as a whole order.
+
+    Row i holds H and W as masks ``h[i]`` and ``w[i]`` over the bits of
+    ``names`` (a graph's sorted vertex names, the first on the top bit, so
+    sets of one size sort as ints in name order, descending) and, for each
+    cycle of ``cycles`` (in :meth:`Cycle.sort_key` order), the index in
+    ``values`` of its stored value, or -1 if the triple stores none.
+    Indexing or iterating builds :class:`CongruenceTriple` values."""
+
+    __slots__ = ("names", "values", "cycles", "h", "w", "codes")
+
+    def __init__(self, names, values, cycles, h, w, codes) -> None:
+        self.names, self.values, self.cycles = names, values, cycles
+        self.h, self.w, self.codes = h, w, codes
+
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def __getitem__(self, i) -> CongruenceTriple:
+        h, w = int(self.h[i]), int(self.w[i])
+        sets = self._sets([h, w])
+        return CongruenceTriple(sets[h], sets[w], self._function(self.codes[i].tolist()))
+
+    def __iter__(self):
+        h, w = self.h.tolist(), self.w.tolist()
+        sets = self._sets(list({*h, *w}))
+        if self.cycles:  # each distinct function built once
+            keys = list(map(tuple, self.codes.tolist()))
+            made = {k: self._function(k) for k in dict.fromkeys(keys)}
+            fs = map(made.__getitem__, keys)
+        else:
+            fs = [EMPTY_CYCLE_FUNCTION] * len(h)
+        return map(CongruenceTriple, map(sets.__getitem__, h), map(sets.__getitem__, w), fs)
+
+    def _sets(self, masks: list[int]) -> dict[int, frozenset[str]]:
+        """Each mask's vertex set."""
+        top = np.arange(len(self.names) - 1, -1, -1)
+        member = np.array(masks, dtype=np.int64)[:, None] >> top & 1  # [k, i]: names[i] in it
+        return {m: frozenset(compress(self.names, row)) for m, row in zip(masks, member.tolist())}
+
+    def _function(self, codes) -> CycleFunction:
+        entries = tuple((c, self.values[k]) for c, k in zip(self.cycles, codes) if k >= 0)
+        return CycleFunction(entries) if entries else EMPTY_CYCLE_FUNCTION
+
+    def order(self) -> np.ndarray:
+        """``m[i, j]``: triple i <= triple j (:func:`leq`), broadcast over the
+        masks in row blocks and gathered, per cycle, from one int64 ``%``
+        table of its distinct full values.  A cycle no row stores is 1 inside
+        H and inf elsewhere: one inside H1 but not H2 fails the H test anyway,
+        and inf is divisible by everything."""
+        h, w, n = self.h.astype(np.int32), self.w.astype(np.int32), len(self.h)  # 20 bits at most
+        m, outside = np.empty((n, n), dtype=bool), ~(h | w)
+        step = max(1, (1 << 16) // max(1, n))
+        for s in range(0, n, step):
+            hs, ws = h[s : s + step, None], w[s : s + step, None]
+            m[s : s + step] = ((hs & ~h) == 0) & ((ws & outside) == 0)
+        # a stored value by its code; inf, and code -1 (none stored), as 0
+        stored = np.array([0 if v is INF else v for v in self.values] + [0], dtype=np.int64)
+        bit = _bits(self.names)
+        for c, col in zip(self.cycles, self.codes.T):
+            full, sources = stored[col], sum(map(bit.__getitem__, c.sources))
+            full[(h & sources) == sources] = 1  # inside H
+            a, k = np.unique(full, return_inverse=True)  # values at most BOUND_CAP
+            # multiple[x, y]: a[y] divides a[x]; inf is a multiple of all and divides only inf
+            multiple = (a[:, None] == 0) | ((a != 0) & (a[:, None] % np.maximum(a, 1) == 0))
+            m &= multiple[k].take(k, axis=1)  # f_j divides f_i
+        return m
 
 
 @dataclass(frozen=True)
@@ -263,7 +330,7 @@ def enumerate_triples(
     found inside it certifies non-modularity / non-distributivity of the
     whole lattice, while absence is evidence only.
     """
-    return tuple(_triples(g, *_refusals(g, bound, None)))
+    return tuple(_listed(g, *_refusals(g, bound, None), tuple(sorted(g.vertices))))
 
 
 def _refusals(g: DirectedGraph, bound: int | None, cap: int | None):
@@ -288,49 +355,72 @@ def _refusals(g: DirectedGraph, bound: int | None, cap: int | None):
     return hereditary, divisors(bound) + (INF,) if cyclic else ()
 
 
-def _triples(g: DirectedGraph, hereditary, values):
-    """The triples over the hereditary sets ``hereditary``, in order, with
-    free-cycle values from ``values`` (none if g is acyclic), as :func:`_refusals` gives them;
-    a vertex's index relative to H is read off vertex bitmasks."""
-    bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
-    exits = [(v, b, [bit[e.dst] for e in g.out_edges[v]]) for v, b in bit.items()]
+def _triples(g: DirectedGraph, hereditary, values, names):
+    """The rows of the triples over the hereditary sets ``hereditary``, in
+    order, with free-cycle values from ``values`` (none if g is acyclic),
+    as :func:`_refusals` gives them: (H mask, W mask, free cycles, value
+    codes), masks over the bits of ``names`` (:class:`TripleRows`).  A
+    vertex's index relative to H is read off the masks."""
+    bit = _bits(names)
+    # Each vertex's out-edge ends, and those ends that two or more of its edges share.
+    exits = []
+    for v in sorted(g.vertices):
+        ends = [bit[e.dst] for e in g.out_edges[v]]
+        exits.append((v, bit[v], sum(set(ends)), sum({d for d in ends if ends.count(d) > 1})))
+    codes = range(len(values))
     for h in hereditary:
         inside = sum(map(bit.__getitem__, h))
-        index_one = [
-            v for v, b, ends in exits if not inside & b and [inside & d for d in ends].count(0) == 1
-        ]
+        # index 1: one end outside H, reached by one edge
+        index_one = [(v, b) for v, b, ends, twice in exits
+                     if not (inside & b or twice & ~inside) and (ends & ~inside).bit_count() == 1]
+        bits = [b for _, b in index_one]
         # A free cycle leaves H at each source, by that source's one exit
         # edge, so the free cycles are the cycles among the index-1 vertices,
         # already in Cycle.sort_key order.
-        cycles = _cycles_within(g, index_one) if values else ()  # no values: g is acyclic
-        for size in range(len(index_one) + 1):
-            for chosen in combinations(index_one, size):
-                w = frozenset(chosen)
-                free = [c for c in cycles if c.source_set <= w]
-                for combo in product(values, repeat=len(free)):
-                    f = CycleFunction(tuple(zip(free, combo))) if free else EMPTY_CYCLE_FUNCTION
-                    yield CongruenceTriple(h, w, f)
+        cycles = _cycles_within(g, [v for v, _ in index_one]) if values else ()  # none if acyclic
+        if not cycles:
+            for size in range(len(bits) + 1):
+                yield from ((inside, sum(chosen), (), ()) for chosen in combinations(bits, size))
+            continue
+        sources = [(c, sum(map(bit.__getitem__, c.sources))) for c in cycles]
+        for size in range(len(bits) + 1):
+            for chosen in combinations(bits, size):
+                w = sum(chosen)
+                free = tuple(c for c, s in sources if s & w == s)
+                for combo in product(codes, repeat=len(free)):
+                    yield inside, w, free, combo
 
 
-def _listed(g: DirectedGraph, hereditary, values, size: int = 1):
-    """g's triples, as :func:`_triples` gives them, for a factor of a product
-    of ``size`` elements so far: past :data:`TRIPLE_CAP` elements in all the
-    listing stops and :class:`LatticeTooLargeError` is raised."""
-    ts = tuple(islice(_triples(g, hereditary, values), TRIPLE_CAP // size + 1))
-    if size * len(ts) > TRIPLE_CAP:
+def _listed(g: DirectedGraph, hereditary, values, names, limit: int | None = None) -> TripleRows:
+    """g's triples, as :func:`_triples` gives them, as :class:`TripleRows`:
+    past ``limit`` rows the listing stops and :class:`LatticeTooLargeError`
+    is raised."""
+    rows = list(islice(_triples(g, hereditary, values, names), None if limit is None else limit + 1))
+    if limit is not None and len(rows) > limit:
         raise LatticeTooLargeError(f"triple lattice capped at {TRIPLE_CAP} elements")
-    return ts
+    h, w, free, combos = zip(*rows)
+    shared = {id(cs): cs for cs in free}  # the rows of one H and W share their free cycles
+    cycles = sorted({c for cs in shared.values() for c in cs}, key=Cycle.sort_key)
+    codes = np.full((len(rows), len(cycles)), -1, dtype=np.int32)
+    if cycles:
+        col = {c: k for k, c in enumerate(cycles)}
+        cols = {i: [col[c] for c in cs] for i, cs in shared.items()}
+        at = [i * len(cycles) + k for i, cs in enumerate(free) for k in cols[id(cs)]]
+        codes.flat[at] = list(chain.from_iterable(combos))
+    return TripleRows(names, values, tuple(cycles), np.array(h, dtype=np.int64),
+                      np.array(w, dtype=np.int64), codes)
 
 
 def triple_lattice(g: DirectedGraph, bound: int | None = None):
     """The enumerated triples as a finite lattice: ``from_poset`` derives
-    meets and joins from :func:`leq_matrix` alone, not from the closed-form
-    formulas.  Past :data:`TRIPLE_CAP` hereditary sets or triples the
-    enumeration stops and :class:`LatticeTooLargeError` is raised."""
+    meets and joins from their order (:meth:`TripleRows.order`) alone, not
+    from the closed-form formulas; its labels are built on first read.
+    Past :data:`TRIPLE_CAP` hereditary sets or triples the enumeration
+    stops and :class:`LatticeTooLargeError` is raised."""
     from .lattice import from_poset
 
-    ts = _listed(g, *_refusals(g, bound, TRIPLE_CAP))
-    return from_poset(ts, leq_matrix(g, ts))
+    rows = _listed(g, *_refusals(g, bound, TRIPLE_CAP), tuple(sorted(g.vertices)), TRIPLE_CAP)
+    return from_poset(rows, rows.order())
 
 
 def component_lattices(g: DirectedGraph, bound: int | None = None):
@@ -340,39 +430,44 @@ def component_lattices(g: DirectedGraph, bound: int | None = None):
     when that is, with the same line: first g's own refusals, then a product
     of triple counts (g's count) past :data:`TRIPLE_CAP`, before any lattice
     is built.  No edge leaves a weak component, so its hereditary sets are
-    g's that lie inside it, in g's order."""
+    g's that lie inside it, in g's order.  Each factor's ``listing`` is its
+    :class:`TripleRows`, masks over g's names."""
     from .lattice import from_poset
 
     hereditary, values = _refusals(g, bound, TRIPLE_CAP)
-    parts, size = [], 1
+    names, parts, size = tuple(sorted(g.vertices)), [], 1
     for c in weak_component_subgraphs(g) or (g,):
         own = [h for h in hereditary if h <= c.vertex_set]
-        ts = _listed(c, own, () if is_acyclic(c) else values, size)  # no cycle search if acyclic
-        size *= len(ts)
-        parts.append((c, ts))
-    return tuple(from_poset(ts, leq_matrix(c, ts)) for c, ts in parts)
+        # no cycle search if acyclic
+        rows = _listed(c, own, () if is_acyclic(c) else values, names, TRIPLE_CAP // size)
+        size *= len(rows)
+        parts.append(rows)
+    return tuple(from_poset(rows, rows.order()) for rows in parts)
 
 
-def product_coordinates(g: DirectedGraph, factors):
-    """g's triples, past its refusals, in ``triple_lattice(g)`` order, and
-    each one's index in the factor of :func:`component_lattices` for each
-    component C, keyed by (H ∩ C, W ∩ C, the f entries on cycles in C)."""
-    if len(factors) == 1:  # g's own lattice
-        return factors[0].labels, np.arange(len(factors[0]))[:, None]
-    # A factor storing any cycle value stores them all, in every combination;
-    # with none stored, g's triples have no free cycle.  So the divisors of
-    # the bound need not be listed again.
-    stored = {v for lat in factors for t in lat.labels for _, v in t.f.entries}
-    values = (*sorted(v for v in stored if v is not INF), INF) if stored else ()
-    ts = tuple(_triples(g, hereditary_subsets(g), values))
-    coords = np.empty((len(ts), len(factors)), dtype=np.intp)
-    for k, (part, lat) in enumerate(zip(map(frozenset, g.weak_components), factors)):
-        index = {(t.H, t.W, t.f.entries): i for i, t in enumerate(lat.labels)}
-        coords[:, k] = [
-            index[t.H & part, t.W & part, tuple(e for e in t.f.entries if e[0].sources[0] in part)]
-            for t in ts
-        ]
-    return ts, coords
+def product_coordinates(factors):
+    """The triples of the graph whose :func:`component_lattices` are
+    ``factors``, as :class:`TripleRows` in ``triple_lattice`` order, and
+    each one's index in each factor.  Every tuple of factor rows is one
+    triple: the union of their sets and free cycles.  They are sorted on
+    the listing's own key: (|H|, H mask descending, |W|, W mask descending,
+    the value codes of the free cycles in cycle order), as
+    :func:`graph.hereditary_subsets` orders H and :func:`_triples` the rest."""
+    parts = [f.listing for f in factors]
+    if len(parts) == 1:  # g's own lattice
+        return parts[0], np.arange(len(parts[0]))[:, None]
+    coords = np.indices([len(p) for p in parts]).reshape(len(parts), -1).T
+    h = sum(p.h[c] for p, c in zip(parts, coords.T))
+    w = sum(p.w[c] for p, c in zip(parts, coords.T))
+    cycles = [c for p in parts for c in p.cycles]
+    by = sorted(range(len(cycles)), key=lambda k: cycles[k].sort_key())
+    codes = np.concatenate([p.codes[c] for p, c in zip(parts, coords.T)], axis=1)[:, by]
+    # Rows of equal H and W store the same cycles, so a -1 code ties.
+    order = np.lexsort((*codes.T[::-1], -w, np.bitwise_count(w), -h, np.bitwise_count(h)))
+    values = max((p.values for p in parts), key=len)  # an acyclic part has none
+    rows = TripleRows(parts[0].names, values, tuple(cycles[k] for k in by),
+                      h[order], w[order], codes[order])
+    return rows, coords[order]
 
 
 def render_triple(t: CongruenceTriple) -> str:

@@ -61,7 +61,7 @@ def cases() -> list[tuple[str, list[str]]]:
         out += [(graph_text(g), ["oracle"]), (graph_text(g), ["semigroup", "--json"])]
     for text, argv, _ in REFUSALS:
         out += [(text, argv.split()), (text, [*argv.split(), "--json"])]
-    return out + scale_cases()
+    return out + scale_cases() + interleaved_cases()
 
 
 def _shape(n: int, pairs) -> str:
@@ -95,6 +95,24 @@ def scale_cases() -> list[tuple[str, list[str]]]:
     out += [(ring + "edge bad v0 nowhere\n", ["forked"]), (_shape(12, []), ["oracle", "--json"])]
     lattices = ((path[12], []), (forkloops, ["--bound", "60"]))  # their text and DOT bytes too
     return out + [(g, ["lattice", *b, *dot]) for g, b in lattices for dot in ([], ["--dot", "DOT", "--json"])]
+
+
+# A loop on b, a ring a -> d -> a and a fork c -> e, c -> f: three weak
+# components whose sorted vertex names, and edge names, interleave.
+INTERLEAVED = (
+    "vertex a\nvertex b\nvertex c\nvertex d\nvertex e\nvertex f\n"
+    "edge q b b\nedge p a d\nedge r d a\nedge o c e\nedge s c f\n"
+)
+
+
+def interleaved_cases() -> list[tuple[str, list[str]]]:
+    """The product route on :data:`INTERLEAVED` under a bound, after the
+    cap-sized commands."""
+    return [
+        (INTERLEAVED, [*argv, "--bound", "6", *json_flag])
+        for json_flag in ([], ["--json"])
+        for argv in (["classify", "--enumerate"], ["lattice", "--dot", "DOT"])
+    ]
 
 
 def _run(argv: list[str]) -> tuple[int, bytes, bytes]:

@@ -9,6 +9,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from gislat.graph import (
@@ -546,6 +547,25 @@ def reference_triples(g: DirectedGraph, bound: int | None = None) -> tuple[Congr
     return tuple(out)
 
 
+def reference_coordinates(g: DirectedGraph, factors, bound: int | None = None):
+    """``product_coordinates(factors)`` for the ``component_lattices(g,
+    bound)`` ``factors``, as the product route placed triples before it
+    sorted rows: g's triples listed again (:func:`reference_triples`), each
+    looked up in the factor of each weak component C by (H ∩ C, W ∩ C, the
+    f entries on cycles in C)."""
+    if len(factors) == 1:  # g's own lattice
+        return factors[0].labels, np.arange(len(factors[0]))[:, None]
+    ts = reference_triples(g, bound)
+    coords = np.empty((len(ts), len(factors)), dtype=np.intp)
+    for k, (part, lat) in enumerate(zip(map(frozenset, g.weak_components), factors)):
+        index = {(t.H, t.W, t.f.entries): i for i, t in enumerate(lat.labels)}
+        coords[:, k] = [
+            index[t.H & part, t.W & part, tuple(e for e in t.f.entries if e[0].sources[0] in part)]
+            for t in ts
+        ]
+    return ts, coords
+
+
 # ------------------------------------------------ definition-level checks
 
 
@@ -926,6 +946,42 @@ def closure_lattice_strategy(draw, max_points: int = 5, max_generators: int = 7)
     points = draw(st.integers(1, max_points))
     gens = draw(st.lists(st.integers(0, (1 << points) - 1), max_size=max_generators))
     return closure_lattice(points, gens)
+
+
+# One weak component each, on vertices 0, 1, ...: (vertex count, edges).
+INTERLEAVED_SHAPES = {
+    "isolated": (1, []),
+    "edge": (2, [(0, 1)]),
+    "fork": (3, [(0, 1), (0, 2)]),
+    "loop": (1, [(0, 0)]),
+    "loopout": (2, [(0, 0), (0, 1)]),
+    "ring2": (2, [(0, 1), (1, 0)]),
+    "ring3": (3, [(0, 1), (1, 2), (2, 0)]),
+}
+
+
+@st.composite
+def interleaved_components(draw, max_triples: int = 1500):
+    """A graph of two to four weak components from
+    :data:`INTERLEAVED_SHAPES` whose vertex and edge names are drawn apart
+    from the components, so that sorted names (and cycles sorted by edge
+    names) interleave across them, and a bound among 1, 6 and 12 (None if
+    the graph is acyclic), under which the triple lattice has at most
+    ``max_triples`` elements."""
+    shapes = draw(st.lists(st.sampled_from(sorted(INTERLEAVED_SHAPES)), min_size=2, max_size=4))
+    sizes = [INTERLEAVED_SHAPES[k][0] for k in shapes]
+    edges = sum(len(INTERLEAVED_SHAPES[k][1]) for k in shapes)
+    vnames = draw(st.permutations([f"v{i:02d}" for i in range(sum(sizes))]))
+    enames = iter(draw(st.permutations([f"e{i:02d}" for i in range(edges)])))
+    es, start = [], 0
+    for k, n in zip(shapes, sizes):
+        es += [(next(enames), vnames[start + a], vnames[start + b]) for a, b in INTERLEAVED_SHAPES[k][1]]
+        start += n
+    g = DirectedGraph.of(vnames, es)
+    bound = None if is_acyclic(g) else draw(st.sampled_from((1, 6, 12)))
+    count = bounded_triple_count(g, bound) if bound else len(reference_triples(g))
+    assume(count <= max_triples)
+    return g, bound
 
 
 @st.composite

@@ -650,6 +650,49 @@ def test_join_tables_are_built_only_where_read(tmp_path, capsys, monkeypatch, te
         assert len(calls) == tables, argv
 
 
+UNION3_TEXT = "vertex u\nvertex a\nvertex b\nedge e u a\nedge f u b\n" + path_text(3, "c") + path_text(3, "d")
+
+
+@pytest.mark.parametrize(
+    "text, bound, built",
+    [
+        (path_text(7), None, 0),  # distributive: no witness
+        ("vertex u\n" + "".join(f"vertex s{i}\nedge f{i} u s{i}\n" for i in range(5)), None, 5),
+        (UNION3_TEXT, None, 5),  # fan2 and two 3-paths: a pentagon of the product
+        ("vertex p\nedge x p p\nvertex q\nedge y q q\n", 6, 0),  # two loops
+    ],
+    ids=["chain7", "fan5", "union3", "loops2"],
+)
+def test_triples_are_built_only_for_a_witness(tmp_path, capsys, monkeypatch, text, bound, built):
+    """classify --enumerate reads the order and the product's coordinates
+    off integer rows: it constructs a CongruenceTriple only for each member
+    of its witness, none for a distributive lattice, and oracle none at
+    all.  classify --enumerate and lattice list the graph's hereditary sets
+    once, also on a graph of several weak components, whose product is
+    sorted from its factors' rows and not listed again."""
+    import gislat.triples
+
+    built_now, listed = [], []
+    init = gislat.triples.CongruenceTriple.__init__
+    monkeypatch.setattr(
+        gislat.triples.CongruenceTriple, "__init__", lambda t, *a: built_now.append(1) or init(t, *a)
+    )
+    hereditary = gislat.triples.hereditary_subsets
+    monkeypatch.setattr(gislat.triples, "hereditary_subsets", lambda *a: listed.append(1) or hereditary(*a))
+    p = tmp_path / "g.graph"
+    p.write_text(text)
+    flags = ["--bound", str(bound)] if bound else []
+    argvs = [["classify", "--enumerate"], ["classify", "--enumerate", "--json"], ["lattice"],
+             ["lattice", "--json"]]
+    for argv in argvs + ([] if bound else [["oracle"]]):
+        built_now.clear()
+        listed.clear()
+        assert run(capsys, argv[0], str(p), *argv[1:], *flags)[0] == 0
+        assert len(listed) == 1, argv
+        if argv[0] != "lattice":
+            assert len(built_now) == (built if argv[0] == "classify" else 0), argv
+
+
 def test_product_route_refuses_before_building_a_lattice(tmp_path, capsys):
     # A 12-vertex path beside an isolated vertex: 4096 * 2 triples, refused
     # before the 4096-element lattice of the path is built.

@@ -5,7 +5,9 @@ the paper predicts, so a rewritten manifest cannot record a wrong one."""
 import json
 
 import pytest
-from golden import MANIFEST, cases, first_difference, manifest_line, runs, scale_cases
+from golden import (
+    MANIFEST, cases, first_difference, interleaved_cases, manifest_line, runs, scale_cases
+)
 
 READ = (0, 1, 2, 3, 4, 5, 11, 12, 13, 14, 15, 16, 18, 20, 21, 22)  # positions in scale_cases()
 
@@ -14,7 +16,7 @@ READ = (0, 1, 2, 3, 4, 5, 11, 12, 13, 14, 15, 16, 18, 20, 21, 22)  # positions i
 def recorded():
     """Every manifest line, and (exit code, stdout, stderr) of the READ
     scale cases by position, from one run of the manifest."""
-    first = len(cases()) - len(scale_cases())
+    first = len(cases()) - len(scale_cases()) - len(interleaved_cases())
     lines, kept = [], {}
     for k, run in enumerate(runs()):
         lines.append(manifest_line(*run))

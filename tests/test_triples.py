@@ -53,8 +53,11 @@ from helpers import (
     dag_census,
     definition_leq,
     graph_text,
+    interleaved_components,
+    multi_component_corpus,
     outdeg_le1_corpus,
     product_corpus,
+    reference_coordinates,
     reference_triples,
     validate_triple,
 )
@@ -431,8 +434,8 @@ def test_component_lattices_factor_the_triple_lattice():
     and the sizes multiply to the graph's triple count."""
     for g, bound in product_corpus(count=30):
         factors = component_lattices(g, bound)
-        ts, coords = product_coordinates(g, factors)
-        assert ts == enumerate_triples(g, bound)
+        ts, coords = product_coordinates(factors)
+        assert tuple(ts) == enumerate_triples(g, bound)
         assert len({tuple(c) for c in coords.tolist()}) == len(ts) == math.prod(map(len, factors))
         parts = weak_component_subgraphs(g)
         for k, (part, lat) in enumerate(zip(parts, factors)):
@@ -442,6 +445,34 @@ def test_component_lattices_factor_the_triple_lattice():
                 f = lat.labels[i]
                 assert (f.H, f.W) == (t.H & vs, t.W & vs)
                 assert f.f.entries == tuple((c, v) for c, v in t.f.entries if c.source_set <= vs)
+
+
+def check_coordinates(g, bound):
+    factors = component_lattices(g, bound)
+    rows, coords = product_coordinates(factors)
+    ts, want = reference_coordinates(g, factors, bound)
+    assert tuple(rows) == ts, (bound, graph_text(g))
+    assert coords.tolist() == want.tolist(), (bound, graph_text(g))
+
+
+def test_sort_key_coordinates_match_the_reference_on_the_corpora():
+    """The factors' rows sorted on the listing key place g's triples where
+    listing g again and looking each one up does, and give the same
+    labels: the multi-component and product corpora and the empty graph."""
+    for g in multi_component_corpus():
+        check_coordinates(g, None)
+    for g, bound in product_corpus():
+        check_coordinates(g, bound)
+    check_coordinates(parse_graph(""), None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(interleaved_components())
+def test_sort_key_coordinates_match_the_reference_on_interleaved_components(case):
+    """As above, on two to four components (loops, rings, forks, edges)
+    whose sorted vertex names and edge names interleave, so that the
+    product's masks and cycle order mix bits and cycles of every factor."""
+    check_coordinates(*case)
 
 
 def test_product_route_lists_the_divisors_once(monkeypatch):
@@ -457,9 +488,9 @@ def test_product_route_lists_the_divisors_once(monkeypatch):
         "vertex l\nedge z l l\n"
     )
     factors = component_lattices(g, 999999999989)
-    ts, _ = product_coordinates(g, factors)
+    ts, _ = product_coordinates(factors)
     assert calls == [999999999989]
-    assert ts == gislat.triples.enumerate_triples(g, 999999999989)
+    assert tuple(ts) == gislat.triples.enumerate_triples(g, 999999999989)
 
 
 def test_an_acyclic_part_runs_no_cycle_search(monkeypatch):
