@@ -1,37 +1,27 @@
-"""Finite lattices from their order, with meet/join tables built on first read.
+"""Finite lattices from their order, keyed by their irreducibles.
 
-A lattice is built from an element list and its order, as a predicate
-or a boolean matrix, and from that matrix alone.  A distributive lattice
-with at most 63 join-irreducibles is certified first, by Birkhoff's
-theorem (it is the lattice of down-sets of its join-irreducibles J, x
-going to J ∩ ↓x): its elements are keyed by the bitsets J ∩ ↓x, and the
-keys give its cover pairs, with no table built.  Any other order takes
-the table route.  The cover pairs and the transitivity check come from
-one OR over the order's pairs: what lies strictly above some k > i is
-the union of the packed strict up-sets of those k.  a ∧ b is the largest
-c ∧ b over the lower covers c of a, confirmed by induction over those
-lower covers (each c ∧ b confirmed and below it), one height level
-(longest chain below) at a time; joins are the same on the dual order.
-A finite poset with a top in which every pair has a meet is a lattice
-(a ∨ b is the meet of the common upper bounds), so the meet table and a
-top prove a lattice; only a poset that fails that check gets its join
-table at once, to name the first pair without a meet or a join.  Every
-other table waits for its first read.
-Because no closed-form meet/join ever enters the construction, lattices
-built here double as the poset-theoretic oracle for formula-computed
-meets and joins elsewhere in the package.
+A lattice is built from its elements and its order, as a predicate or a
+boolean matrix, and from that matrix alone.  x ↦ J ∩ ↓x, the
+join-irreducibles below x, is an order embedding of a finite lattice that
+sends a ∧ b to J(a) ∩ J(b), and dually M(a ∨ b) = M(a) ∩ M(b) for the
+meet-irreducibles above (Davey and Priestley, *Introduction to Lattices
+and Order*, ch. 2 and 5).  These keys, uint64 words laid out word-major
+and read off the order, prove a lattice (:func:`from_poset`), and meets
+and joins are key lookups: no table is built to prove a lattice, decide
+its verdicts or find its pentagon.  The tables are built on first read,
+for :func:`product_diamond` and the tests.  No closed-form meet/join
+enters, so these lattices are the poset-theoretic oracle for the
+formula-computed meets and joins elsewhere in the package.
 
 :func:`product_verdicts` decides the four verdicts of a direct product,
 a lattice being the product of itself alone, from known characterisations
 (Grätzer, *Lattice Theory: Foundation*, ch. IV), each read off the cover
 pairs: upper semimodularity as every two distinct upper covers of one
-element having a join that covers both, lower semimodularity dually,
+element having a common upper cover, lower semimodularity dually,
 modularity as both, and distributivity as every join-irreducible j being
-join-prime, that is {x : j ≰ x} having a greatest element.  A distributive
-lattice is modular, so its two semimodularity scans are skipped, and with
-them the only read of joins.  :func:`product_witness` gives a failure its
-pentagon or diamond from a direct search, an independent route to the same
-verdict.
+join-prime, that is {x : j ≰ x} having a greatest element.
+:func:`product_witness` gives a failure its pentagon or diamond from a
+direct search, an independent route to the same verdict.
 
 :func:`product_covers`, :func:`product_pentagon` and :func:`product_diamond`
 read the cover pairs, first pentagon and first diamond of a direct product
@@ -75,18 +65,18 @@ class SublatticeWitness:
 
 
 class FiniteLattice:
-    """Immutable element list, order matrix, cover pairs and meet/join tables.
+    """Immutable element list, order matrix, cover pairs and irreducible keys
+    (``keys[w, x]``: word w of the bitset of join-irreducibles below x).
+    The dual keys, both tables and the tuple of labels are built on first
+    read; the verdicts, the pentagon search and the isomorphism read no table."""
 
-    Both tables, and the tuple of labels, are built on first read: a
-    distributive lattice's verdicts, its covers and DOT, and the order
-    isomorphism need only the order and the cover pairs."""
-
-    def __init__(self, labels, leq_matrix, cover_pairs) -> None:
+    def __init__(self, labels, leq_matrix, cover_pairs, keys) -> None:
         self.listing: Sequence = labels
         self.n: int = len(labels)
         self.leq: np.ndarray = leq_matrix
         # (lower, upper) with upper[k] covering lower[k], sorted by (lower, upper)
         self.cover_pairs: tuple[np.ndarray, np.ndarray] = cover_pairs
+        self.keys: np.ndarray = keys
 
     @cached_property
     def labels(self) -> tuple:
@@ -95,15 +85,20 @@ class FiniteLattice:
         return tuple(self.listing)
 
     @cached_property
+    def dual_keys(self) -> np.ndarray:
+        """``[w, x]``: word w of the bitset of meet-irreducibles above x."""
+        irreducible = np.bincount(self.cover_pairs[0], minlength=self.n) == 1
+        return _words(self.leq[:, irreducible].T)
+
+    @cached_property
     def meet_t(self) -> np.ndarray:
-        """The greatest lower bound of every pair (:func:`_meet_table`)."""
-        return _meet_table(self.leq.copy(), *self.cover_pairs)[0]
+        """The greatest lower bound of every pair, keyed by their keys' intersection."""
+        return _table(self.keys)[0]
 
     @cached_property
     def join_t(self) -> np.ndarray:
-        """The meet table of the dual order."""
-        lower, upper = self.cover_pairs
-        return _meet_table(_transposed(self.leq), upper, lower)[0]
+        """The least upper bound of every pair, by the dual keys."""
+        return _table(self.dual_keys)[0]
 
     @cached_property
     def distributive(self) -> bool:
@@ -139,127 +134,152 @@ def _between(lt: np.ndarray) -> np.ndarray:
     return np.unpackbits(out.view(np.uint8), axis=1, count=n).view(bool)
 
 
-def _levels(lower: np.ndarray, upper: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Elements by height (the longest chain below) and where each level starts,
-    by relaxation over the cover pairs (``upper[k]`` covers ``lower[k]``)."""
-    height, new = np.full(n, -1, dtype=np.int32), np.zeros(n, dtype=np.int32)
-    while (new != height).any():
-        height, new = new, np.zeros_like(new)
-        np.maximum.at(new, upper, height[lower] + 1)
-    order = np.argsort(height, kind="stable").astype(np.int32)
-    return order, np.flatnonzero(np.diff(height[order])) + 1
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # [k]: bit k of a word
 
 
-def _transposed(m: np.ndarray, tile: int = 256) -> np.ndarray:
-    """``m.T`` in row order, copied in square tiles: a plain copy of the
-    transposed view reads ``m`` by columns, several times slower at n = 4096."""
-    out = np.empty(m.shape[::-1], dtype=m.dtype)
-    for i in range(0, len(m), tile):
-        for j in range(0, len(m), tile):
-            out[i : i + tile, j : j + tile] = m[j : j + tile, i : i + tile].T
+def _words(rows: np.ndarray) -> np.ndarray:
+    """The columns of the bool ``rows`` (r × n) as bitsets, word-major:
+    bit k % 64 of ``[k // 64, x]`` is ``rows[k, x]``; at least one word."""
+    chunks = (rows[k : k + 64] for k in range(0, max(1, len(rows)), 64))
+    return np.array([c.T.astype(np.uint64) @ _BITS[: len(c)] for c in chunks])
+
+
+def _disjoint(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``[k, b]``: ``masks[:, k]`` and ``keys[:, b]`` share no bit (both
+    word-major)."""
+    out = (masks[0][:, None] & keys[0]) == 0
+    for w in range(1, len(keys)):
+        out &= (masks[w][:, None] & keys[w]) == 0
     return out
 
 
-def _meet_table(
-    ok: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate glb of every pair, and whether induction confirms it
-    (``ok[x, y]``: x <= y, a row-ordered copy overwritten by the result;
-    ``upper[k]`` covers ``lower[k]``; for joins pass the transposed order
-    and the cover pairs swapped).
-
-    Rows go by height; any linear extension serves the largest-candidate
-    step, and entries are positions in it.  If a <= b the glb is a; else
-    the candidate g is the largest ``glb(c, b)`` over the lower covers c of
-    a, confirmed when every ``glb(c, b)`` is and lies below g: a common
-    lower bound of a and b lies below some c, hence below ``glb(c, b)`` and
-    g.  A height level is an antichain whose lower covers come earlier, so
-    it is done at once, in row blocks as wide as their largest cover count."""
-    n = len(ok)
-    order, cuts = _levels(lower, upper, n)
-    ranked = ok[np.ix_(order, order)].ravel()  # position p <= q at p * n + q
-    flat = np.int32 if n * n < 2**31 else np.int64  # dtype that holds p * n + q
-    table = np.empty(ok.shape, dtype=np.int32)
-    lower = lower[np.argsort(upper, kind="stable")].astype(np.int32)  # grouped by upper
-    degree = np.bincount(upper, minlength=n).astype(np.int32)
-    first = (np.cumsum(degree, dtype=np.int32) - degree)[order, None]
-    degree = degree[order]  # by position from here on
-    # Row p: order[p]'s lower covers, padded by repeating the last; minimal rows go unread.
-    pad = np.minimum(np.arange(degree.max(initial=0), dtype=np.int32), degree[:, None] - 1)
-    covers = lower[first + pad]
-    step = max(1, (1 << 14) // max(1, n))  # a block gathers n cells per lower cover a row
-    starts = [s for lo, hi in zip([0, *cuts], [*cuts, n]) for s in range(lo, hi, step)]
-    widths = np.maximum.reduceat(degree, starts) if n else ()
-    for s, e, w in zip(starts, [*starts[1:], n], widths):
-        a = order[s:e]
-        pos = np.arange(s, e, dtype=np.int32)[:, None]
-        if not w:  # minimal: a keeps itself, which fails wherever a ≰ b
-            table[a] = pos
-            continue
-        c = covers[s:e, :w]
-        found = table[c].astype(flat, copy=False)  # [row, k, b]: glb(c_k, b)
-        g = found.max(axis=1)
-        found *= n
-        found += g[:, None]
-        below = ok[a]  # still the order's rows
-        ok[a] = below | (ok[c] & ranked.take(found)).all(axis=1)
-        table[a] = np.where(below, pos, g)
-    for s in range(0, n, step):  # back to indices, without an n × n intp copy
-        table[s : s + step] = order[table[s : s + step]]
-    return table, ok
+def _flat(keys: np.ndarray) -> np.ndarray:
+    """One comparable item per key: its word, or its words as raw bytes."""
+    return keys[0] if len(keys) == 1 else np.ascontiguousarray(keys.T).view(f"V{8 * len(keys)}").ravel()
 
 
-def _birkhoff(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The cover pairs of ``m`` (``m[x, y]``: x <= y) if it is the order of
-    a distributive lattice with at most 63 join-irreducibles, else None,
-    read off ``m`` alone (Birkhoff: such a lattice is the lattice O(J) of
-    the down-sets of its join-irreducibles J, x going to J ∩ ↓x).
+def _index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The elements sorted by key, and their keys in that order."""
+    order = np.argsort(flat := _flat(keys))
+    return order, flat[order]
 
-    J' holds each j with some c < j and |↓c| = |↓j| − 1, that is whose
-    strict down-set has a greatest element: in a lattice, J.  x is keyed
-    by the bitset J' ∩ ↓x.  Distinct keys, ∅ among them, and ``m`` equal
-    to key inclusion make ``m`` a partial order and the keys down-sets of
-    J'; if K ∪ {j} is a key for every key K and every j ∉ K whose strict
-    J'-down-set lies in K, every down-set is a key, added one element at a
-    time, so ``m`` is O(J'), whose covers are those K ⊂ K ∪ {j}.  The
-    checks go cheapest first, the n × n comparison in row blocks last."""
+
+def _find(index, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each key of ``query`` (words × k): the element with that key in
+    :func:`_index` ``index``, and whether there is one."""
+    order, ranked = index
+    query = _flat(query)
+    at = np.minimum(np.searchsorted(ranked, query), len(ranked) - 1)
+    return order[at], ranked[at] == query
+
+
+def _table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``[a, b]``: the element keyed ``keys[:, a] & keys[:, b]`` (int32),
+    and whether there is one, looked up in row blocks."""
+    n = keys.shape[1]
+    index, table, found = _index(keys), np.empty((n, n), np.int32), np.empty((n, n), bool)
+    step = max(1, (1 << 16) // max(1, n * len(keys)))
+    for s in range(0, n, step):
+        at, ok = _find(index, (keys[:, s : s + step, None] & keys[:, None]).reshape(len(keys), -1))
+        table[s : s + step], found[s : s + step] = at.reshape(-1, n), ok.reshape(-1, n)
+    return table, found
+
+
+def _keyed(m: np.ndarray):
+    """(J', c, keys, index) if the keys J' ∩ ↓x are distinct and ``m``
+    (``m[x, y]``: x <= y) is key inclusion, which makes ``m`` a partial
+    order; else None.  J' holds each j with some c < j and |↓c| = |↓j| − 1,
+    that is whose strict down-set is ↓c, and ``c[t]`` is that c for j[t]."""
     n = len(m)
-    size = m.sum(axis=0)  # [x]: |↓x|
+    size = m.sum(axis=0, dtype=np.int32)  # [x]: |↓x|
     step = max(1, (1 << 18) // max(1, n))
     irreducible = np.zeros(n, dtype=bool)
     for s in range(0, n, step):
         irreducible |= (m[s : s + step] & (size[s : s + step, None] == size - 1)).any(axis=0)
     j = np.flatnonzero(irreducible)
-    if not n or len(j) > 63:
+    c = (m[:, j] & (size[:, None] == size[j] - 1)).argmax(axis=0) if n else j
+    index = _index(keys := _words(m[j]))
+    if (index[1][1:] == index[1][:-1]).any():
         return None
-    bit = np.left_shift(np.uint64(1), np.arange(len(j), dtype=np.uint64))
-    key = m[j].T.astype(np.uint64) @ bit  # [x]: J' ∩ ↓x
-    order = np.argsort(key)
-    ranked = key[order]
-    if ranked[0] or (ranked[1:] == ranked[:-1]).any():
-        return None
-    below = key[j] & ~bit  # [t]: the strict J'-down-set of j[t]
-    low, t = np.nonzero(((key[:, None] & bit) == 0) & ((below & ~key[:, None]) == 0))
-    grown = key[low] | bit[t]
-    at = np.minimum(np.searchsorted(ranked, grown), n - 1)
-    if (ranked[at] != grown).any():
-        return None
+    off, step = ~keys, max(1, (1 << 14) // max(1, n))
     for s in range(0, n, step):
-        if (((key[s : s + step, None] & ~key) == 0) != m[s : s + step]).any():
+        if (_disjoint(off, keys[:, s : s + step]) != m[s : s + step]).any():
             return None
-    up = order[at]
+    return j, c, keys, index
+
+
+def _birkhoff(m: np.ndarray, j, c, keys: np.ndarray, index) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cover pairs of the partial order ``m`` keyed by :func:`_keyed`
+    if it is a distributive lattice, else None (Birkhoff: it is then O(J),
+    the down-sets of its join-irreducibles J, x going to J ∩ ↓x).  The keys
+    are down-sets of J', a minimal element's ∅; if K ∪ {j} is a key for
+    every key K and j ∉ K whose strict J'-down-set lies in K, every down-set
+    is one, so ``m`` is O(J'), whose covers are those K ⊂ K ∪ {j}: edges
+    of the hypercube on J' among n keys, at most n·log2(n)/2 of them."""
+    grows = (m[c] & ~m[j]).T  # [x, t]: j[t] ∉ K(x) ⊇ K(c[t]) = K(j[t]) ∖ {j[t]}
+    if np.count_nonzero(grows) > len(m) * math.log2(max(1, len(m))) / 2:
+        return None
+    low, t = np.nonzero(grows)
+    up, found = _find(index, keys[:, low] | keys[:, j[t]])  # K(x) ∪ K(j[t]) = K(x) ∪ {j[t]}
+    if not found.all():
+        return None
     by = np.lexsort((up, low))
     return low[by], up[by]
 
 
+def _meets_irreducibles(keys: np.ndarray, index, lower: np.ndarray) -> bool:
+    """Whether the partial order keyed by :func:`_keyed`, with cover pairs
+    ``lower`` < upper, is a lattice: it has a top, and each key's
+    intersection with the key of each meet-irreducible m (one upper cover)
+    is a key, that of x ∧ m.
+
+    Then any two keys meet in a key, and a finite poset with a top and
+    all meets is a lattice.  Were b maximal with some K(a) ∩ K(b) no key,
+    b would have upper covers u_1 ≠ u_2 …, whose keys meet every key in a
+    key: so do K(a) ∩ K(u_1) ∩ … and the meet K(d) of theirs, b <= d <= each
+    u_i.  d = b makes K(a) ∩ K(b) a key, and d > b makes d u_1 and u_2."""
+    ups = np.bincount(lower, minlength=keys.shape[1])
+    if np.count_nonzero(ups == 0) != 1:  # a top is the only maximal element
+        return False
+    irreducible = keys[:, ups == 1]
+    step = max(1, (1 << 16) // max(1, keys.shape[1] * len(keys)))
+    for s in range(0, irreducible.shape[1], step):
+        meets = keys[:, :, None] & irreducible[:, None, s : s + step]
+        if not _find(index, meets.reshape(len(keys), -1))[1].all():
+            return False
+    return True
+
+
+def _no_lattice(labels: Sequence, m: np.ndarray) -> ValueError:
+    """The error for a matrix the keyed route declines: ValueError if ``m``
+    is not a partial order, else (no lattice) the :class:`NotALatticeError`
+    of :func:`from_poset`.  a ∧ b exists iff the common lower bounds ↓a ∩ ↓b
+    are some ↓c, so packed down-sets are keys for the exact rule, and packed
+    up-sets for joins."""
+    if not m.diagonal().all():
+        return ValueError("leq is not reflexive")
+    lt = m & ~np.eye(len(m), dtype=bool)
+    if (lt & lt.T).any():
+        return ValueError("leq is not antisymmetric")
+    # Once m is reflexive and antisymmetric, m is transitive iff lt is.
+    if (_between(lt) & ~m).any():
+        return ValueError("leq is not transitive")
+    meet, join = (_table(_words(sets))[1] for sets in (m, m.T))  # keyed by ↓x, and by ↑x
+    i, j = np.argwhere(np.triu(~(meet & join)))[0]
+    return NotALatticeError((labels[i], labels[j]), "join" if meet[i, j] else "meet")
+
+
 def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     """Build a lattice from elements and their order, as a predicate
-    ``leq(a, b)`` or an n × n boolean matrix: a distributive lattice with
-    at most 63 join-irreducibles through :func:`_birkhoff`, any other
-    order through :func:`_between` and :func:`_meet_table`.  A bool
-    ndarray is kept as the lattice's ``leq`` without a copy, and nothing
-    writes to it.  ``labels`` is kept as given, a sequence that the
-    lattice's ``labels`` makes a tuple of on first read.
+    ``leq(a, b)`` or an n × n boolean matrix.  Each element x is keyed by
+    J' ∩ ↓x (:func:`_keyed`).  Distinct keys with the order equal to key
+    inclusion make a partial order; keys that grow by every element they
+    may make it a distributive lattice, whose covers they give
+    (:func:`_birkhoff`); else the covers come from :func:`_between`, and a
+    top and the meet-irreducible lookups prove a lattice
+    (:func:`_meets_irreducibles`).  A bool ndarray is kept as the lattice's
+    ``leq`` without a copy, and nothing writes to it; ``labels`` is kept as
+    given, made a tuple on first read.
 
     Raises ValueError if ``leq`` is not a partial order and
     :class:`NotALatticeError` naming the first pair (i <= j, row-major)
@@ -270,42 +290,16 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     if callable(leq):
         leq = [[bool(leq(a, b)) for b in labels] for a in labels]
     m = np.asarray(leq, dtype=bool).reshape(n, n)  # no labels give shape (0,)
-    covers = _birkhoff(m)
-    if covers is not None:
-        return FiniteLattice(labels, m, covers)
-
-    if not m.diagonal().all():
-        raise ValueError("leq is not reflexive")
-    lt = m & ~np.eye(n, dtype=bool)
-    if (lt & lt.T).any():
-        raise ValueError("leq is not antisymmetric")
-    # Once m is reflexive and antisymmetric, m is transitive iff lt is.
-    # Transitivity and covers come from one OR over the order's pairs.
-    between = _between(lt)
-    if (between & ~m).any():
-        raise ValueError("leq is not transitive")
-    lower, upper = np.nonzero(lt & ~between)
-    del lt, between  # room for the tables at the cap
-
-    meet_t, meet_ok = _meet_table(m.copy(), lower, upper)
-    lat = FiniteLattice(labels, m, (lower, upper))
-    lat.meet_t = meet_t  # built already: fills the cached_property
-    # A finite poset with a top in which every pair has a meet is a lattice:
-    # a ∨ b is the meet of the common upper bounds, the top among them.
-    if meet_ok.all() and m.all(axis=0).any():
-        return lat
-    # Any other poset but the empty one is no lattice.  A candidate may come
-    # from a pair without a glb, so a failed induction only flags a pair for
-    # the exact rule (the common bound with the largest down-set holds them
-    # all).  Failures are symmetric: the first has i <= j.
-    _, join_ok = _meet_table(_transposed(m), upper, lower)
-    exact = (("meet", meet_ok, m.T, m.sum(axis=0)), ("join", join_ok, m, m.sum(axis=1)))
-    for i, j in np.argwhere(np.triu(~(meet_ok & join_ok))):
-        for which, ok, bounds, size in exact:
-            common = bounds[i] & bounds[j]
-            if not ok[i, j] and size[common].max(initial=-1) != np.count_nonzero(common):
-                raise NotALatticeError((labels[i], labels[j]), which)
-    return lat
+    keyed = _keyed(m)
+    if keyed is None:
+        raise _no_lattice(labels, m)
+    covers = _birkhoff(m, *keyed)
+    if covers is None:
+        lt = m & ~np.eye(n, dtype=bool)
+        covers = np.nonzero(lt & ~_between(lt))
+        if not _meets_irreducibles(*keyed[2:], covers[0]):  # keys, index
+            raise _no_lattice(labels, m)
+    return FiniteLattice(labels, m, covers, keyed[2])
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
@@ -314,7 +308,7 @@ def is_distributive(lat: FiniteLattice) -> bool:
     D_j = {x : j ≰ x}, which holds the bottom, has a greatest element,
     and that can only be its member w with the largest down-set; so j is
     join-prime iff D_j lies below w."""
-    size = lat.leq.sum(axis=0)
+    size = lat.leq.sum(axis=0, dtype=np.int32)
     irreducible = np.flatnonzero(np.bincount(lat.cover_pairs[1], minlength=lat.n) == 1)
     step = max(1, (1 << 16) // max(1, lat.n))
     for s in range(0, len(irreducible), step):
@@ -330,26 +324,28 @@ def is_modular(lat: FiniteLattice) -> bool:
     return is_upper_semimodular(lat) and is_lower_semimodular(lat)
 
 
-def _semimodular(low: np.ndarray, up: np.ndarray, join_t: np.ndarray) -> bool:
-    """a, b both covering a ∧ b forces a ∨ b to cover both a and b
-    (``up[k]`` covers ``low[k]``, sorted by (low, up)).  Two distinct upper
-    covers a, b of one x meet at x, so only those pairs are checked, a < b,
-    from one self-join of the cover pairs; whether y covers x is read off
-    a transient boolean matrix of the cover pairs."""
+def _semimodular(low: np.ndarray, up: np.ndarray, n: int) -> bool:
+    """Every two distinct upper covers a, b of one x = a ∧ b share an upper
+    cover (``up[k]`` covers ``low[k]``, sorted by (low, up)): in a lattice,
+    upper semimodularity, as a shared upper cover d is a ∨ b (a < a ∨ b <= d).
+    The pairs a < b come from one self-join of the cover pairs, and each
+    element's upper covers are one packed row; a pair's rows are ANDed."""
     later = np.searchsorted(low, low, side="right") - np.arange(len(low)) - 1
     left = np.repeat(np.arange(len(low)), later)  # pair i with each later i' of its x
     start = np.repeat(np.cumsum(later) - later, later)
     right = left + 1 + np.arange(len(left)) - start
     a, b = up[left], up[right]
-    cov = np.zeros(join_t.shape, dtype=bool)  # [x, y]: y covers x
+    cov = np.zeros((n, n), dtype=bool)  # [x, y]: y covers x
     cov[low, up] = True
-    j = join_t[a, b]
-    return bool((cov[a, j] & cov[b, j]).all())
+    rows = np.packbits(cov, axis=1)
+    step = max(1, (1 << 18) // max(1, rows.shape[1]))
+    pairs = range(0, len(a), step)
+    return all((rows[a[s : s + step]] & rows[b[s : s + step]]).any(axis=1).all() for s in pairs)
 
 
 def is_upper_semimodular(lat: FiniteLattice) -> bool:
     """a, b both covering a ∧ b forces a ∨ b to cover both a and b."""
-    return _semimodular(*lat.cover_pairs, lat.join_t)
+    return _semimodular(*lat.cover_pairs, lat.n)
 
 
 def is_lower_semimodular(lat: FiniteLattice) -> bool:
@@ -357,7 +353,7 @@ def is_lower_semimodular(lat: FiniteLattice) -> bool:
     semimodularity of the dual lattice."""
     low, up = lat.cover_pairs
     by_up = np.argsort(up, kind="stable")
-    return _semimodular(up[by_up], low[by_up], lat.meet_t)
+    return _semimodular(up[by_up], low[by_up], lat.n)
 
 
 def _witness(kind: str, factors: Sequence[FiniteLattice], coords, x, y, z) -> SublatticeWitness:
@@ -386,15 +382,21 @@ def product_pentagon(factors: Sequence[FiniteLattice], coords) -> SublatticeWitn
     the direct product of ``factors`` (element i is row i of the integer
     array ``coords``), without building it.
 
-    (p∧b, p, q, b, p∨b) is a pentagon iff p < q share meet and join with b.
-    Such q and b exist for p iff some upper cover u of p and some b have
-    u <= p∨b and u∧b = p∧b (take u <= q one way, q = u the other).  Meets
-    and joins go by coordinates, so (p, q, b) is a pentagon's (low, high,
-    side) iff p < q and (p_k, q_k, b_k) is one in every factor k with
-    p_k ≠ q_k: p is the first element with a coordinate at a low end in
-    its factor, q the first above p each of whose changed coordinates has
-    some side, and b the first side of them all.  A distributive factor
-    has no low end, and q keeps p's coordinate there: no table is read."""
+    (p∧b, p, q, b, p∨b) is a pentagon iff p < q and b meets and joins q
+    as p.  Such q and b exist for p iff b meets and joins some upper cover
+    u of p as p (take u <= q one way, q = u the other).  Meets and joins go
+    by coordinates, so (p, q, b) is a pentagon's (low, high, side) iff p <
+    q and (p_k, q_k, b_k) is one in every factor k with p_k ≠ q_k: p is the
+    first element with a coordinate at a low end in its factor, q the first
+    above p each of whose changed coordinates has some side, and b the
+    first side of them all.  A distributive factor has no low end, and q
+    keeps p's coordinate there.  In a factor with keys J and M, b meets and
+    joins y as x iff J(b) misses J(x) ⊕ J(y) and M(b) misses M(x) ⊕ M(y)."""
+
+    def side(f, x, y):  # [k, b]: b meets and joins y[k] as x[k]
+        keys = np.vstack((f.keys, f.dual_keys))
+        return _disjoint(keys, keys[:, x] ^ keys[:, y])
+
     p = len(coords)
     for f, c in zip(factors, coords.T):
         if f.distributive:
@@ -403,16 +405,13 @@ def product_pentagon(factors: Sequence[FiniteLattice], coords) -> SublatticeWitn
         lows, ups = (x[np.argsort(first[f.cover_pairs[0]], kind="stable")] for x in f.cover_pairs)
         step = max(1, (1 << 16) // max(1, f.n))
         for s in range(0, len(lows), step):  # the first block with a low end holds the first
-            x, u = lows[s : s + step], ups[s : s + step]
-            hit = (f.leq[u[:, None], f.join_t[x]] & (f.meet_t[u] == f.meet_t[x])).any(axis=1)
+            x = lows[s : s + step]
+            hit = side(f, x, ups[s : s + step]).any(axis=1)
             if hit.any():
                 p = min(p, int(first[x[hit]].min()))
                 break
     if p == len(coords):
         return None
-
-    def side(f, x, y):  # [.., b]: (x, y, b) is a pentagon's (low, high, side) if x < y
-        return (f.meet_t[y] == f.meet_t[x]) & (f.join_t[y] == f.join_t[x])
 
     high = np.ones(len(coords), dtype=bool)
     for f, x, c in zip(factors, coords[p], coords.T):
@@ -420,14 +419,14 @@ def product_pentagon(factors: Sequence[FiniteLattice], coords) -> SublatticeWitn
             high &= c == x
             continue
         above, some = f.leq[x], np.zeros(f.n, dtype=bool)
-        some[above] = side(f, x, above).any(axis=1)  # all of x's own row holds
+        some[above] = side(f, [x], above).any(axis=1)  # all of x's own row holds
         high &= some[c]
     high[p] = False
     q = int(high.argmax())
     ok = np.ones(len(coords), dtype=bool)
     for f, x, y, c in zip(factors, coords[p], coords[q], coords.T):
         if x != y:  # every b is a side of an unchanged coordinate
-            ok &= side(f, x, y)[c]
+            ok &= side(f, [x], [y])[0, c]
     b = int(ok.argmax())
 
     return _witness("pentagon", factors, coords, p, q, b)

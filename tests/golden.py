@@ -61,7 +61,7 @@ def cases() -> list[tuple[str, list[str]]]:
         out += [(graph_text(g), ["oracle"]), (graph_text(g), ["semigroup", "--json"])]
     for text, argv, _ in REFUSALS:
         out += [(text, argv.split()), (text, [*argv.split(), "--json"])]
-    return out + scale_cases() + interleaved_cases()
+    return out + scale_cases() + interleaved_cases() + two_word_cases()
 
 
 def _shape(n: int, pairs) -> str:
@@ -113,6 +113,18 @@ def interleaved_cases() -> list[tuple[str, list[str]]]:
         for json_flag in ([], ["--json"])
         for argv in (["classify", "--enumerate"], ["lattice", "--dot", "DOT"])
     ]
+
+
+# The fork over two loops: u -> v, u -> w, a loop on v and on w.
+FORK_LOOPS = _shape(3, [(0, 1), (0, 2), (1, 1), (2, 2)])
+
+
+def two_word_cases() -> list[tuple[str, list[str]]]:
+    """:data:`FORK_LOOPS` under the bound 2^39, after the product route: a
+    non-distributive lattice of 1934 elements whose 86 join-irreducibles
+    take two key words."""
+    argvs = (["classify", "--enumerate"], ["lattice"])
+    return [(FORK_LOOPS, [*argv, "--bound", str(2**39), "--json"]) for argv in argvs]
 
 
 def _run(argv: list[str]) -> tuple[int, bytes, bytes]:

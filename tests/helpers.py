@@ -233,6 +233,112 @@ def brute_first_non_lattice_pair(leq_rows):
     return None
 
 
+def height_levels(lower: np.ndarray, upper: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elements by height (the longest chain below) and where each level starts,
+    by relaxation over the cover pairs (``upper[k]`` covers ``lower[k]``)."""
+    height, new = np.full(n, -1, dtype=np.int32), np.zeros(n, dtype=np.int32)
+    while (new != height).any():
+        height, new = new, np.zeros_like(new)
+        np.maximum.at(new, upper, height[lower] + 1)
+    order = np.argsort(height, kind="stable").astype(np.int32)
+    return order, np.flatnonzero(np.diff(height[order])) + 1
+
+
+def transposed_in_tiles(m: np.ndarray, tile: int = 256) -> np.ndarray:
+    """``m.T`` in row order, copied in square tiles: a plain copy of the
+    transposed view reads ``m`` by columns, several times slower at n = 4096."""
+    out = np.empty(m.shape[::-1], dtype=m.dtype)
+    for i in range(0, len(m), tile):
+        for j in range(0, len(m), tile):
+            out[i : i + tile, j : j + tile] = m[j : j + tile, i : i + tile].T
+    return out
+
+
+def induction_meet_table(
+    ok: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reference meet table, by induction over the lower covers: the
+    candidate glb of every pair, and whether induction confirms it
+    (``ok[x, y]``: x <= y, a row-ordered copy overwritten by the result;
+    ``upper[k]`` covers ``lower[k]``; for joins pass the transposed order
+    and the cover pairs swapped).
+
+    Rows go by height; any linear extension serves the largest-candidate
+    step, and entries are positions in it.  If a <= b the glb is a; else
+    the candidate g is the largest ``glb(c, b)`` over the lower covers c of
+    a, confirmed when every ``glb(c, b)`` is and lies below g: a common
+    lower bound of a and b lies below some c, hence below ``glb(c, b)`` and
+    g.  A height level is an antichain whose lower covers come earlier, so
+    it is done at once, in row blocks as wide as their largest cover count."""
+    n = len(ok)
+    order, cuts = height_levels(lower, upper, n)
+    ranked = ok[np.ix_(order, order)].ravel()  # position p <= q at p * n + q
+    flat = np.int32 if n * n < 2**31 else np.int64  # dtype that holds p * n + q
+    table = np.empty(ok.shape, dtype=np.int32)
+    lower = lower[np.argsort(upper, kind="stable")].astype(np.int32)  # grouped by upper
+    degree = np.bincount(upper, minlength=n).astype(np.int32)
+    first = (np.cumsum(degree, dtype=np.int32) - degree)[order, None]
+    degree = degree[order]  # by position from here on
+    # Row p: order[p]'s lower covers, padded by repeating the last; minimal rows go unread.
+    pad = np.minimum(np.arange(degree.max(initial=0), dtype=np.int32), degree[:, None] - 1)
+    covers = lower[first + pad]
+    step = max(1, (1 << 14) // max(1, n))  # a block gathers n cells per lower cover a row
+    starts = [s for lo, hi in zip([0, *cuts], [*cuts, n]) for s in range(lo, hi, step)]
+    widths = np.maximum.reduceat(degree, starts) if n else ()
+    for s, e, w in zip(starts, [*starts[1:], n], widths):
+        a = order[s:e]
+        pos = np.arange(s, e, dtype=np.int32)[:, None]
+        if not w:  # minimal: a keeps itself, which fails wherever a ≰ b
+            table[a] = pos
+            continue
+        c = covers[s:e, :w]
+        found = table[c].astype(flat, copy=False)  # [row, k, b]: glb(c_k, b)
+        g = found.max(axis=1)
+        found *= n
+        found += g[:, None]
+        below = ok[a]  # still the order's rows
+        ok[a] = below | (ok[c] & ranked.take(found)).all(axis=1)
+        table[a] = np.where(below, pos, g)
+    for s in range(0, n, step):  # back to indices, without an n × n intp copy
+        table[s : s + step] = order[table[s : s + step]]
+    return table, ok
+
+
+def induction_tables(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The meet and join tables of ``lat`` by :func:`induction_meet_table`,
+    on its order and on the dual order."""
+    lower, upper = lat.cover_pairs
+    meets = induction_meet_table(lat.leq.copy(), lower, upper)[0]
+    return meets, induction_meet_table(transposed_in_tiles(lat.leq), upper, lower)[0]
+
+
+def table_semimodular(low: np.ndarray, up: np.ndarray, join_t: np.ndarray) -> bool:
+    """The reference semimodularity test, reading joins: a, b both covering
+    a ∧ b forces a ∨ b to cover both a and b (``up[k]`` covers ``low[k]``,
+    sorted by (low, up)).  Two distinct upper covers a, b of one x meet at
+    x, so only those pairs are checked, a < b, from one self-join of the
+    cover pairs; whether y covers x is read off a transient boolean matrix
+    of the cover pairs."""
+    later = np.searchsorted(low, low, side="right") - np.arange(len(low)) - 1
+    left = np.repeat(np.arange(len(low)), later)  # pair i with each later i' of its x
+    start = np.repeat(np.cumsum(later) - later, later)
+    right = left + 1 + np.arange(len(left)) - start
+    a, b = up[left], up[right]
+    cov = np.zeros(join_t.shape, dtype=bool)  # [x, y]: y covers x
+    cov[low, up] = True
+    j = join_t[a, b]
+    return bool((cov[a, j] & cov[b, j]).all())
+
+
+def table_semimodularity(lat: FiniteLattice) -> tuple[bool, bool]:
+    """(upper, lower) semimodularity of ``lat`` by :func:`table_semimodular`
+    over the induction reference tables."""
+    meets, joins = induction_tables(lat)
+    low, up = lat.cover_pairs
+    by_up = np.argsort(up, kind="stable")
+    return table_semimodular(low, up, joins), table_semimodular(up[by_up], low[by_up], meets)
+
+
 def definition_leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
     """The triple order from its definition: H1 ⊆ H2, W1 \\ H2 ⊆ W2, and
     f2(c) divides f1(c) on every cycle of the graph."""

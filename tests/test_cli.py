@@ -610,47 +610,52 @@ def path_text(n: int, prefix: str = "v") -> str:
 ENUMERATING = (["classify", "--enumerate"], ["lattice"], ["lattice", "--json"])
 
 
-@pytest.mark.parametrize(
-    "text, bound, argvs, tables",
-    [
-        (path_text(7), None, ENUMERATING, 0),  # one distributive factor
-        ("".join(path_text(4, c) for c in "abc"), None, ENUMERATING, 0),  # three
-        ("vertex p\nedge x p p\nvertex q\nedge y q q\n", 60, ENUMERATING, 0),  # two
-        ("vertex u\nvertex a\nvertex b\nvertex c\nedge e u a\nedge f u b\nedge g u c\n",
-         None, ENUMERATING, 2),  # one factor, not distributive
-        ("vertex u\nvertex v\nvertex w\nedge e u v\nedge f u w\nedge x v v\nedge y w w\n",
-         60, ENUMERATING, 2),  # one factor, not distributive
-        ("vertex u\nvertex a\nvertex b\nedge e u a\nedge f u b\n" + path_text(3, "c") + path_text(3, "d"),
-         None, ENUMERATING, 2),  # fan2 and two distributive factors, whose tables no witness reads
-        (path_text(5), None, (["oracle"],), 0),  # distributive on either side
-        ("".join(f"vertex v{i}\n" for i in range(8)), None, (["oracle"],), 0),
-        (path_text(12), None, (["classify", "--enumerate"],), 0),  # 4096 elements, the cap
-    ],
-    ids=["chain7", "u3x4", "loops2", "fan3", "forkloops", "union3", "oracle-chain5", "oracle-iso8", "chain12"],
-)
-def test_join_tables_are_built_only_where_read(tmp_path, capsys, monkeypatch, text, bound, argvs, tables):
-    """A distributive lattice is certified from its order alone, and only
-    a non-distributive factor builds tables: its meet table and a top prove
-    it a lattice, and its semimodularity scans and pentagon search read its
-    join table; the witness's bounds come from the orders.  So classify
-    --enumerate and lattice build no table for a distributive factor, even
-    beside a non-distributive one, and two for any other, and oracle, which
-    compares orders of distributive lattices here, none."""
-    import gislat.lattice
+FORK_LOOPS_TEXT = "vertex u\nvertex v\nvertex w\nedge e u v\nedge f u w\nedge x v v\nedge y w w\n"
+FAN3_TEXT = "vertex u\nvertex a\nvertex b\nvertex c\nedge e u a\nedge f u b\nedge g u c\n"
+UNION3_TEXT = "vertex u\nvertex a\nvertex b\nedge e u a\nedge f u b\n" + path_text(3, "c") + path_text(3, "d")
 
-    calls = []
-    original = gislat.lattice._meet_table
-    monkeypatch.setattr(gislat.lattice, "_meet_table", lambda *a: calls.append(1) or original(*a))
+
+@pytest.mark.parametrize(
+    "text, bound, argvs",
+    [
+        (path_text(7), None, ENUMERATING),  # one distributive factor
+        ("".join(path_text(4, c) for c in "abc"), None, ENUMERATING),  # three
+        ("vertex p\nedge x p p\nvertex q\nedge y q q\n", 60, ENUMERATING),  # two
+        (FAN3_TEXT, None, (*ENUMERATING, ["oracle"])),  # one factor, not distributive
+        (FORK_LOOPS_TEXT, 60, ENUMERATING),  # one factor, not distributive
+        (UNION3_TEXT, None, (*ENUMERATING, ["oracle"])),  # fan2 and two distributive factors
+        (path_text(5), None, (["oracle"],)),  # distributive on either side
+        ("".join(f"vertex v{i}\n" for i in range(8)), None, (["oracle"],)),
+        (path_text(12), None, (["classify", "--enumerate"],)),  # 4096 elements, the cap
+        (FORK_LOOPS_TEXT, 2**39, ENUMERATING),  # 1934 elements, keys of two words
+    ],
+    ids=[
+        "chain7", "u3x4", "loops2", "fan3", "forkloops", "union3", "oracle-chain5", "oracle-iso8",
+        "chain12", "forkloops-2to39",
+    ],
+)
+def test_join_tables_are_built_only_where_read(tmp_path, capsys, monkeypatch, text, bound, argvs):
+    """No command builds a meet or join table: a lattice is proved one,
+    its verdicts are decided and its pentagon is found from its order,
+    cover pairs and irreducible keys, and a witness's bounds come from the
+    orders.  Only the diamond search of a modular, non-distributive
+    product reads the tables, and no triple lattice is one.  So classify
+    --enumerate, lattice and oracle read neither table, on distributive and
+    non-distributive factors alike, at the cap and with keys of two words
+    (oracle takes no bound, and refuses a cyclic graph)."""
+    from gislat.lattice import FiniteLattice
+
+    read = []
+    for name in ("meet_t", "join_t"):
+        table = getattr(FiniteLattice, name).func
+        counted = property(lambda lat, t=table, n=name: read.append(n) or t(lat))
+        monkeypatch.setattr(FiniteLattice, name, counted)
     p = tmp_path / "g.graph"
     p.write_text(text)
     flags = ["--bound", str(bound)] if bound else []
     for argv in argvs:
-        calls.clear()
         assert run(capsys, argv[0], str(p), *argv[1:], *flags)[0] == 0
-        assert len(calls) == tables, argv
-
-
-UNION3_TEXT = "vertex u\nvertex a\nvertex b\nedge e u a\nedge f u b\n" + path_text(3, "c") + path_text(3, "d")
+        assert read == [], argv
 
 
 @pytest.mark.parametrize(

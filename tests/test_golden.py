@@ -6,21 +6,22 @@ import json
 
 import pytest
 from golden import (
-    MANIFEST, cases, first_difference, interleaved_cases, manifest_line, runs, scale_cases
+    MANIFEST, cases, first_difference, interleaved_cases, manifest_line, runs, scale_cases, two_word_cases
 )
 
 READ = (0, 1, 2, 3, 4, 5, 11, 12, 13, 14, 15, 16, 18, 20, 21, 22)  # positions in scale_cases()
+TWO_WORDS = len(scale_cases()) + len(interleaved_cases())  # the first of two_word_cases() after them
 
 
 @pytest.fixture(scope="module")
 def recorded():
     """Every manifest line, and (exit code, stdout, stderr) of the READ
     scale cases by position, from one run of the manifest."""
-    first = len(cases()) - len(scale_cases()) - len(interleaved_cases())
+    first = len(cases()) - TWO_WORDS - len(two_word_cases())
     lines, kept = [], {}
     for k, run in enumerate(runs()):
         lines.append(manifest_line(*run))
-        if k - first in READ:
+        if k - first in (*READ, TWO_WORDS, TWO_WORDS + 1):
             kept[k - first] = run[1:4]
     return lines, kept
 
@@ -49,5 +50,11 @@ def test_the_cap_sized_commands_give_the_predicted_answers(recorded):
     assert len(doc[16]["elements"]) == 820  # semigroup on path13
     assert kept[18] == (0, b"", b"")  # forked on ring5000: none
     assert (doc[20]["graph"]["vertices"], len(doc[20]["forked_vertices"])) == (900, 841)
+    # the fork over two loops under 2^39: 1934 elements, keyed in two words,
+    # neither distributive nor modular, with a pentagon
+    classify, lattice = doc[TWO_WORDS], doc[TWO_WORDS + 1]
+    assert (classify["lattice_size"], len(lattice["elements"])) == (1934, 1934)
+    assert not classify["computed"]["distributive"] and not lattice["verdicts"]["modular"]
+    assert classify["witness"]["kind"] == "pentagon" and classify["agreement"] is True
     code, _, err = kept[21]
     assert code == 1 and err.endswith(b": line 10001: edge 'bad' references undeclared vertex 'nowhere'\n")

@@ -11,10 +11,8 @@ from gislat.lattice import (
     NotALatticeError,
     _between,
     _birkhoff,
-    _levels,
-    _meet_table,
+    _keyed,
     _stable_signatures,
-    _transposed,
     SublatticeWitness,
     find_diamond,
     find_pentagon,
@@ -45,9 +43,13 @@ from helpers import (
     closure_lattice,
     closure_lattice_strategy,
     cyclic_corpus,
+    height_levels,
+    induction_tables,
     lattice_verdicts,
     oracle_verdicts,
     product_lattice,
+    table_semimodularity,
+    transposed_in_tiles,
     witness_is_valid,
 )
 
@@ -163,44 +165,50 @@ def test_from_poset_names_the_first_missing_bound(labels, covers, pair, which):
 
 
 def test_join_table_is_built_on_first_read():
-    """A lattice's join table waits for its first read.  It is then the
-    least upper bounds by direct scan, and the table an eager _meet_table
-    call on the dual order builds, on the seeded closure lattices."""
+    """A lattice's meet and join tables wait for their first read.  They
+    are then the greatest lower and least upper bounds by direct scan, and
+    the tables of the induction reference on the order and its dual, on
+    the seeded closure lattices."""
     for lat in seeded_closure_lattices():
-        assert "join_t" not in vars(lat)
-        lower, upper = lat.cover_pairs
-        eager = _meet_table(_transposed(lat.leq), upper, lower)[0]
+        assert "meet_t" not in vars(lat) and "join_t" not in vars(lat)
+        meets, joins = induction_tables(lat)
         rows = lat.leq.tolist()
+        glb = [[brute_glb_index(rows, i, j) for j in range(lat.n)] for i in range(lat.n)]
         lub = [[brute_lub_index(rows, i, j) for j in range(lat.n)] for i in range(lat.n)]
-        assert lat.join_t.tolist() == eager.tolist() == lub
+        assert lat.meet_t.tolist() == meets.tolist() == glb
+        assert lat.join_t.tolist() == joins.tolist() == lub
 
 
-def test_birkhoff_certificate_accepts_exactly_the_distributive_lattices(monkeypatch):
-    """_birkhoff certifies an order exactly when the table route (_between
-    and _meet_table) builds a distributive lattice from it, on the seeded
-    closure lattices and on random posets.  Then its cover pairs are the
-    table route's, and the meet table built on first read is the one the
-    table route builds at once."""
+def brute_covers(m: np.ndarray) -> list[list[int]]:
+    """(lower, upper) of every cover pair of the partial order ``m``,
+    sorted, one k at a time."""
+    lt = m & ~np.eye(len(m), dtype=bool)
+    return [x.tolist() for x in np.nonzero(lt & ~brute_between(lt))]
+
+
+def test_birkhoff_certificate_accepts_exactly_the_distributive_lattices():
+    """Every lattice is keyed (distinct keys, the order equal to key
+    inclusion), and _birkhoff certifies a keyed order exactly when it is a
+    distributive lattice by the brute-force bounds and the join-prime
+    test, on the seeded closure lattices and on random posets.  Then its
+    cover pairs are the order's covers, and the tables built on first read
+    are the induction reference's."""
     rng = random.Random(27)
     orders = [(lat.labels, lat.leq) for lat in seeded_closure_lattices()]
     for labels, leq in (random_poset(rng) for _ in range(1000)):
         orders.append((labels, np.array([[leq(a, b) for b in labels] for a in labels], dtype=bool)))
     accepted = 0
     for labels, m in orders:
-        covers = _birkhoff(m)
-        with monkeypatch.context() as patch:
-            patch.setattr("gislat.lattice._birkhoff", lambda m: None)
-            try:
-                eager = from_poset(labels, m)
-            except NotALatticeError:
-                eager = None
-        assert (covers is not None) == (eager is not None and is_distributive(eager))
+        keyed = _keyed(m)
+        covers = keyed and _birkhoff(m, *keyed)
+        lat = None if brute_first_non_lattice_pair(m.tolist()) else from_poset(labels, m)
+        assert lat is None or keyed is not None
+        assert (covers is not None) == (lat is not None and is_distributive(lat))
         if covers is not None:
             accepted += 1
-            assert [c.tolist() for c in covers] == [c.tolist() for c in eager.cover_pairs]
-            lat = from_poset(labels, m)
-            assert "meet_t" not in vars(lat) and "meet_t" in vars(eager)
-            assert lat.meet_t.tolist() == eager.meet_t.tolist()
+            assert [c.tolist() for c in covers] == [c.tolist() for c in lat.cover_pairs] == brute_covers(m)
+            meets, joins = induction_tables(lat)
+            assert lat.meet_t.tolist() == meets.tolist() and lat.join_t.tolist() == joins.tolist()
     assert 300 <= accepted <= len(orders) - 300, accepted
 
 
@@ -208,25 +216,216 @@ def test_birkhoff_certificate_compares_the_whole_order():
     """The chain 0 < 1 < 2 < 3 without 1 <= 3 is not transitive, yet its
     keys over J' = {1, 2}, {} {1} {1, 2} {2}, are distinct and grow by
     every element they may: only the comparison of the order with key
-    inclusion declines it, and the table route names the failure."""
+    inclusion declines it, and the partial-order checks name the failure."""
     m = np.tri(4, dtype=bool).T
     m[1, 3] = False
-    assert _birkhoff(m) is None
+    assert _keyed(m) is None
     with pytest.raises(ValueError, match="not transitive"):
         from_poset(range(4), m)
 
 
-def test_birkhoff_certificate_holds_63_join_irreducibles():
-    """A chain of n elements has n - 1 join-irreducibles: 63 fit the
-    certificate's 64-bit keys, and 64 take the table route, to the same
-    cover pairs, meets and verdict."""
-    for n in (64, 65):
+def test_birkhoff_certificate_holds_past_63_join_irreducibles():
+    """A chain of n elements has n - 1 join-irreducibles, keyed in
+    ceil((n - 1) / 64) words: the certificate holds at 64, 65, 66 and 130
+    elements, in one, one, two and three words, to the chain's cover
+    pairs, meets, joins and verdicts."""
+    for n, words in ((64, 1), (65, 1), (66, 2), (130, 3)):
         i = np.arange(n)
         m = i[:, None] <= i
-        assert (_birkhoff(m) is None) == (n == 65)
+        keyed = _keyed(m)
+        assert keyed[2].shape == (words, n)
+        covers = [i[:-1].tolist(), i[1:].tolist()]
+        assert [c.tolist() for c in _birkhoff(m, *keyed)] == covers
         lat = from_poset(i.tolist(), m)
-        assert [c.tolist() for c in lat.cover_pairs] == [i[:-1].tolist(), i[1:].tolist()]
-        assert (lat.meet_t == np.minimum(i[:, None], i)).all() and is_distributive(lat)
+        assert [c.tolist() for c in lat.cover_pairs] == covers
+        assert (lat.meet_t == np.minimum(i[:, None], i)).all()
+        assert (lat.join_t == np.maximum(i[:, None], i)).all()
+        assert all(lattice_verdicts(lat)[0].values())
+
+
+def definition_keyed_checks(rows) -> dict[str, bool]:
+    """The checks of from_poset's keyed route, from their definitions on
+    sets: J' holds each j with some c < j and |↓c| = |↓j| - 1 (in a
+    partial order, whose strict down-set has a greatest element), and x is
+    keyed by the J' below it.  "distinct" keys, the order equal to key
+    "inclusion", every key K "grows" to K ∪ {j} for each j ∉ K whose
+    strict J'-down-set lies in K (Birkhoff), a "top", each key's
+    intersection with each meet-irreducible's key (one upper cover) a key
+    ("lookups"), and each element with two or more upper covers keyed by
+    the intersection of theirs ("cover_meets")."""
+    n = len(rows)
+    below = [{y for y in range(n) if rows[y][x]} for x in range(n)]
+    strict = [below[x] - {x} for x in range(n)]
+    irreducible = {x for x in range(n) if any(len(below[c]) == len(strict[x]) for c in strict[x])}
+    key = [frozenset(irreducible & below[x]) for x in range(n)]
+    keys = set(key)
+    ups = [
+        [y for y in range(n) if x in strict[y] and not any(x in strict[z] for z in strict[y])]
+        for x in range(n)
+    ]
+    return {
+        "distinct": len(keys) == n,
+        "inclusion": all(rows[x][y] == (key[x] <= key[y]) for x in range(n) for y in range(n)),
+        "grows": all(
+            k | {j} in keys for k in keys for j in irreducible - k if key[j] - {j} <= k
+        ),
+        "top": sum(not u for u in ups) == 1,
+        "lookups": all(k & key[m] in keys for m in range(n) if len(ups[m]) == 1 for k in keys),
+        "cover_meets": all(
+            key[x] == frozenset.intersection(*(key[u] for u in ups[x])) for x in range(n) if len(ups[x]) > 1
+        ),
+    }
+
+
+# For each check of the keyed route, a poset that it alone declines: with
+# the check dropped, from_poset would return a lattice.  The error is the
+# one from_poset raised before the keyed route (the induction tables).
+ONE_CHECK_POSETS = {
+    # all-true on two elements: every key is ∅, so inclusion holds and
+    # nothing is left to grow; not antisymmetric
+    "distinct": ([1, 2], [[True, True], [True, True]], {"distinct": False, "inclusion": True, "grows": True},
+                 ValueError, "leq is not antisymmetric"),
+    # the chain 0 < 1 < 2 < 3 without 1 <= 3: distinct keys that grow
+    "inclusion": (range(4), [[a <= b and (a, b) != (1, 3) for b in range(4)] for a in range(4)],
+                  {"distinct": True, "inclusion": False, "grows": True},
+                  ValueError, "leq is not transitive"),
+    # a bottom under two maximal elements: no meet-irreducible to look up
+    "top": ("oab", "oa ob",
+            {"distinct": True, "inclusion": True, "grows": False, "top": False, "lookups": True},
+            NotALatticeError, "no unique join for 'a' and 'b'"),
+    # b and j under u1 and u2, each also over one atom of its own, under a
+    # top: u1 ∧ u2 is missing, and only the lookup of u2's key in u1's finds it
+    "lookups": (["o", "b", "j", "x1", "x2", "u1", "u2", "i"],
+                "o-b o-j o-x1 o-x2 b-u1 b-u2 j-u1 j-u2 x1-u1 x2-u2 u1-i u2-i",
+                {"distinct": True, "inclusion": True, "grows": False, "top": True, "lookups": False},
+                NotALatticeError, "no unique join for 'b' and 'j'"),
+}
+
+
+def one_check_poset(check):
+    labels, order, expected, error, message = ONE_CHECK_POSETS[check]
+    if isinstance(order, str):  # cover pairs, "lower-upper" or two letters
+        pairs = [tuple(c.split("-")) if "-" in c else tuple(c) for c in order.split()]
+        index = {x: k for k, x in enumerate(labels)}
+        order = lattice_order(len(labels), [(index[a], index[b]) for a, b in pairs])
+    return labels, np.array(order, dtype=bool), expected, error, message
+
+
+def lattice_order(n, covers) -> list[list[bool]]:
+    """The reflexive-transitive closure of cover pairs on range(n)."""
+    m = np.eye(n, dtype=bool)
+    for _ in range(n):
+        for lo, up in covers:
+            m[:, up] |= m[:, lo]
+    return m.tolist()
+
+
+@pytest.mark.parametrize("check", list(ONE_CHECK_POSETS))
+def test_each_keyed_check_alone_declines_a_poset(check):
+    """Distinct keys, the order equal to key inclusion, a top and the
+    meet-irreducible lookups each decline a small poset that every other
+    check of the route passes, and from_poset then raises the error class,
+    message and pair it raised with the induction tables."""
+    labels, m, expected, error, message = one_check_poset(check)
+    got = definition_keyed_checks(m.tolist())
+    assert {k: got[k] for k in expected} == expected
+    with pytest.raises(error) as err:
+        from_poset(labels, m)
+    assert type(err.value) is error and str(err.value) == message
+    if error is NotALatticeError:
+        i, j, which = brute_first_non_lattice_pair(m.tolist())
+        assert (err.value.pair, err.value.which) == ((labels[i], labels[j]), which)
+
+
+def test_the_keyed_checks_decide_lattices():
+    """On random and closure posets: a poset is a lattice iff its keys are
+    distinct, its order is key inclusion and either its keys grow (a
+    distributive lattice) or it has a top and passes the meet-irreducible
+    lookups.  The meets of the upper covers are then implied: no poset
+    passes the others and fails that condition, so from_poset does not
+    check it."""
+    rng = random.Random(34)
+    posets = [random_poset(rng) for _ in range(1500)] + [random_closure_poset(rng) for _ in range(60)]
+    seen = {"grows": 0, "lookups": 0, "declined": 0}
+    for labels, leq in posets:
+        rows = [[leq(a, b) for b in labels] for a in labels]
+        c = definition_keyed_checks(rows)
+        keyed = c["distinct"] and c["inclusion"]
+        lattice = keyed and (c["grows"] or (c["top"] and c["lookups"]))
+        assert lattice == (brute_first_non_lattice_pair(rows) is None)
+        if keyed and c["top"] and c["lookups"]:
+            assert c["cover_meets"]
+        seen["grows" if keyed and c["grows"] else "lookups" if lattice else "declined"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def under_chain(lattice, k):
+    """``lattice`` with a chain of k elements on top, from its order alone."""
+    n = lattice.n
+    m = np.ones((n + k, n + k), dtype=bool)
+    m[:n, :n] = lattice.leq
+    m[n:, :n] = False
+    m[n:, n:] = np.tri(k, dtype=bool).T
+    return from_poset(range(n + k), m)
+
+
+def key_word_lattices():
+    """Lattices keyed in two and three words: M3 and N5 under a 70-chain
+    (73 join-irreducibles, 2 words) and the 130-chain (129, 3 words)."""
+    i = np.arange(130)
+    return [under_chain(diamond(), 70), under_chain(pentagon(), 70), from_poset(i.tolist(), i[:, None] <= i)]
+
+
+def test_keyed_tables_and_cover_verdicts_match_the_references():
+    """The meet and join tables built by key lookup are the induction
+    reference's, and the semimodularity read off the cover pairs alone is
+    the table reference's, on the seeded closure lattices (one key word)
+    and on lattices of two and three key words, where brute-force bounds
+    check sampled rows and the witness is the brute-force scans' first.
+    from_poset's random lattices are checked the same way by
+    check_against_bruteforce."""
+    rng = random.Random(340)
+    multi = key_word_lattices()
+    assert [lat.keys.shape[0] for lat in multi] == [2, 2, 3]
+    assert [lat.dual_keys.shape[0] for lat in multi] == [2, 2, 3]
+    verdicts = set()
+    for lat in seeded_closure_lattices() + multi:
+        meets, joins = induction_tables(lat)
+        assert lat.meet_t.tolist() == meets.tolist() and lat.join_t.tolist() == joins.tolist()
+        assert (is_upper_semimodular(lat), is_lower_semimodular(lat)) == table_semimodularity(lat)
+        verdicts.add((is_upper_semimodular(lat), is_lower_semimodular(lat)))
+    assert len(verdicts) == 4
+    for lat in multi:
+        rows = lat.leq.tolist()
+        for a in [0, 4, *rng.sample(range(lat.n), 3)]:
+            for b in range(lat.n):
+                assert lat.meet_t[a, b] == brute_glb_index(rows, a, b)
+                assert lat.join_t[a, b] == brute_lub_index(rows, a, b)
+    m3, n5, chain130 = multi
+    assert lattice_verdicts(m3) == ({"distributive": False, "modular": True, "lower_semimodular": True,
+                                     "upper_semimodular": True}, brute_first_diamond(m3))
+    pentagon_witness = SublatticeWitness("pentagon", (0, 1, 2, 3, 4))
+    assert lattice_verdicts(n5)[1] == brute_first_pentagon(n5) == pentagon_witness
+    assert all(lattice_verdicts(chain130)[0].values())
+
+
+def test_birkhoff_declines_wide_orders_before_any_lookup(monkeypatch):
+    """The covers of a distributive lattice of n elements are hypercube
+    edges among n keys, at most n·log2(n)/2 of them, so an order that
+    would grow its keys more often is declined before they are looked up:
+    M_300 (300 atoms, keys of five words) would grow each key but the
+    top's by almost every atom.  The Boolean lattices meet the bound
+    exactly and are certified."""
+    i = np.arange(302)
+    m300 = (i[:, None] == i) | (i[:, None] == 0) | (i == 301)
+    keyed = _keyed(m300)
+    with monkeypatch.context() as patch:
+        patch.setattr("gislat.lattice._find", lambda *a: pytest.fail("looked up"))
+        assert _birkhoff(m300, *keyed) is None
+    for k in (1, 4, 10):
+        b = np.arange(1 << k)
+        covers = _birkhoff((b[:, None] & b) == b[:, None], *_keyed((b[:, None] & b) == b[:, None]))
+        assert len(covers[0]) == k << (k - 1)
 
 
 def test_from_poset_rejects_non_partial_orders():
@@ -258,7 +457,7 @@ def test_transposed_copy_in_tiles():
     rng = np.random.default_rng(77)
     for n in (0, 1, 7, 255, 256, 257, 600):
         m = rng.random((n, n)) < 0.3
-        t = _transposed(m)
+        t = transposed_in_tiles(m)
         assert t.flags.c_contiguous and t.dtype == bool and np.array_equal(t, m.T)
 
 
@@ -349,6 +548,8 @@ def check_against_bruteforce(labels, leq):
             assert lat.meet_t.tolist() == meets
             assert lat.join_t.tolist() == joins
             assert cover_matrix(lat).tolist() == covers
+            assert [t.tolist() for t in induction_tables(lat)] == [meets, joins]
+            assert (is_upper_semimodular(lat), is_lower_semimodular(lat)) == table_semimodularity(lat)
         else:
             i, j, which = first_failure
             with pytest.raises(NotALatticeError) as err:
@@ -395,23 +596,29 @@ def test_boolean_lattices_on_512_and_1024_elements():
 
 
 def test_tables_on_wide_down_set_groups():
-    """Elements of one height level are tabled together, in row blocks of
-    2^14 // n rows.  The 300 atoms of M_300 (bottom 0, top 301) span six
-    blocks, the first ending at atom 54; 2^k puts up to 70 elements in one
-    level.  Closed forms check every pair, the brute-force bounds every
-    pair of 2^k for k <= 6 and a seeded sample of rows past."""
+    """The key tables are looked up in row blocks of 2^16 // (n · words)
+    rows, and the induction reference tables one height level at a time,
+    in row blocks of 2^14 // n rows.  The 300 atoms of M_300 (bottom 0, top
+    301), keyed in five words, span seven key blocks of 43 rows and six
+    level blocks, the first ending at atom 54; 2^k puts up to 70 elements
+    in one level.  Closed forms check every pair of both, the brute-force
+    bounds every pair of 2^k for k <= 6 and a seeded sample of rows past."""
     rng = random.Random(12)
     i = np.arange(302)
     m300 = from_poset(i.tolist(), (i[:, None] == i) | (i[:, None] == 0) | (i == 301))
-    assert (1 << 14) // 302 == 54
+    assert (1 << 14) // 302 == 54 and m300.keys.shape[0] == m300.dual_keys.shape[0] == 5
+    assert (1 << 16) // (302 * 5) == 43
     comparable = m300.leq | m300.leq.T
-    assert (m300.meet_t == np.where(comparable, np.minimum(i[:, None], i), 0)).all()
-    assert (m300.join_t == np.where(comparable, np.maximum(i[:, None], i), 301)).all()
+    meets = np.where(comparable, np.minimum(i[:, None], i), 0)
+    joins = np.where(comparable, np.maximum(i[:, None], i), 301)
+    for tables in ((m300.meet_t, m300.join_t), induction_tables(m300)):
+        assert (tables[0] == meets).all() and (tables[1] == joins).all()
     lattices = [(m300, [0, 1, 54, 55, 300, 301])]
     for k in range(9):
         b = np.arange(1 << k)
         lat = from_poset(b.tolist(), (b[:, None] & b) == b[:, None])
-        assert (lat.meet_t == (b[:, None] & b)).all() and (lat.join_t == (b[:, None] | b)).all()
+        for meets, joins in ((lat.meet_t, lat.join_t), induction_tables(lat)):
+            assert (meets == (b[:, None] & b)).all() and (joins == (b[:, None] | b)).all()
         lattices.append((lat, [0, len(b) - 1]))
     for lat, rows in lattices:
         n, leq = len(lat), lat.leq.tolist()
@@ -476,7 +683,7 @@ def test_height_levels_match_longest_chains():
     for k, lat in enumerate([*lattices, pentagon(), mixed_cover_counts()]):
         lower, upper = lat.cover_pairs
         for leq, pairs in ((lat.leq, (lower, upper)), (lat.leq.T, (upper, lower))):
-            order, cuts = _levels(*pairs, len(lat))
+            order, cuts = height_levels(*pairs, len(lat))
             heights = brute_heights(leq)
             levels = [[x for x in range(len(lat)) if heights[x] == h] for h in range(max(heights) + 1)]
             assert [level.tolist() for level in np.split(order, cuts)] == levels
@@ -484,13 +691,15 @@ def test_height_levels_match_longest_chains():
 
 
 def test_tables_match_bruteforce_bounds(gamma1, gamma2):
-    """Every pair, also of the height-level lattices and of one whose level
-    blocks mix cover counts: a block's width is its largest count, not its
-    first row's, and padding repeats a row's own cover."""
+    """Every pair, of the key tables and of the induction reference, also of
+    the height-level lattices and of one whose level blocks mix cover
+    counts: a reference block's width is its largest count, not its first
+    row's, and padding repeats a row's own cover."""
     mixed = mixed_cover_counts()
     assert mixed.join_t[2, 4] == 0 and mixed.meet_t[6, 7] == 4  # a1 ∨ a3 = top, y ∧ z = a3
     extra = [mixed, *height_level_lattices()]
     for lat in (triple_lattice(gamma1), triple_lattice(gamma2), pentagon(), diamond(), *extra):
+        assert [t.tolist() for t in induction_tables(lat)] == [lat.meet_t.tolist(), lat.join_t.tolist()]
         rows = lat.leq.tolist()
         for i in range(len(lat)):
             for j in range(len(lat)):
