@@ -1,17 +1,19 @@
 """Finite lattices from their order, keyed by their irreducibles.
 
 A lattice is built from its elements and its order, as a predicate or a
-boolean matrix, and from that matrix alone.  x ↦ J ∩ ↓x, the
-join-irreducibles below x, is an order embedding of a finite lattice that
-sends a ∧ b to J(a) ∩ J(b), and dually M(a ∨ b) = M(a) ∩ M(b) for the
-meet-irreducibles above (Davey and Priestley, *Introduction to Lattices
-and Order*, ch. 2 and 5).  These keys, uint64 words laid out word-major
-and read off the order, prove a lattice (:func:`from_poset`), and meets
-and joins are key lookups: no table is built to prove a lattice, decide
-its verdicts or find its pentagon.  The tables are built on first read,
-for :func:`product_diamond` and the tests.  No closed-form meet/join
-enters, so these lattices are the poset-theoretic oracle for the
-formula-computed meets and joins elsewhere in the package.
+boolean matrix, by one route from that matrix alone (:func:`from_poset`).
+x ↦ J ∩ ↓x, the join-irreducibles below x, is an order embedding of a
+finite lattice that sends a ∧ b to J(a) ∩ J(b), and dually M(a ∨ b) =
+M(a) ∩ M(b) for the meet-irreducibles above (Davey and Priestley,
+*Introduction to Lattices and Order*, ch. 2 and 5).  These keys, uint64
+words laid out word-major, make the order a partial order when distinct
+and ordered by inclusion; the joins of each x with each j whose lower
+cover lies below x, by key or else by up-set, then prove a lattice and
+give its covers.  Meets and joins are key lookups: no table is built to
+prove a lattice, decide its verdicts or find its pentagon.  The tables
+are built on first read, for :func:`product_diamond` and the tests.  No
+closed-form meet/join enters, so these lattices are the poset-theoretic
+oracle for the formula-computed meets and joins elsewhere in the package.
 
 :func:`product_verdicts` decides the four verdicts of a direct product,
 a lattice being the product of itself alone, from known characterisations
@@ -66,9 +68,9 @@ class SublatticeWitness:
 
 class FiniteLattice:
     """Immutable element list, order matrix, cover pairs and irreducible keys
-    (``keys[w, x]``: word w of the bitset of join-irreducibles below x).
-    The dual keys, both tables and the tuple of labels are built on first
-    read; the verdicts, the pentagon search and the isomorphism read no table."""
+    (``keys[w, x]``: word w of the bitset of join-irreducibles below x), from
+    :func:`from_poset`.  The dual keys, both tables and the labels' tuple are
+    built on first read; the verdicts, pentagon search and isomorphism read no table."""
 
     def __init__(self, labels, leq_matrix, cover_pairs, keys) -> None:
         self.listing: Sequence = labels
@@ -93,12 +95,12 @@ class FiniteLattice:
     @cached_property
     def meet_t(self) -> np.ndarray:
         """The greatest lower bound of every pair, keyed by their keys' intersection."""
-        return _table(self.keys)[0]
+        return _table(self.keys)
 
     @cached_property
     def join_t(self) -> np.ndarray:
         """The least upper bound of every pair, by the dual keys."""
-        return _table(self.dual_keys)[0]
+        return _table(self.dual_keys)
 
     @cached_property
     def distributive(self) -> bool:
@@ -112,26 +114,6 @@ class FiniteLattice:
 
     def __len__(self) -> int:
         return self.n
-
-
-def _between(lt: np.ndarray) -> np.ndarray:
-    """``between[i, j]``: some k has i < k < j (``lt[x, y]``: x < y).
-
-    Row i is the OR of the strict up-sets of the elements above i, as rows
-    packed into 64-bit words: one segment per i over the pairs of ``lt``,
-    whose row-major flat indices come grouped by i.  The pairs go in blocks
-    of about 2^18 gathered words; ``|=`` carries a row across a block edge."""
-    n = len(lt)
-    packed = np.packbits(lt, axis=1)
-    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
-    out = np.zeros_like(packed)
-    pairs = np.flatnonzero(lt)  # half the memory of nonzero's two arrays
-    step = max(1, (1 << 18) // max(1, packed.shape[1]))
-    for s in range(0, len(pairs), step):
-        low, high = np.divmod(pairs[s : s + step], n)
-        starts = np.flatnonzero(np.diff(low, prepend=-1))
-        out[low[starts]] |= np.bitwise_or.reduceat(packed[high], starts)
-    return np.unpackbits(out.view(np.uint8), axis=1, count=n).view(bool)
 
 
 _BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # [k]: bit k of a word
@@ -173,16 +155,29 @@ def _find(index, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[at], ranked[at] == query
 
 
-def _table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``[a, b]``: the element keyed ``keys[:, a] & keys[:, b]`` (int32),
-    and whether there is one, looked up in row blocks."""
+def _row_blocks(keys: np.ndarray):
+    """Each pair's lookup, in blocks of rows s, …: (s, at, found), ``at[a - s,
+    b]`` the element keyed ``keys[:, a] & keys[:, b]``, ``found`` if any."""
     n = keys.shape[1]
-    index, table, found = _index(keys), np.empty((n, n), np.int32), np.empty((n, n), bool)
-    step = max(1, (1 << 16) // max(1, n * len(keys)))
+    index, step = _index(keys), max(1, (1 << 16) // max(1, n * len(keys)))
     for s in range(0, n, step):
         at, ok = _find(index, (keys[:, s : s + step, None] & keys[:, None]).reshape(len(keys), -1))
-        table[s : s + step], found[s : s + step] = at.reshape(-1, n), ok.reshape(-1, n)
-    return table, found
+        yield s, at.reshape(-1, n), ok.reshape(-1, n)
+
+
+def _table(keys: np.ndarray) -> np.ndarray:
+    """``[a, b]``: the element keyed ``keys[:, a] & keys[:, b]`` (int32)."""
+    table = np.empty((keys.shape[1],) * 2, np.int32)
+    for s, at, _ in _row_blocks(keys):
+        table[s : s + len(at)] = at
+    return table
+
+
+def _inclusion(keys: np.ndarray, m: np.ndarray) -> bool:
+    """Whether ``m[x, y]`` iff ``keys[:, x]`` ⊆ ``keys[:, y]``, in row blocks."""
+    off, step = ~keys, max(1, (1 << 14) // max(1, len(m)))
+    blocks = range(0, len(m), step)
+    return all((_disjoint(off, keys[:, s : s + step]) == m[s : s + step]).all() for s in blocks)
 
 
 def _keyed(m: np.ndarray):
@@ -199,87 +194,67 @@ def _keyed(m: np.ndarray):
     j = np.flatnonzero(irreducible)
     c = (m[:, j] & (size[:, None] == size[j] - 1)).argmax(axis=0) if n else j
     index = _index(keys := _words(m[j]))
-    if (index[1][1:] == index[1][:-1]).any():
+    if (index[1][1:] == index[1][:-1]).any() or not _inclusion(keys, m):
         return None
-    off, step = ~keys, max(1, (1 << 14) // max(1, n))
-    for s in range(0, n, step):
-        if (_disjoint(off, keys[:, s : s + step]) != m[s : s + step]).any():
-            return None
     return j, c, keys, index
 
 
-def _birkhoff(m: np.ndarray, j, c, keys: np.ndarray, index) -> tuple[np.ndarray, np.ndarray] | None:
+def _covers(m: np.ndarray, j, c, keys: np.ndarray, index) -> tuple[np.ndarray, np.ndarray] | None:
     """The cover pairs of the partial order ``m`` keyed by :func:`_keyed`
-    if it is a distributive lattice, else None (Birkhoff: it is then O(J),
-    the down-sets of its join-irreducibles J, x going to J ∩ ↓x).  The keys
-    are down-sets of J', a minimal element's ∅; if K ∪ {j} is a key for
-    every key K and j ∉ K whose strict J'-down-set lies in K, every down-set
-    is one, so ``m`` is O(J'), whose covers are those K ⊂ K ∪ {j}: edges
-    of the hypercube on J' among n keys, at most n·log2(n)/2 of them."""
-    grows = (m[c] & ~m[j]).T  # [x, t]: j[t] ∉ K(x) ⊇ K(c[t]) = K(j[t]) ∖ {j[t]}
-    if np.count_nonzero(grows) > len(m) * math.log2(max(1, len(m))) / 2:
-        return None
-    low, t = np.nonzero(grows)
+    if it is a lattice, else None.  j[t] grows x if c[t] <= x but j[t] ≰ x.
+    x ∨ j[t] is the element keyed K(x) ∪ {j[t]} if any (every upper bound's
+    key holds that set), else the one whose up-set is ↑x ∩ ↑j[t] if any.
+    If every growing pair has a join, so has every pair x, y: adding K(y)
+    to x one least j at a time, each j grows the element reached so far;
+    and the element keyed ∅ is a bottom.  Then y covers x iff y = x ∨ j
+    for every j that grows x and lies below y."""
+    grows = m[c] & ~m[j]  # [t, x]: j[t] ∉ K(x) ⊇ K(c[t]) = K(j[t]) ∖ {j[t]}
+    t, low = np.nonzero(grows)
     up, found = _find(index, keys[:, low] | keys[:, j[t]])  # K(x) ∪ K(j[t]) = K(x) ∪ {j[t]}
     if not found.all():
-        return None
-    by = np.lexsort((up, low))
-    return low[by], up[by]
+        ups, (open_,) = _words(m.T), np.nonzero(~found)  # [w, x]: ↑x packed
+        upper, step = _index(ups), max(1, (1 << 18) // len(ups))
+        for k in np.split(open_, range(step, len(open_), step)):
+            up[k], ok = _find(upper, ups[:, low[k]] & ups[:, j[t[k]]])
+            if not ok.all():
+                return None
+    pairs, count = np.unique(low * len(m) + up, return_counts=True)
+    low, up = np.divmod(pairs, len(m))
+    below = _words(grows)[:, low] & keys[:, up]  # the j that grow x and lie below y
+    keep = count == np.bitwise_count(below).sum(axis=0)
+    return low[keep], up[keep]
 
 
-def _meets_irreducibles(keys: np.ndarray, index, lower: np.ndarray) -> bool:
-    """Whether the partial order keyed by :func:`_keyed`, with cover pairs
-    ``lower`` < upper, is a lattice: it has a top, and each key's
-    intersection with the key of each meet-irreducible m (one upper cover)
-    is a key, that of x ∧ m.
-
-    Then any two keys meet in a key, and a finite poset with a top and
-    all meets is a lattice.  Were b maximal with some K(a) ∩ K(b) no key,
-    b would have upper covers u_1 ≠ u_2 …, whose keys meet every key in a
-    key: so do K(a) ∩ K(u_1) ∩ … and the meet K(d) of theirs, b <= d <= each
-    u_i.  d = b makes K(a) ∩ K(b) a key, and d > b makes d u_1 and u_2."""
-    ups = np.bincount(lower, minlength=keys.shape[1])
-    if np.count_nonzero(ups == 0) != 1:  # a top is the only maximal element
-        return False
-    irreducible = keys[:, ups == 1]
-    step = max(1, (1 << 16) // max(1, keys.shape[1] * len(keys)))
-    for s in range(0, irreducible.shape[1], step):
-        meets = keys[:, :, None] & irreducible[:, None, s : s + step]
-        if not _find(index, meets.reshape(len(keys), -1))[1].all():
-            return False
-    return True
-
-
-def _no_lattice(labels: Sequence, m: np.ndarray) -> ValueError:
-    """The error for a matrix the keyed route declines: ValueError if ``m``
-    is not a partial order, else (no lattice) the :class:`NotALatticeError`
-    of :func:`from_poset`.  a ∧ b exists iff the common lower bounds ↓a ∩ ↓b
-    are some ↓c, so packed down-sets are keys for the exact rule, and packed
-    up-sets for joins."""
-    if not m.diagonal().all():
-        return ValueError("leq is not reflexive")
-    lt = m & ~np.eye(len(m), dtype=bool)
-    if (lt & lt.T).any():
-        return ValueError("leq is not antisymmetric")
-    # Once m is reflexive and antisymmetric, m is transitive iff lt is.
-    if (_between(lt) & ~m).any():
-        return ValueError("leq is not transitive")
-    meet, join = (_table(_words(sets))[1] for sets in (m, m.T))  # keyed by ↓x, and by ↑x
-    i, j = np.argwhere(np.triu(~(meet & join)))[0]
-    return NotALatticeError((labels[i], labels[j]), "join" if meet[i, j] else "meet")
+def _no_lattice(labels: Sequence, m: np.ndarray, keyed: bool) -> ValueError:
+    """The error for a matrix :func:`from_poset` declines: ValueError if
+    ``m`` is not a partial order (reflexive, antisymmetric, and x <= y
+    giving ↓x ⊆ ↓y; known if ``keyed``), else the :class:`NotALatticeError`
+    of its first pair whose ↓a ∩ ↓b or ↑a ∩ ↑b is no ↓c or ↑c, looked up in
+    row blocks up to the first block that holds one."""
+    down = _words(m)
+    if not keyed:
+        if not m.diagonal().all():
+            return ValueError("leq is not reflexive")
+        if (m & m.T).sum() != len(m):
+            return ValueError("leq is not antisymmetric")
+        if not _inclusion(down, m):
+            return ValueError("leq is not transitive")
+    for (s, _, meet), (_, _, join) in zip(_row_blocks(down), _row_blocks(_words(m.T))):
+        bad = np.argwhere(~(meet & join))  # failures are symmetric: the first has i <= j
+        if len(bad):
+            i, j = bad[0]
+            return NotALatticeError((labels[s + i], labels[j]), "join" if meet[i, j] else "meet")
+    raise AssertionError("a partial order with every meet and join")
 
 
 def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
     """Build a lattice from elements and their order, as a predicate
-    ``leq(a, b)`` or an n × n boolean matrix.  Each element x is keyed by
-    J' ∩ ↓x (:func:`_keyed`).  Distinct keys with the order equal to key
-    inclusion make a partial order; keys that grow by every element they
-    may make it a distributive lattice, whose covers they give
-    (:func:`_birkhoff`); else the covers come from :func:`_between`, and a
-    top and the meet-irreducible lookups prove a lattice
-    (:func:`_meets_irreducibles`).  A bool ndarray is kept as the lattice's
-    ``leq`` without a copy, and nothing writes to it; ``labels`` is kept as
-    given, made a tuple on first read.
+    ``leq(a, b)`` or an n × n boolean matrix, by one route: the keys
+    J' ∩ ↓x (:func:`_keyed`), then the joins of the growing pairs, which
+    prove a lattice and give its covers (:func:`_covers`); a matrix either
+    declines gets :func:`_no_lattice`'s error.  A bool ndarray is kept as
+    the lattice's ``leq`` without a copy, and nothing writes to it;
+    ``labels`` is kept as given, made a tuple on first read.
 
     Raises ValueError if ``leq`` is not a partial order and
     :class:`NotALatticeError` naming the first pair (i <= j, row-major)
@@ -291,14 +266,9 @@ def from_poset(labels: Sequence, leq: Callable | np.ndarray) -> FiniteLattice:
         leq = [[bool(leq(a, b)) for b in labels] for a in labels]
     m = np.asarray(leq, dtype=bool).reshape(n, n)  # no labels give shape (0,)
     keyed = _keyed(m)
-    if keyed is None:
-        raise _no_lattice(labels, m)
-    covers = _birkhoff(m, *keyed)
+    covers = None if keyed is None else _covers(m, *keyed)
     if covers is None:
-        lt = m & ~np.eye(n, dtype=bool)
-        covers = np.nonzero(lt & ~_between(lt))
-        if not _meets_irreducibles(*keyed[2:], covers[0]):  # keys, index
-            raise _no_lattice(labels, m)
+        raise _no_lattice(labels, m, keyed is not None)
     return FiniteLattice(labels, m, covers, keyed[2])
 
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import gislat.lattice
 from gislat.graph import DirectedGraph, parse_graph
 from gislat.lattice import (
     NotALatticeError,
-    _between,
-    _birkhoff,
+    _covers,
     _keyed,
     _stable_signatures,
     SublatticeWitness,
@@ -151,17 +151,48 @@ def test_from_poset_antichain_is_not_a_lattice():
         ("oab", ["oa", "ob"], ("a", "b"), "join"),  # every meet, no top
         ("cdabi", ["ca", "cb", "da", "db", "ai", "bi"], ("c", "d"), "meet"),  # a top
         ("oabcdi", ["oa", "ob", "ac", "ad", "bc", "bd", "ci", "di"], ("a", "b"), "join"),
+        (["o", "b", "j", "x1", "x2", "u1", "u2", "i"],
+         [("o", "b"), ("o", "j"), ("o", "x1"), ("o", "x2"), ("b", "u1"), ("b", "u2"), ("j", "u1"), ("j", "u2"),
+          ("x1", "u1"), ("x2", "u2"), ("u1", "i"), ("u2", "i")], ("b", "j"), "join"),
     ],
 )
 def test_from_poset_names_the_first_missing_bound(labels, covers, pair, which):
     """The first pair without a meet or join, the meet before the join,
     whether or not the poset has a top: a bottom under two maximal
-    elements, a top over two elements with two maximal lower bounds, and a
+    elements, a top over two elements with two maximal lower bounds, a
     bounded poset whose first failing pair lacks a join though a later one
-    lacks a meet."""
+    lacks a meet, and b and j under u1 and u2, each also over an atom of
+    its own, under a top."""
     with pytest.raises(NotALatticeError) as err:
         lattice_from_covers(labels, covers)
     assert (err.value.pair, err.value.which) == (pair, which)
+
+
+def test_first_missing_bound_stops_at_its_row_block(monkeypatch):
+    """The 2^11 Boolean lattice less its top, plus one element above the
+    bottom only: 2048 elements, whose packed down- and up-sets take 32
+    words, so the pairs are looked up one row at a time.  1 and 2046 have
+    no join, and the scan stops at row 1, after two blocks each of meets
+    and joins, where the whole tables took 2048.  Its keys proved it a
+    partial order, so key inclusion is compared once, not again on the
+    32-word down-sets for transitivity."""
+    b = np.arange(1 << 11)
+    m = np.pad(boolean_order(11)[:-1, :-1], ((0, 1), (0, 1)))
+    m[-1, -1] = m[0, -1] = True
+    starts, row_blocks = [], gislat.lattice._row_blocks
+    inclusions, inclusion = [], gislat.lattice._inclusion
+    monkeypatch.setattr(gislat.lattice, "_inclusion", lambda k, m: inclusions.append(len(k)) or inclusion(k, m))
+
+    def counted(keys):
+        for block in row_blocks(keys):
+            starts.append(block[0])
+            yield block
+
+    monkeypatch.setattr(gislat.lattice, "_row_blocks", counted)
+    with pytest.raises(NotALatticeError) as err:
+        from_poset(b.tolist(), m)
+    assert str(err.value) == "no unique join for 1 and 2046" and err.value.pair == (1, 2046)
+    assert starts == [0, 0, 1, 1] and inclusions == [1]
 
 
 def test_join_table_is_built_on_first_read():
@@ -186,37 +217,64 @@ def brute_covers(m: np.ndarray) -> list[list[int]]:
     return [x.tolist() for x in np.nonzero(lt & ~brute_between(lt))]
 
 
-def test_birkhoff_certificate_accepts_exactly_the_distributive_lattices():
-    """Every lattice is keyed (distinct keys, the order equal to key
-    inclusion), and _birkhoff certifies a keyed order exactly when it is a
-    distributive lattice by the brute-force bounds and the join-prime
-    test, on the seeded closure lattices and on random posets.  Then its
-    cover pairs are the order's covers, and the tables built on first read
-    are the induction reference's."""
+def m_atoms(k):
+    """The order of M_k: a bottom 0 under k atoms under a top k + 1."""
+    i = np.arange(k + 2)
+    return (i[:, None] == i) | (i[:, None] == 0) | (i == k + 1)
+
+
+def boolean_order(k):
+    """The order of the Boolean lattice 2^k on the bitmasks 0 .. 2^k - 1."""
+    b = np.arange(1 << k)
+    return (b[:, None] & b) == b[:, None]
+
+
+def counting_words(monkeypatch):
+    """Count the calls of lattice._words: from_poset packs the keys and the
+    growing pairs, and a third call packs the up-sets."""
+    calls = []
+    words = gislat.lattice._words
+    monkeypatch.setattr(gislat.lattice, "_words", lambda rows: calls.append(1) or words(rows))
+    return calls
+
+
+def test_birkhoff_certificate_accepts_exactly_the_distributive_lattices(monkeypatch):
+    """The keys give every join of a growing pair, K(x) ∪ {j}, exactly when
+    the order is a distributive lattice (then it is O(J'), Birkhoff), so
+    only the other lattices pack their up-sets.  The cover pairs are the
+    order's covers, one k at a time, and a poset is declined exactly when
+    the brute-force bounds find no lattice: on the seeded closure lattices,
+    random posets, lattices of two and three key words, the Boolean
+    lattices 2^1, 2^4 and 2^10 (k·2^(k-1) covers) and M_300, whose atoms'
+    joins are no key's."""
     rng = random.Random(27)
-    orders = [(lat.labels, lat.leq) for lat in seeded_closure_lattices()]
+    orders = [lat.leq for lat in seeded_closure_lattices() + key_word_lattices()]
     for labels, leq in (random_poset(rng) for _ in range(1000)):
-        orders.append((labels, np.array([[leq(a, b) for b in labels] for a in labels], dtype=bool)))
-    accepted = 0
-    for labels, m in orders:
-        keyed = _keyed(m)
-        covers = keyed and _birkhoff(m, *keyed)
-        lat = None if brute_first_non_lattice_pair(m.tolist()) else from_poset(labels, m)
-        assert lat is None or keyed is not None
-        assert (covers is not None) == (lat is not None and is_distributive(lat))
-        if covers is not None:
-            accepted += 1
-            assert [c.tolist() for c in covers] == [c.tolist() for c in lat.cover_pairs] == brute_covers(m)
-            meets, joins = induction_tables(lat)
-            assert lat.meet_t.tolist() == meets.tolist() and lat.join_t.tolist() == joins.tolist()
-    assert 300 <= accepted <= len(orders) - 300, accepted
+        orders.append(np.array([[leq(a, b) for b in labels] for a in labels], dtype=bool))
+    orders += [boolean_order(k) for k in (1, 4, 10)] + [m_atoms(300)]
+    calls = counting_words(monkeypatch)
+    seen = {"distributive": 0, "up-sets": 0, "declined": 0}
+    for m in orders:
+        calls.clear()
+        try:
+            lat = from_poset(range(len(m)), m)
+        except NotALatticeError:
+            assert brute_first_non_lattice_pair(m.tolist()) is not None
+            seen["declined"] += 1
+            continue
+        assert [c.tolist() for c in lat.cover_pairs] == brute_covers(m)
+        assert (len(calls) == 2) == is_distributive(lat)
+        seen["distributive" if len(calls) == 2 else "up-sets"] += 1
+    assert len(calls) == 3 and min(seen.values()) >= 200, seen  # M_300 comes last
+    assert [len(from_poset(range(1 << k), boolean_order(k)).cover_set) for k in (1, 4, 10)] == [1, 32, 5120]
 
 
 def test_birkhoff_certificate_compares_the_whole_order():
     """The chain 0 < 1 < 2 < 3 without 1 <= 3 is not transitive, yet its
-    keys over J' = {1, 2}, {} {1} {1, 2} {2}, are distinct and grow by
-    every element they may: only the comparison of the order with key
-    inclusion declines it, and the partial-order checks name the failure."""
+    keys over J' = {1, 2}, {} {1} {1, 2} {2}, are distinct and hold K ∪ {j}
+    for every j that K may grow by: only the comparison of the order with
+    key inclusion declines it, and the partial-order checks name the
+    failure."""
     m = np.tri(4, dtype=bool).T
     m[1, 3] = False
     assert _keyed(m) is None
@@ -224,18 +282,24 @@ def test_birkhoff_certificate_compares_the_whole_order():
         from_poset(range(4), m)
 
 
-def test_birkhoff_certificate_holds_past_63_join_irreducibles():
+def test_birkhoff_certificate_holds_past_63_join_irreducibles(monkeypatch):
     """A chain of n elements has n - 1 join-irreducibles, keyed in
-    ceil((n - 1) / 64) words: the certificate holds at 64, 65, 66 and 130
-    elements, in one, one, two and three words, to the chain's cover
-    pairs, meets, joins and verdicts."""
+    ceil((n - 1) / 64) words: at 64, 65, 66 and 130 elements, in one, one,
+    two and three words, the keys give every join of a growing pair, with
+    no up-sets packed, and the chain's cover pairs, meets, joins and
+    verdicts.  Only x = j - 1 grows by j, so n - 1 keys are looked up."""
+    calls, looked_up, find = counting_words(monkeypatch), [], gislat.lattice._find
+    monkeypatch.setattr(gislat.lattice, "_find", lambda i, q: looked_up.append(q.shape[1]) or find(i, q))
     for n, words in ((64, 1), (65, 1), (66, 2), (130, 3)):
         i = np.arange(n)
         m = i[:, None] <= i
         keyed = _keyed(m)
         assert keyed[2].shape == (words, n)
         covers = [i[:-1].tolist(), i[1:].tolist()]
-        assert [c.tolist() for c in _birkhoff(m, *keyed)] == covers
+        calls.clear()
+        looked_up.clear()
+        assert [c.tolist() for c in _covers(m, *keyed)] == covers
+        assert len(calls) == 1 and looked_up == [n - 1]  # the growing pairs
         lat = from_poset(i.tolist(), m)
         assert [c.tolist() for c in lat.cover_pairs] == covers
         assert (lat.meet_t == np.minimum(i[:, None], i)).all()
@@ -244,61 +308,44 @@ def test_birkhoff_certificate_holds_past_63_join_irreducibles():
 
 
 def definition_keyed_checks(rows) -> dict[str, bool]:
-    """The checks of from_poset's keyed route, from their definitions on
-    sets: J' holds each j with some c < j and |↓c| = |↓j| - 1 (in a
-    partial order, whose strict down-set has a greatest element), and x is
-    keyed by the J' below it.  "distinct" keys, the order equal to key
-    "inclusion", every key K "grows" to K ∪ {j} for each j ∉ K whose
-    strict J'-down-set lies in K (Birkhoff), a "top", each key's
-    intersection with each meet-irreducible's key (one upper cover) a key
-    ("lookups"), and each element with two or more upper covers keyed by
-    the intersection of theirs ("cover_meets")."""
+    """The checks of from_poset's route, from their definitions on sets:
+    J' holds each j with some c < j and |↓c| = |↓j| - 1 (in a partial
+    order, whose strict down-set has a greatest element), and x is keyed
+    by the J' below it.  "distinct" keys, the order equal to key
+    "inclusion", and "joins": every x and j ∉ K(x) whose strict J'-down-set
+    lies in K(x) (j grows x) have a least upper bound.  "by_keys": each
+    such join is keyed K(x) ∪ {j}."""
     n = len(rows)
     below = [{y for y in range(n) if rows[y][x]} for x in range(n)]
     strict = [below[x] - {x} for x in range(n)]
     irreducible = {x for x in range(n) if any(len(below[c]) == len(strict[x]) for c in strict[x])}
     key = [frozenset(irreducible & below[x]) for x in range(n)]
-    keys = set(key)
-    ups = [
-        [y for y in range(n) if x in strict[y] and not any(x in strict[z] for z in strict[y])]
-        for x in range(n)
-    ]
+    growing = [(x, j) for j in irreducible for x in range(n) if j not in key[x] and key[j] - {j} <= key[x]]
     return {
-        "distinct": len(keys) == n,
+        "distinct": len(set(key)) == n,
         "inclusion": all(rows[x][y] == (key[x] <= key[y]) for x in range(n) for y in range(n)),
-        "grows": all(
-            k | {j} in keys for k in keys for j in irreducible - k if key[j] - {j} <= k
-        ),
-        "top": sum(not u for u in ups) == 1,
-        "lookups": all(k & key[m] in keys for m in range(n) if len(ups[m]) == 1 for k in keys),
-        "cover_meets": all(
-            key[x] == frozenset.intersection(*(key[u] for u in ups[x])) for x in range(n) if len(ups[x]) > 1
-        ),
+        "joins": all(brute_lub_index(rows, x, j) is not None for x, j in growing),
+        "by_keys": all(key[x] | {j} in key for x, j in growing),
     }
 
 
-# For each check of the keyed route, a poset that it alone declines: with
-# the check dropped, from_poset would return a lattice.  The error is the
-# one from_poset raised before the keyed route (the induction tables).
+# For each check of the route, a poset that it alone declines: with the
+# check dropped, from_poset would return a lattice.  The error is the one
+# from_poset raised before the keyed route (the induction tables).
 ONE_CHECK_POSETS = {
     # all-true on two elements: every key is ∅, so inclusion holds and
-    # nothing is left to grow; not antisymmetric
-    "distinct": ([1, 2], [[True, True], [True, True]], {"distinct": False, "inclusion": True, "grows": True},
+    # nothing grows; not antisymmetric
+    "distinct": ([1, 2], [[True, True], [True, True]], {"distinct": False, "inclusion": True, "joins": True},
                  ValueError, "leq is not antisymmetric"),
-    # the chain 0 < 1 < 2 < 3 without 1 <= 3: distinct keys that grow
-    "inclusion": (range(4), [[a <= b and (a, b) != (1, 3) for b in range(4)] for a in range(4)],
-                  {"distinct": True, "inclusion": False, "grows": True},
+    # the four-element Boolean lattice without 0 <= 3: distinct keys {} {1}
+    # {2} {1, 2, 3}, whose growing pairs all have joins
+    "inclusion": (range(4), [[a == b or (a, b) in {(0, 1), (0, 2), (1, 3), (2, 3)} for b in range(4)]
+                             for a in range(4)],
+                  {"distinct": True, "inclusion": False, "joins": True},
                   ValueError, "leq is not transitive"),
-    # a bottom under two maximal elements: no meet-irreducible to look up
-    "top": ("oab", "oa ob",
-            {"distinct": True, "inclusion": True, "grows": False, "top": False, "lookups": True},
-            NotALatticeError, "no unique join for 'a' and 'b'"),
-    # b and j under u1 and u2, each also over one atom of its own, under a
-    # top: u1 ∧ u2 is missing, and only the lookup of u2's key in u1's finds it
-    "lookups": (["o", "b", "j", "x1", "x2", "u1", "u2", "i"],
-                "o-b o-j o-x1 o-x2 b-u1 b-u2 j-u1 j-u2 x1-u1 x2-u2 u1-i u2-i",
-                {"distinct": True, "inclusion": True, "grows": False, "top": True, "lookups": False},
-                NotALatticeError, "no unique join for 'b' and 'j'"),
+    # a bottom under two maximal elements: a grows b, and has no join with it
+    "joins": ("oab", "oa ob", {"distinct": True, "inclusion": True, "joins": False},
+              NotALatticeError, "no unique join for 'a' and 'b'"),
 }
 
 
@@ -322,10 +369,10 @@ def lattice_order(n, covers) -> list[list[bool]]:
 
 @pytest.mark.parametrize("check", list(ONE_CHECK_POSETS))
 def test_each_keyed_check_alone_declines_a_poset(check):
-    """Distinct keys, the order equal to key inclusion, a top and the
-    meet-irreducible lookups each decline a small poset that every other
-    check of the route passes, and from_poset then raises the error class,
-    message and pair it raised with the induction tables."""
+    """Distinct keys, the order equal to key inclusion and the joins of the
+    growing pairs each decline a small poset that every other check of the
+    route passes, and from_poset then raises the error class, message and
+    pair it raised with the induction tables."""
     labels, m, expected, error, message = one_check_poset(check)
     got = definition_keyed_checks(m.tolist())
     assert {k: got[k] for k in expected} == expected
@@ -337,25 +384,25 @@ def test_each_keyed_check_alone_declines_a_poset(check):
         assert (err.value.pair, err.value.which) == ((labels[i], labels[j]), which)
 
 
-def test_the_keyed_checks_decide_lattices():
+def test_the_keyed_checks_decide_lattices(monkeypatch):
     """On random and closure posets: a poset is a lattice iff its keys are
-    distinct, its order is key inclusion and either its keys grow (a
-    distributive lattice) or it has a top and passes the meet-irreducible
-    lookups.  The meets of the upper covers are then implied: no poset
-    passes the others and fails that condition, so from_poset does not
-    check it."""
+    distinct, its order is key inclusion and every growing pair has a join.
+    from_poset packs the up-sets exactly when some such join is no key's
+    K(x) ∪ {j}; there are lattices of both kinds."""
     rng = random.Random(34)
     posets = [random_poset(rng) for _ in range(1500)] + [random_closure_poset(rng) for _ in range(60)]
-    seen = {"grows": 0, "lookups": 0, "declined": 0}
+    calls = counting_words(monkeypatch)
+    seen = {"by_keys": 0, "up-sets": 0, "declined": 0}
     for labels, leq in posets:
         rows = [[leq(a, b) for b in labels] for a in labels]
         c = definition_keyed_checks(rows)
-        keyed = c["distinct"] and c["inclusion"]
-        lattice = keyed and (c["grows"] or (c["top"] and c["lookups"]))
+        lattice = c["distinct"] and c["inclusion"] and c["joins"]
         assert lattice == (brute_first_non_lattice_pair(rows) is None)
-        if keyed and c["top"] and c["lookups"]:
-            assert c["cover_meets"]
-        seen["grows" if keyed and c["grows"] else "lookups" if lattice else "declined"] += 1
+        if lattice:
+            calls.clear()
+            from_poset(labels, np.array(rows, dtype=bool))
+            assert len(calls) == 3 - c["by_keys"]
+        seen["declined" if not lattice else "by_keys" if c["by_keys"] else "up-sets"] += 1
     assert min(seen.values()) >= 100, seen
 
 
@@ -409,25 +456,6 @@ def test_keyed_tables_and_cover_verdicts_match_the_references():
     assert all(lattice_verdicts(chain130)[0].values())
 
 
-def test_birkhoff_declines_wide_orders_before_any_lookup(monkeypatch):
-    """The covers of a distributive lattice of n elements are hypercube
-    edges among n keys, at most n·log2(n)/2 of them, so an order that
-    would grow its keys more often is declined before they are looked up:
-    M_300 (300 atoms, keys of five words) would grow each key but the
-    top's by almost every atom.  The Boolean lattices meet the bound
-    exactly and are certified."""
-    i = np.arange(302)
-    m300 = (i[:, None] == i) | (i[:, None] == 0) | (i == 301)
-    keyed = _keyed(m300)
-    with monkeypatch.context() as patch:
-        patch.setattr("gislat.lattice._find", lambda *a: pytest.fail("looked up"))
-        assert _birkhoff(m300, *keyed) is None
-    for k in (1, 4, 10):
-        b = np.arange(1 << k)
-        covers = _birkhoff((b[:, None] & b) == b[:, None], *_keyed((b[:, None] & b) == b[:, None]))
-        assert len(covers[0]) == k << (k - 1)
-
-
 def test_from_poset_rejects_non_partial_orders():
     with pytest.raises(ValueError, match="reflexive"):
         from_poset([1, 2], lambda a, b: a < b)
@@ -461,31 +489,39 @@ def test_transposed_copy_in_tiles():
         assert t.flags.c_contiguous and t.dtype == bool and np.array_equal(t, m.T)
 
 
-def test_between_matches_bruteforce():
-    """The OR over the pairs of a relation against one k at a time: empty,
-    one element, non-transitive, seeded random of every density, and
-    relations whose pairs span several blocks of 2^18 // words pairs.  On
-    the 600-chain a row's first pairs, which carry the most bits, fall in
-    the block before its last ones."""
+def test_transitivity_matches_bruteforce_between():
+    """from_poset raises "leq is not transitive" exactly when some pair
+    i < k < j has i ≰ j, one k at a time, on relations made reflexive and
+    antisymmetric: empty, one element, seeded random of every density,
+    and the 600-chain without (1, 599) or (597, 599).  Without (597, 599)
+    the one row where x <= 599 yet ↓x ⊄ ↓599 is 598, in the last row block
+    of 2^14 // 600 = 27 rows."""
     rng = np.random.default_rng(13)
     relations = [np.zeros((0, 0), dtype=bool), np.zeros((1, 1), dtype=bool)]
-    relations.append(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool))
-    for n in (2, 5, 63, 64, 65, 130):
+    for n in (2, 5, 63, 64, 65, 130, 600):
         for density in (0.02, 0.2, 0.6, 1.0):
-            relations.append(rng.random((n, n)) < density)
+            r = rng.random((n, n)) < density
+            relations.append(r & ~r.T)
     i = np.arange(600)
-    chain = i[:, None] < i
-    lo = np.nonzero(chain)[0]
-    step = (1 << 18) // 10  # 600 bits pad to 10 words
-    edges = np.arange(step, len(lo), step)
-    assert len(edges) == 6 and (lo[edges - 1] == lo[edges]).any()
-    relations += [chain, rng.random((600, 600)) < 0.3]
+    for pair in ((1, 599), (597, 599)):
+        chain = i[:, None] < i
+        chain[pair] = False
+        relations.append(chain)
+    assert (len(i) - 1) // ((1 << 14) // len(i)) == 598 // 27
+    transitive = 0
     for lt in relations:
         np.fill_diagonal(lt, False)
-        got = _between(lt)
-        assert got.shape == lt.shape and got.dtype == bool
-        assert (got == brute_between(lt)).all()
-    assert (_between(chain) == (i[:, None] + 1 < i)).all()
+        m = lt | np.eye(len(lt), dtype=bool)
+        if (brute_between(lt) & ~m).any():
+            with pytest.raises(ValueError, match="^leq is not transitive$"):
+                from_poset(range(len(m)), m)
+        else:
+            transitive += 1
+            try:
+                from_poset(range(len(m)), m)
+            except NotALatticeError:
+                pass
+    assert min(transitive, len(relations) - transitive) >= 10, transitive
 
 
 def random_poset(rng, sizes=(1, 9)):
