@@ -207,10 +207,19 @@ def _covers(m: np.ndarray, j, c, keys: np.ndarray, index) -> tuple[np.ndarray, n
     If every growing pair has a join, so has every pair x, y: adding K(y)
     to x one least j at a time, each j grows the element reached so far;
     and the element keyed ∅ is a bottom.  Then y covers x iff y = x ∨ j
-    for every j that grows x and lies below y."""
+    for every j that grows x and lies below y.
+
+    In a distributive lattice (Birkhoff: O(J')) each growing pair is a
+    cover K(x) ⊂ K(x) ∪ {j}, an edge of the hypercube on J' among n keys,
+    of which there are at most n·log2(n)/2; an order with more growing
+    pairs is no such lattice, and its joins are all read off the up-sets,
+    with no key looked up."""
     grows = m[c] & ~m[j]  # [t, x]: j[t] ∉ K(x) ⊇ K(c[t]) = K(j[t]) ∖ {j[t]}
     t, low = np.nonzero(grows)
-    up, found = _find(index, keys[:, low] | keys[:, j[t]])  # K(x) ∪ K(j[t]) = K(x) ∪ {j[t]}
+    if len(t) > len(m) * math.log2(max(1, len(m))) / 2:
+        up, found = np.zeros(len(t), np.intp), np.zeros(len(t), bool)
+    else:
+        up, found = _find(index, keys[:, low] | keys[:, j[t]])  # K(x) ∪ K(j[t]) = K(x) ∪ {j[t]}
     if not found.all():
         ups, (open_,) = _words(m.T), np.nonzero(~found)  # [w, x]: ↑x packed
         upper, step = _index(ups), max(1, (1 << 18) // len(ups))

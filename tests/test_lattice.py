@@ -307,6 +307,35 @@ def test_birkhoff_certificate_holds_past_63_join_irreducibles(monkeypatch):
         assert all(lattice_verdicts(lat)[0].values())
 
 
+def test_birkhoff_declines_wide_orders_before_any_lookup(monkeypatch):
+    """The covers of a distributive lattice of n elements are hypercube
+    edges among n keys, at most n·log2(n)/2 of them, so an order with more
+    growing pairs looks up no key and takes every join from the up-sets:
+    in M_300 each atom grows the bottom and the 299 other atoms, 90000
+    pairs against about 1244.  The Boolean lattices meet the bound exactly
+    and are certified by their keys, with no up-sets packed."""
+    m = m_atoms(300)
+    keyed, looked_up, find = _keyed(m), [], gislat.lattice._find
+
+    def find_no_key(index, query):
+        assert index is not keyed[3], "a key was looked up"
+        looked_up.append(query.shape[1])
+        return find(index, query)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gislat.lattice, "_find", find_no_key)
+        assert [c.tolist() for c in _covers(m, *keyed)] == brute_covers(m)
+    assert sum(looked_up) == 300 * 300
+    calls = counting_words(monkeypatch)
+    for k in (1, 4, 10):
+        m = boolean_order(k)
+        keyed = _keyed(m)
+        calls.clear()
+        low, up = _covers(m, *keyed)
+        assert len(calls) == 1 and len(low) == k << (k - 1) == len(m) * k // 2  # the growing pairs
+        assert [low.tolist(), up.tolist()] == brute_covers(m)
+
+
 def definition_keyed_checks(rows) -> dict[str, bool]:
     """The checks of from_poset's route, from their definitions on sets:
     J' holds each j with some c < j and |↓c| = |↓j| - 1 (in a partial
