@@ -9,11 +9,11 @@ M(a) ∩ M(b) for the meet-irreducibles above (Davey and Priestley,
 words laid out word-major, make the order a partial order when distinct
 and ordered by inclusion; the joins of each x with each j whose lower
 cover lies below x, by key or else by up-set, then prove a lattice and
-give its covers.  Meets and joins are key lookups: no table is built to
-prove a lattice, decide its verdicts or find its pentagon.  The tables
-are built on first read, for :func:`product_diamond` and the tests.  No
-closed-form meet/join enters, so these lattices are the poset-theoretic
-oracle for the formula-computed meets and joins elsewhere in the package.
+give its covers.  Meets and joins are read off the keys, a ∧ b the
+element keyed K(a) ∩ K(b) and a ∨ b the one dual-keyed M(a) ∩ M(b), so
+no meet or join table is built.  No closed-form meet/join enters, so
+these lattices are the poset-theoretic oracle for the formula-computed
+meets and joins elsewhere in the package.
 
 :func:`product_verdicts` decides the four verdicts of a direct product,
 a lattice being the product of itself alone, from known characterisations
@@ -69,8 +69,8 @@ class SublatticeWitness:
 class FiniteLattice:
     """Immutable element list, order matrix, cover pairs and irreducible keys
     (``keys[w, x]``: word w of the bitset of join-irreducibles below x), from
-    :func:`from_poset`.  The dual keys, both tables and the labels' tuple are
-    built on first read; the verdicts, pentagon search and isomorphism read no table."""
+    :func:`from_poset`.  The dual keys and the labels' tuple are built on
+    first read; no meet or join table is built."""
 
     def __init__(self, labels, leq_matrix, cover_pairs, keys) -> None:
         self.listing: Sequence = labels
@@ -91,16 +91,6 @@ class FiniteLattice:
         """``[w, x]``: word w of the bitset of meet-irreducibles above x."""
         irreducible = np.bincount(self.cover_pairs[0], minlength=self.n) == 1
         return _words(self.leq[:, irreducible].T)
-
-    @cached_property
-    def meet_t(self) -> np.ndarray:
-        """The greatest lower bound of every pair, keyed by their keys' intersection."""
-        return _table(self.keys)
-
-    @cached_property
-    def join_t(self) -> np.ndarray:
-        """The least upper bound of every pair, by the dual keys."""
-        return _table(self.dual_keys)
 
     @cached_property
     def distributive(self) -> bool:
@@ -163,14 +153,6 @@ def _row_blocks(keys: np.ndarray):
     for s in range(0, n, step):
         at, ok = _find(index, (keys[:, s : s + step, None] & keys[:, None]).reshape(len(keys), -1))
         yield s, at.reshape(-1, n), ok.reshape(-1, n)
-
-
-def _table(keys: np.ndarray) -> np.ndarray:
-    """``[a, b]``: the element keyed ``keys[:, a] & keys[:, b]`` (int32)."""
-    table = np.empty((keys.shape[1],) * 2, np.int32)
-    for s, at, _ in _row_blocks(keys):
-        table[s : s + len(at)] = at
-    return table
 
 
 def _inclusion(keys: np.ndarray, m: np.ndarray) -> bool:
@@ -338,14 +320,12 @@ def is_lower_semimodular(lat: FiniteLattice) -> bool:
 def _witness(kind: str, factors: Sequence[FiniteLattice], coords, x, y, z) -> SublatticeWitness:
     """(x∧z, x, y, z, x∨z) in the product of ``factors`` (element i is row i
     of ``coords``): the bounds have the factors' meets and joins as
-    coordinates, read off order rows with no table: a ∧ b is the common
-    lower bound with the smallest up-set, a ∨ b the common upper bound with
-    the largest."""
+    coordinates, read off the keys with no table: a ∧ b is the element
+    keyed K(a) & K(b), a ∨ b the one dual-keyed M(a) & M(b)."""
     meets, joins = [], []
     for f, a, b in zip(factors, coords[x], coords[z]):
-        below, above = np.flatnonzero(f.leq[:, a] & f.leq[:, b]), np.flatnonzero(f.leq[a] & f.leq[b])
-        meets.append(below[f.leq[below].sum(axis=1).argmin()])
-        joins.append(above[f.leq[above].sum(axis=1).argmax()])
+        for keys, bounds in ((f.keys, meets), (f.dual_keys, joins)):
+            bounds.append((keys == (keys[:, a] & keys[:, b])[:, None]).all(axis=0).argmax())
     lo, hi = (int((coords == c).all(axis=1).argmax()) for c in (meets, joins))
     return SublatticeWitness(kind, (lo, x, y, z, hi))
 
@@ -439,26 +419,30 @@ def find_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
 def product_diamond(factors: Sequence[FiniteLattice], coords) -> SublatticeWitness | None:
     """First diamond, in lexicographic (atom, atom, atom) index order, of
     the direct product of ``factors`` (element i is row i of the integer
-    array ``coords``), without building its tables.
+    array ``coords``), from the factors' keys alone.
 
-    Three distinct elements whose pairwise (meet, join) keys are equal
-    are pairwise incomparable, so with their common meet and join they
-    form a diamond.  Meets and joins go by coordinates, so a pair's key is
-    its factors' keys ``meet_t * n_k + join_t`` in mixed radix.  For each
-    x, one boolean matrix over the indices y < z after x finds the first
-    such (y, z) in row-major order.
+    An element's key K stacks its factors' keys and dual keys by
+    coordinate, so K(a) & K(b) is the key of (a ∧ b, a ∨ b).  Three
+    distinct elements whose pairwise intersections are equal are pairwise
+    incomparable, so with their common meet and join they form a diamond.
+    For each x the pair keys P(y) = K(x) & K(y), y after x, are ranked,
+    and only a y whose rank recurs can be an atom beside x.  The first
+    (y, z) of one rank with K(y) & K(z) = P(y), in row-major order, has
+    y < z, as that test is symmetric and no y passes it with itself.
     """
-    key = np.zeros((), dtype=np.int32 if len(coords) ** 2 < 2**31 else np.int64)  # below n²
-    for f, c in zip(factors, coords.T):
-        key = (key * f.n + f.meet_t[np.ix_(c, c)]) * f.n + f.join_t[np.ix_(c, c)]
-    for x in range(len(coords)):
-        kx = key[x, x + 1 :]
-        # [y, z]: key(x, y) == key(x, z) == key(y, z), indices x < y < z
-        eq = np.triu((kx[:, None] == kx) & (key[x + 1 :, x + 1 :] == kx), k=1)
-        hits = np.argwhere(eq)
-        if hits.size:
-            y, z = (x + 1 + int(v) for v in hits[0])
-            return _witness("diamond", factors, coords, x, y, z)
+    keys = np.vstack([np.vstack((f.keys, f.dual_keys))[:, c] for f, c in zip(factors, coords.T)])
+    for x in range(len(coords) - 2):
+        pair = keys[:, x, None] & keys[:, x + 1 :]
+        _, rank, count = np.unique(_flat(pair), return_inverse=True, return_counts=True)
+        (ys,) = np.nonzero(count[rank] > 1)
+        rank, pair, later = rank[ys], pair[:, ys], keys[:, x + 1 + ys]
+        step = max(1, (1 << 16) // max(1, len(ys) * len(keys)))
+        for s in range(0, len(ys), step):
+            hit = rank[s : s + step, None] == rank  # [y, z]: of one rank
+            hit &= ((later[:, s : s + step, None] & later[:, None]) == pair[:, s : s + step, None]).all(axis=0)
+            if hit.any():
+                y, z = divmod(int(hit.argmax()), len(ys))
+                return _witness("diamond", factors, coords, x, x + 1 + int(ys[s + y]), x + 1 + int(ys[z]))
     return None
 
 

@@ -5,6 +5,7 @@ corpora."""
 from __future__ import annotations
 
 import random
+import weakref
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -26,6 +27,7 @@ from gislat.graph import (
 from gislat.lattice import (
     FiniteLattice,
     SublatticeWitness,
+    _row_blocks,
     from_poset,
     product_verdicts,
     product_witness,
@@ -304,12 +306,31 @@ def induction_meet_table(
     return table, ok
 
 
+_INDUCTION_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def induction_tables(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
     """The meet and join tables of ``lat`` by :func:`induction_meet_table`,
-    on its order and on the dual order."""
-    lower, upper = lat.cover_pairs
-    meets = induction_meet_table(lat.leq.copy(), lower, upper)[0]
-    return meets, induction_meet_table(transposed_in_tiles(lat.leq), upper, lower)[0]
+    on its order and on the dual order, computed once per lattice."""
+    if lat not in _INDUCTION_TABLES:
+        lower, upper = lat.cover_pairs
+        meets = induction_meet_table(lat.leq.copy(), lower, upper)[0]
+        joins = induction_meet_table(transposed_in_tiles(lat.leq), upper, lower)[0]
+        _INDUCTION_TABLES[lat] = (meets, joins)
+    return _INDUCTION_TABLES[lat]
+
+
+def key_tables(lat: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The meet and join tables of ``lat`` by ``from_poset``'s own rule:
+    ``[a, b]`` is the element keyed K(a) & K(b), or dual-keyed M(a) & M(b),
+    looked up one row block at a time (:func:`gislat.lattice._row_blocks`);
+    in a lattice every pair finds one."""
+    tables = np.empty((2, lat.n, lat.n), np.int32)
+    for table, keys in zip(tables, (lat.keys, lat.dual_keys)):
+        for s, at, found in _row_blocks(keys):
+            assert found.all()
+            table[s : s + len(at)] = at
+    return tables[0], tables[1]
 
 
 def table_semimodular(low: np.ndarray, up: np.ndarray, join_t: np.ndarray) -> bool:
@@ -351,8 +372,9 @@ def definition_leq(g: DirectedGraph, t1: CongruenceTriple, t2: CongruenceTriple)
 
 def brute_first_pentagon(lat: FiniteLattice) -> SublatticeWitness | None:
     """First pentagon in lexicographic (p, q, b) order by one n × n scan
-    per p: p < q sharing both meet and join with b."""
-    n, m, j = lat.n, lat.meet_t, lat.join_t
+    per p: p < q sharing both meet and join with b, over the induction
+    reference tables."""
+    (m, j), n = induction_tables(lat), lat.n
     lt = lat.leq & ~np.eye(n, dtype=bool)
     key = m.astype(np.int64) * n + j.astype(np.int64)
     for p in range(n):
@@ -367,8 +389,9 @@ def brute_first_diamond(lat: FiniteLattice) -> SublatticeWitness | None:
     """First diamond in lexicographic (x, y, z) order by direct scan: x,
     y, z with one common pairwise meet o and one common pairwise join i,
     all five elements distinct.  One numpy scan per x covers every pair
-    x < y < z, rows y and columns z, meets and joins compared apart."""
-    m, j, n = lat.meet_t, lat.join_t, lat.n
+    x < y < z, rows y and columns z, meets and joins compared apart, over
+    the induction reference tables."""
+    (m, j), n = induction_tables(lat), lat.n
     for x in range(n):
         ys = np.arange(x + 1, n)  # the y and z above x, rows and columns alike
         o, i = m[x, x + 1:, None], j[x, x + 1:, None]  # x ∧ y and x ∨ y, one row per y
@@ -393,13 +416,14 @@ def brute_order_isomorphic(lat1: FiniteLattice, lat2: FiniteLattice) -> bool:
 
 
 def witness_is_valid(lat: FiniteLattice, w: SublatticeWitness) -> bool:
-    """Check the exact five-element configuration and sublattice closure."""
+    """Check the exact five-element configuration and sublattice closure,
+    over the induction reference tables."""
     members = w.members
     if len(set(members)) != 5:
         return False
     o, a, b, c, i = members
     lt = lambda x, y: x != y and lat.leq[x, y]
-    m, j = lat.meet_t, lat.join_t
+    m, j = induction_tables(lat)
     if w.kind == "pentagon":
         config = (
             lt(o, a)
@@ -425,8 +449,9 @@ def witness_is_valid(lat: FiniteLattice, w: SublatticeWitness) -> bool:
 
 
 def identity_distributive(lat: FiniteLattice) -> bool:
-    """(a ∨ b) ∧ c == (a ∧ c) ∨ (b ∧ c) over all triples."""
-    n, m, j = lat.n, lat.meet_t, lat.join_t
+    """(a ∨ b) ∧ c == (a ∧ c) ∨ (b ∧ c) over all triples, by the induction
+    reference tables."""
+    (m, j), n = induction_tables(lat), lat.n
     idx = np.arange(n)
     for a in range(n):
         left = m[j[a][:, None], idx[None, :]]  # (b, c) -> (a∨b)∧c
@@ -438,8 +463,9 @@ def identity_distributive(lat: FiniteLattice) -> bool:
 
 
 def identity_modular(lat: FiniteLattice) -> bool:
-    """a <= c implies a ∨ (b ∧ c) == (a ∨ b) ∧ c, over all triples."""
-    n, m, j = lat.n, lat.meet_t, lat.join_t
+    """a <= c implies a ∨ (b ∧ c) == (a ∨ b) ∧ c, over all triples, by the
+    induction reference tables."""
+    (m, j), n = induction_tables(lat), lat.n
     for a in range(n):
         ja = j[a]
         left = ja[m]  # (b, c) -> a∨(b∧c)
@@ -451,26 +477,28 @@ def identity_modular(lat: FiniteLattice) -> bool:
 
 
 def pairwise_upper_semimodular(lat: FiniteLattice) -> bool:
-    """a, b both covering a ∧ b forces a ∨ b to cover both a and b."""
-    cov = lat.cover_set
+    """a, b both covering a ∧ b forces a ∨ b to cover both a and b (the
+    induction reference tables)."""
+    cov, (meets, joins) = lat.cover_set, induction_tables(lat)
     for a in range(lat.n):
         for b in range(a + 1, lat.n):
-            m = int(lat.meet_t[a, b])
+            m = int(meets[a, b])
             if (a, m) in cov and (b, m) in cov:
-                j = int(lat.join_t[a, b])
+                j = int(joins[a, b])
                 if (j, a) not in cov or (j, b) not in cov:
                     return False
     return True
 
 
 def pairwise_lower_semimodular(lat: FiniteLattice) -> bool:
-    """a ∨ b covering both a and b forces a and b to cover a ∧ b."""
-    cov = lat.cover_set
+    """a ∨ b covering both a and b forces a and b to cover a ∧ b (the
+    induction reference tables)."""
+    cov, (meets, joins) = lat.cover_set, induction_tables(lat)
     for a in range(lat.n):
         for b in range(a + 1, lat.n):
-            j = int(lat.join_t[a, b])
+            j = int(joins[a, b])
             if (j, a) in cov and (j, b) in cov:
-                m = int(lat.meet_t[a, b])
+                m = int(meets[a, b])
                 if (a, m) not in cov or (b, m) not in cov:
                     return False
     return True
@@ -963,8 +991,8 @@ def dag_census(vertices: int, multiplicity: int):
 def census(vertices: int, multiplicity: int, cap: int = 200) -> int:
     """Check each graph of :func:`dag_census` with at most ``cap`` semigroup
     elements through its congruences, and return how many were checked:
-    the closed-form meet and join agree with the triple lattice's tables on
-    every pair, the triple lattice is order isomorphic to the congruence
+    the closed-form meet and join agree with the triple lattice's key
+    tables on every pair, the triple lattice is order isomorphic to the congruence
     lattice, and the paper's theorem holds on the congruence lattice alone
     (lower semimodular, modular and distributive exactly when no vertex is
     forked, upper semimodular always)."""
@@ -978,10 +1006,10 @@ def census(vertices: int, multiplicity: int, cap: int = 200) -> int:
         if semigroup_size(g) > cap:
             continue
         lat = triple_lattice(g)
-        ts = lat.labels
+        ts, (meets, joins) = lat.labels, key_tables(lat)
         for i, j in combinations_with_replacement(range(lat.n), 2):
-            assert meet(g, ts[i], ts[j]) == ts[lat.meet_t[i, j]], graph_text(g)
-            assert join(g, ts[i], ts[j]) == ts[lat.join_t[i, j]], graph_text(g)
+            assert meet(g, ts[i], ts[j]) == ts[meets[i, j]], graph_text(g)
+            assert join(g, ts[i], ts[j]) == ts[joins[i, j]], graph_text(g)
         congruences = congruence_lattice(finite_semigroup(g), cap)
         assert order_isomorphic(lat, congruences), graph_text(g)
         unforked = not definition_forked(g)
@@ -1035,11 +1063,15 @@ def closure_lattice(points: int, generators) -> FiniteLattice:
     return from_poset(sorted(family), lambda a, b: a & b == a)
 
 
-def product_lattice(factors, rng: random.Random) -> tuple[FiniteLattice, np.ndarray]:
+def product_lattice(factors, rng: random.Random | None) -> tuple[FiniteLattice, np.ndarray]:
     """The direct product of ``factors`` built whole by ``from_poset``, its
-    elements (coordinate tuples) in shuffled order, and those coordinates."""
+    elements (coordinate tuples) in shuffled order, or in reverse
+    lexicographic order if ``rng`` is None, and those coordinates."""
     elements = list(product(*(range(len(f)) for f in factors)))
-    rng.shuffle(elements)
+    if rng is None:
+        elements.reverse()
+    else:
+        rng.shuffle(elements)
     coords = np.array(elements, dtype=np.intp).reshape(len(elements), len(factors))
     m = np.ones((len(elements), len(elements)), dtype=bool)
     for k, f in enumerate(factors):

@@ -46,6 +46,7 @@ from helpers import (
     brute_glb_index,
     brute_lub_index,
     cyclic_corpus,
+    key_tables,
     multi_component_corpus,
     outdeg_le1_corpus,
     small_semigroup_corpus,
@@ -186,20 +187,20 @@ def test_criterion_05_meet_join_formula_vs_poset_bounds(
         cases += cyclic_lattices
         assert len(corpus_lattices) >= 200
         for g, ts, lat in cases:
-            n = len(ts)
+            n, (meets, joins) = len(ts), key_tables(lat)
             for i in range(n):
                 ti = ts[i]
                 for j in range(i, n):
                     tj = ts[j]
-                    assert meet(g, ti, tj) == lat.labels[lat.meet_t[i, j]]
-                    assert join(g, ti, tj) == lat.labels[lat.join_t[i, j]]
+                    assert meet(g, ti, tj) == lat.labels[meets[i, j]]
+                    assert join(g, ti, tj) == lat.labels[joins[i, j]]
         # guard the poset side itself with a raw scan on a subsample
         for g, ts, lat in cases[:20]:
-            rows = lat.leq.tolist()
+            rows, (meets, joins) = lat.leq.tolist(), key_tables(lat)
             for i in range(len(ts)):
                 for j in range(len(ts)):
-                    assert lat.meet_t[i, j] == brute_glb_index(rows, i, j)
-                    assert lat.join_t[i, j] == brute_lub_index(rows, i, j)
+                    assert meets[i, j] == brute_glb_index(rows, i, j)
+                    assert joins[i, j] == brute_lub_index(rows, i, j)
 
 
 def test_criterion_06_forked_vertex_equivalence(corpus_lattices):
@@ -230,9 +231,9 @@ def test_criterion_07_equal_meets_and_joins_force_H_and_f(
         cases += corpus_lattices
         cases += cyclic_lattices
         for _, ts, lat in cases:
-            n = len(ts)
+            n, (meets, joins) = len(ts), key_tables(lat)
             for i in range(n):
-                mi, ji = lat.meet_t[i], lat.join_t[i]
+                mi, ji = meets[i], joins[i]
                 buckets: dict[tuple[int, int], tuple] = {}
                 for j in range(n):
                     key = (int(mi[j]), int(ji[j]))

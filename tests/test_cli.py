@@ -607,55 +607,7 @@ def path_text(n: int, prefix: str = "v") -> str:
     )
 
 
-ENUMERATING = (["classify", "--enumerate"], ["lattice"], ["lattice", "--json"])
-
-
-FORK_LOOPS_TEXT = "vertex u\nvertex v\nvertex w\nedge e u v\nedge f u w\nedge x v v\nedge y w w\n"
-FAN3_TEXT = "vertex u\nvertex a\nvertex b\nvertex c\nedge e u a\nedge f u b\nedge g u c\n"
 UNION3_TEXT = "vertex u\nvertex a\nvertex b\nedge e u a\nedge f u b\n" + path_text(3, "c") + path_text(3, "d")
-
-
-@pytest.mark.parametrize(
-    "text, bound, argvs",
-    [
-        (path_text(7), None, ENUMERATING),  # one distributive factor
-        ("".join(path_text(4, c) for c in "abc"), None, ENUMERATING),  # three
-        ("vertex p\nedge x p p\nvertex q\nedge y q q\n", 60, ENUMERATING),  # two
-        (FAN3_TEXT, None, (*ENUMERATING, ["oracle"])),  # one factor, not distributive
-        (FORK_LOOPS_TEXT, 60, ENUMERATING),  # one factor, not distributive
-        (UNION3_TEXT, None, (*ENUMERATING, ["oracle"])),  # fan2 and two distributive factors
-        (path_text(5), None, (["oracle"],)),  # distributive on either side
-        ("".join(f"vertex v{i}\n" for i in range(8)), None, (["oracle"],)),
-        (path_text(12), None, (["classify", "--enumerate"],)),  # 4096 elements, the cap
-        (FORK_LOOPS_TEXT, 2**39, ENUMERATING),  # 1934 elements, keys of two words
-    ],
-    ids=[
-        "chain7", "u3x4", "loops2", "fan3", "forkloops", "union3", "oracle-chain5", "oracle-iso8",
-        "chain12", "forkloops-2to39",
-    ],
-)
-def test_join_tables_are_built_only_where_read(tmp_path, capsys, monkeypatch, text, bound, argvs):
-    """No command builds a meet or join table: a lattice is proved one,
-    its verdicts are decided and its pentagon is found from its order,
-    cover pairs and irreducible keys, and a witness's bounds come from the
-    orders.  Only the diamond search of a modular, non-distributive
-    product reads the tables, and no triple lattice is one.  So classify
-    --enumerate, lattice and oracle read neither table, on distributive and
-    non-distributive factors alike, at the cap and with keys of two words
-    (oracle takes no bound, and refuses a cyclic graph)."""
-    from gislat.lattice import FiniteLattice
-
-    read = []
-    for name in ("meet_t", "join_t"):
-        table = getattr(FiniteLattice, name).func
-        counted = property(lambda lat, t=table, n=name: read.append(n) or t(lat))
-        monkeypatch.setattr(FiniteLattice, name, counted)
-    p = tmp_path / "g.graph"
-    p.write_text(text)
-    flags = ["--bound", str(bound)] if bound else []
-    for argv in argvs:
-        assert run(capsys, argv[0], str(p), *argv[1:], *flags)[0] == 0
-        assert read == [], argv
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,7 @@ from helpers import (
     cyclic_corpus,
     height_levels,
     induction_tables,
+    key_tables,
     lattice_verdicts,
     oracle_verdicts,
     product_lattice,
@@ -134,8 +135,9 @@ def test_from_poset_gamma2_matches_reference_diagram(gamma2):
 def test_from_poset_trivial():
     for labels in ([], ["x"]):
         lat = from_poset(labels, lambda a, b: True)
+        meets, joins = key_tables(lat)
         assert len(lat) == len(labels)
-        assert all(lat.meet_t[i, i] == i and lat.join_t[i, i] == i for i in range(len(labels)))
+        assert all(meets[i, i] == i and joins[i, i] == i for i in range(len(labels)))
         assert lat.cover_set == frozenset()
 
 
@@ -196,18 +198,16 @@ def test_first_missing_bound_stops_at_its_row_block(monkeypatch):
 
 
 def test_join_table_is_built_on_first_read():
-    """A lattice's meet and join tables wait for their first read.  They
-    are then the greatest lower and least upper bounds by direct scan, and
-    the tables of the induction reference on the order and its dual, on
-    the seeded closure lattices."""
+    """The meets and joins read off a lattice's keys, K(a) & K(b) and
+    M(a) & M(b), are the greatest lower and least upper bounds by direct
+    scan, and the tables of the induction reference on the order and its
+    dual, on the seeded closure lattices."""
     for lat in seeded_closure_lattices():
-        assert "meet_t" not in vars(lat) and "join_t" not in vars(lat)
         meets, joins = induction_tables(lat)
         rows = lat.leq.tolist()
         glb = [[brute_glb_index(rows, i, j) for j in range(lat.n)] for i in range(lat.n)]
         lub = [[brute_lub_index(rows, i, j) for j in range(lat.n)] for i in range(lat.n)]
-        assert lat.meet_t.tolist() == meets.tolist() == glb
-        assert lat.join_t.tolist() == joins.tolist() == lub
+        assert [t.tolist() for t in key_tables(lat)] == [meets.tolist(), joins.tolist()] == [glb, lub]
 
 
 def brute_covers(m: np.ndarray) -> list[list[int]]:
@@ -302,8 +302,8 @@ def test_birkhoff_certificate_holds_past_63_join_irreducibles(monkeypatch):
         assert len(calls) == 1 and looked_up == [n - 1]  # the growing pairs
         lat = from_poset(i.tolist(), m)
         assert [c.tolist() for c in lat.cover_pairs] == covers
-        assert (lat.meet_t == np.minimum(i[:, None], i)).all()
-        assert (lat.join_t == np.maximum(i[:, None], i)).all()
+        meets, joins = key_tables(lat)
+        assert (meets == np.minimum(i[:, None], i)).all() and (joins == np.maximum(i[:, None], i)).all()
         assert all(lattice_verdicts(lat)[0].values())
 
 
@@ -466,17 +466,16 @@ def test_keyed_tables_and_cover_verdicts_match_the_references():
     assert [lat.dual_keys.shape[0] for lat in multi] == [2, 2, 3]
     verdicts = set()
     for lat in seeded_closure_lattices() + multi:
-        meets, joins = induction_tables(lat)
-        assert lat.meet_t.tolist() == meets.tolist() and lat.join_t.tolist() == joins.tolist()
+        assert [t.tolist() for t in key_tables(lat)] == [t.tolist() for t in induction_tables(lat)]
         assert (is_upper_semimodular(lat), is_lower_semimodular(lat)) == table_semimodularity(lat)
         verdicts.add((is_upper_semimodular(lat), is_lower_semimodular(lat)))
     assert len(verdicts) == 4
     for lat in multi:
-        rows = lat.leq.tolist()
+        rows, (meets, joins) = lat.leq.tolist(), key_tables(lat)
         for a in [0, 4, *rng.sample(range(lat.n), 3)]:
             for b in range(lat.n):
-                assert lat.meet_t[a, b] == brute_glb_index(rows, a, b)
-                assert lat.join_t[a, b] == brute_lub_index(rows, a, b)
+                assert meets[a, b] == brute_glb_index(rows, a, b)
+                assert joins[a, b] == brute_lub_index(rows, a, b)
     m3, n5, chain130 = multi
     assert lattice_verdicts(m3) == ({"distributive": False, "modular": True, "lower_semimodular": True,
                                      "upper_semimodular": True}, brute_first_diamond(m3))
@@ -610,8 +609,7 @@ def check_against_bruteforce(labels, leq):
     for order in (leq, matrix):
         if first_failure is None:
             lat = from_poset(labels, order)
-            assert lat.meet_t.tolist() == meets
-            assert lat.join_t.tolist() == joins
+            assert [t.tolist() for t in key_tables(lat)] == [meets, joins]
             assert cover_matrix(lat).tolist() == covers
             assert [t.tolist() for t in induction_tables(lat)] == [meets, joins]
             assert (is_upper_semimodular(lat), is_lower_semimodular(lat)) == table_semimodularity(lat)
@@ -652,8 +650,8 @@ def test_boolean_lattices_on_512_and_1024_elements():
     for k in (9, 10):
         i = np.arange(1 << k)
         lat = from_poset(i.tolist(), (i[:, None] & i) == i[:, None])
-        assert (lat.meet_t == (i[:, None] & i)).all()
-        assert (lat.join_t == (i[:, None] | i)).all()
+        meets, joins = key_tables(lat)
+        assert (meets == (i[:, None] & i)).all() and (joins == (i[:, None] | i)).all()
         cov = cover_matrix(lat)
         assert len(lat.cover_set) == cov.sum() == k * 2 ** (k - 1)
         flip = i[:, None] ^ i  # b covers a iff b adds one bit to a
@@ -676,21 +674,21 @@ def test_tables_on_wide_down_set_groups():
     comparable = m300.leq | m300.leq.T
     meets = np.where(comparable, np.minimum(i[:, None], i), 0)
     joins = np.where(comparable, np.maximum(i[:, None], i), 301)
-    for tables in ((m300.meet_t, m300.join_t), induction_tables(m300)):
+    for tables in (key_tables(m300), induction_tables(m300)):
         assert (tables[0] == meets).all() and (tables[1] == joins).all()
     lattices = [(m300, [0, 1, 54, 55, 300, 301])]
     for k in range(9):
         b = np.arange(1 << k)
         lat = from_poset(b.tolist(), (b[:, None] & b) == b[:, None])
-        for meets, joins in ((lat.meet_t, lat.join_t), induction_tables(lat)):
+        for meets, joins in (key_tables(lat), induction_tables(lat)):
             assert (meets == (b[:, None] & b)).all() and (joins == (b[:, None] | b)).all()
         lattices.append((lat, [0, len(b) - 1]))
     for lat, rows in lattices:
-        n, leq = len(lat), lat.leq.tolist()
+        n, leq, (meets, joins) = len(lat), lat.leq.tolist(), key_tables(lat)
         for a in range(n) if n <= 64 else rows + rng.sample(range(n), 6):
             for b in range(n):
-                assert lat.meet_t[a, b] == brute_glb_index(leq, a, b)
-                assert lat.join_t[a, b] == brute_lub_index(leq, a, b)
+                assert meets[a, b] == brute_glb_index(leq, a, b)
+                assert joins[a, b] == brute_lub_index(leq, a, b)
 
 
 def graph_text(edges, loops=()):
@@ -761,15 +759,17 @@ def test_tables_match_bruteforce_bounds(gamma1, gamma2):
     counts: a reference block's width is its largest count, not its first
     row's, and padding repeats a row's own cover."""
     mixed = mixed_cover_counts()
-    assert mixed.join_t[2, 4] == 0 and mixed.meet_t[6, 7] == 4  # a1 ∨ a3 = top, y ∧ z = a3
+    meets, joins = key_tables(mixed)
+    assert joins[2, 4] == 0 and meets[6, 7] == 4  # a1 ∨ a3 = top, y ∧ z = a3
     extra = [mixed, *height_level_lattices()]
     for lat in (triple_lattice(gamma1), triple_lattice(gamma2), pentagon(), diamond(), *extra):
-        assert [t.tolist() for t in induction_tables(lat)] == [lat.meet_t.tolist(), lat.join_t.tolist()]
+        meets, joins = key_tables(lat)
+        assert [t.tolist() for t in induction_tables(lat)] == [meets.tolist(), joins.tolist()]
         rows = lat.leq.tolist()
         for i in range(len(lat)):
             for j in range(len(lat)):
-                assert lat.meet_t[i, j] == brute_glb_index(rows, i, j)
-                assert lat.join_t[i, j] == brute_lub_index(rows, i, j)
+                assert meets[i, j] == brute_glb_index(rows, i, j)
+                assert joins[i, j] == brute_lub_index(rows, i, j)
 
 
 def test_cover_relation_definition(gamma1):
@@ -830,8 +830,9 @@ def test_gamma1_lower_semimodularity_failure_is_the_expected_one(gamma1):
     e = names["({w1},{v1},{})"]
     bottom = names["({},{},{})"]
     assert (top, c) in lat.cover_set and (top, e) in lat.cover_set
-    assert lat.join_t[c, e] == top
-    assert lat.meet_t[c, e] == bottom
+    meets, joins = key_tables(lat)
+    assert joins[c, e] == top
+    assert meets[c, e] == bottom
     assert (c, bottom) not in lat.cover_set
     assert (e, bottom) not in lat.cover_set
 
@@ -945,8 +946,7 @@ def test_cover_verdicts_match_definitions():
 
 def test_distributive_factors_skip_the_semimodularity_scans(monkeypatch, gamma2):
     """A distributive factor is modular, so semimodular both ways:
-    product_verdicts scans only the other factors, and never builds a
-    distributive factor's join table."""
+    product_verdicts scans only the other factors."""
     import gislat.lattice
 
     scanned = []
@@ -958,7 +958,6 @@ def test_distributive_factors_skip_the_semimodularity_scans(monkeypatch, gamma2)
         ("distributive", "modular", "lower_semimodular", "upper_semimodular"), True
     )
     assert scanned == []
-    assert not any("join_t" in vars(f) for f in distributive)
     m3, n5 = diamond(), pentagon()
     assert product_verdicts([*distributive, m3]) == {
         "distributive": False, "modular": True, "lower_semimodular": True, "upper_semimodular": True
@@ -1010,29 +1009,32 @@ def test_product_pentagon_matches_the_whole_product():
     the same first pentagon and diamond as direct scans of the product
     built whole, the product cover pairs are its cover pairs and the
     conjoined verdicts are its verdicts, in shuffled index orders:
-    N5 × 2, N5 × N5, M3 × 2, and seeded pairs and triples of closure
-    lattices."""
+    N5 × 2, N5 × N5, M3 × 2, seeded pairs and triples of closure lattices,
+    and 2 × M_70 (keys and dual keys of two words).  M3 × 2^6 in reverse
+    lexicographic order has its first diamond far from the first element,
+    among many recurring pair keys."""
     rng = random.Random(1515)
     small = [lat for lat in seeded_closure_lattices() if 2 <= len(lat) <= 12]
     cases = [(pentagon(), chain(2)), (chain(2), pentagon()), (pentagon(), pentagon())]
     cases += [(diamond(), chain(2)), (chain(3), chain(2), pentagon())]
     cases += [tuple(rng.sample(small, 2)) for _ in range(80)]
     cases += [tuple(rng.sample(small, 3)) for _ in range(40)]
+    runs = [(factors, rng) for factors in cases if np.prod([len(f) for f in factors]) <= 500 for _ in range(2)]
+    m70, cube6 = from_poset(range(72), m_atoms(70)), from_poset(range(64), boolean_order(6))
+    runs += [((chain(2), m70), random.Random(70)), ((diamond(), cube6), None)]
     pentagons = diamonds = 0
-    for factors in cases:
-        if np.prod([len(f) for f in factors]) > 500:
-            continue
-        for _ in range(2):
-            whole, coords = product_lattice(factors, rng)
-            w = product_pentagon(factors, coords)
-            assert w == brute_first_pentagon(whole)
-            d = product_diamond(factors, coords)
-            assert d == brute_first_diamond(whole)
-            diamonds += d is not None
-            covers = product_covers(factors, coords)
-            assert all(np.array_equal(a, b) for a, b in zip(covers, whole.cover_pairs))
-            assert product_verdicts(factors) == lattice_verdicts(whole)[0]
-            pentagons += w is not None
+    for factors, order in runs:
+        whole, coords = product_lattice(factors, order)
+        w = product_pentagon(factors, coords)
+        assert w == brute_first_pentagon(whole)
+        d = product_diamond(factors, coords)
+        assert d == brute_first_diamond(whole)
+        diamonds += d is not None
+        covers = product_covers(factors, coords)
+        assert all(np.array_equal(a, b) for a, b in zip(covers, whole.cover_pairs))
+        assert product_verdicts(factors) == lattice_verdicts(whole)[0]
+        pentagons += w is not None
+    assert d == SublatticeWitness("diamond", (256, 64, 128, 192, 0))  # M3 × 2^6, last
     assert pentagons >= 40 and diamonds >= 10, (pentagons, diamonds)
     # fan2 + chain6 (448 elements, 1920 cover pairs) spans 14 blocks of the
     # low-end scan, which must take them in order of each coordinate's first element.
@@ -1046,22 +1048,26 @@ def test_product_pentagon_matches_the_whole_product():
 def test_closure_lattices_reach_every_verdict_combination():
     """The diamond branch needs modular, non-distributive lattices, which
     no triple lattice is; seeded closure lattices reach it.  find_diamond
-    must also name the same first diamond as a direct scan."""
+    must also name the same first diamond as a direct scan, also on M_70,
+    whose keys and dual keys take two words."""
     seen = set()
     diamonds = 0
-    for lat in seeded_closure_lattices():
+    m70 = from_poset(range(72), m_atoms(70))
+    for lat in seeded_closure_lattices() + [m70]:
         seen.add(tuple(check_verdict_pass(lat).values()))
         w = find_diamond(lat)
         assert w == brute_first_diamond(lat)
         diamonds += w is not None
     assert len(seen) == 5
     assert diamonds >= 10
+    assert m70.keys.shape[0] == m70.dual_keys.shape[0] == 2
+    assert w == SublatticeWitness("diamond", (0, 1, 2, 3, 71))
 
 
 def test_table_algebra_laws(gamma1, gamma2):
     for lat in (triple_lattice(gamma1), triple_lattice(gamma2), pentagon(), diamond()):
         n = len(lat)
-        m, j = lat.meet_t, lat.join_t
+        m, j = induction_tables(lat)
         idx = np.arange(n)
         assert np.array_equal(m, m.T) and np.array_equal(j, j.T)
         assert np.array_equal(m[idx, idx], idx) and np.array_equal(j[idx, idx], idx)

@@ -54,6 +54,7 @@ from helpers import (
     definition_leq,
     graph_text,
     interleaved_components,
+    key_tables,
     multi_component_corpus,
     outdeg_le1_corpus,
     product_corpus,
@@ -112,9 +113,10 @@ def test_triple_lattice_never_builds_graph_cycles():
         g = parse_graph(text)
         ts, lat = enumerate_triples(g, bound), triple_lattice(g, bound)
         assert lat.labels == ts and len(ts) > 1
+        meets, joins = key_tables(lat)
         for i, j in product(range(len(ts)), repeat=2):
-            assert meet(g, ts[i], ts[j]) == ts[lat.meet_t[i, j]]
-            assert join(g, ts[i], ts[j]) == ts[lat.join_t[i, j]]
+            assert meet(g, ts[i], ts[j]) == ts[meets[i, j]]
+            assert join(g, ts[i], ts[j]) == ts[joins[i, j]]
         assert "cycles" not in vars(g)
 
 
