@@ -72,8 +72,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str):
+    # Bytes decoded once, untranslated: parse_graph takes \r\n and \r as line ends.
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise _CliError(EXIT_INPUT, f"cannot read {path}: {err}") from None
     try:

@@ -138,11 +138,39 @@ def test_classify_missing_file(capsys):
 
 
 def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
-    path = tmp_path / "latin1.graph"
-    path.write_bytes(b"vertex caf\xe9\n")
-    code, out, err = run(capsys, "classify", str(path))
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+    # Also a directory, which cannot be read, and a byte order mark, which
+    # is read as part of the first word (U+FEFF is no whitespace): each is
+    # exit 1 and one error line.
+    latin1, folder, bom = tmp_path / "latin1.graph", tmp_path / "dir.graph", tmp_path / "bom.graph"
+    latin1.write_bytes(b"vertex caf\xe9\n")
+    folder.mkdir()
+    bom.write_bytes(b"\xef\xbb\xbfvertex a\n")
+    for path, prefix in (
+        (latin1, f"error: cannot read {latin1}: "),
+        (folder, f"error: cannot read {folder}: "),
+        (bom, f"error: {bom}: line 1: unknown directive '\\ufeffvertex'"),
+    ):
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_crlf_and_cr_files_read_as_their_lf_copy(tmp_path, capsys, end):
+    # The file is decoded with no newline translation: parse_graph takes
+    # \r\n and \r as line ends itself.
+    lines = GAMMA1_TEXT.splitlines()
+    bad = [*lines[:3], "edge e9 nowhere", *lines[3:]]  # line 4 is wrong
+    for text, argv in ((lines, ["classify", "--enumerate"]), (lines, ["forked"]), (bad, ["classify"])):
+        outs = []
+        for sep in ("\n", end):
+            path = tmp_path / "g.graph"
+            path.write_bytes((sep.join(text) + sep).encode())
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--json")
+            outs.append((code, out, err))
+        assert outs[0] == outs[1]
+        if text is bad:
+            assert outs[0][:2] == (1, "") and f"{path}: line 4: expected: edge NAME SRC DST" in outs[0][2]
 
 
 def test_classify_long_ring_without_enumerate(tmp_path, capsys):

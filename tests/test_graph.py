@@ -80,6 +80,13 @@ def test_parse_comments_and_blank_lines():
         ("vertex a\nedge e a", 2, "expected"),
         ("vertex a-b", 1, "bad vertex name"),
         ("vertex b\nedge e b c", 2, "undeclared"),
+        # A first edge line is cut off at 0, not read as vertex lines: a
+        # plain split after it would declare a and b.
+        ("edge a b b\nedge f a b\n", 1, "undeclared vertex 'b'"),
+        ("edge a b b\r\nvertex a\r\nvertex b", 1, "undeclared vertex 'b'"),
+        # Two late vertex lines keep the edge words in step: a plain split
+        # would read "vertex b" and "vertex c" as the edge (b, vertex, c).
+        ("vertex a\nvertex vertex\nvertex b\nvertex c\nedge e a a\nvertex b\nvertex c\nedge f b c", 6, "duplicate vertex"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -123,6 +130,7 @@ SEPARATORS = (" ", "  ", "\t", "\x1f", "\xa0", "\u3000")  # none of them ends a 
 LINE_ENDS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 FILLERS = ("", " ", "\t", "\xa0\u3000", "# note", "   # note with words", "#edge e a b", "\x1f#")
 NAMES = st.text("ab0_Z", min_size=1, max_size=2)  # a vertex and an edge may share a name
+PLAIN_NAMES = NAMES | st.sampled_from(("edge", "vertex"))  # directives are names too
 BROKEN = (
     "bad vertex name", "bad edge name", "duplicate vertex", "duplicate edge",
     "undeclared end", "end declared later", "wrong arity", "unknown directive",
@@ -130,40 +138,56 @@ BROKEN = (
 
 
 @st.composite
-def graph_files(draw, errors: int = 0):
+def graph_files(draw, errors: int = 0, plain: bool = False):
     """The text of a random graph file and the graph it declares, or None
     once ``errors`` groups of bad lines are put in.  Declarations are
     shuffled, each edge after its ends, with blank and comment lines in
     between; words and lines are split by every kind of whitespace
-    :func:`parse_graph` accepts."""
-    vertices = draw(st.lists(NAMES, max_size=5, unique=True))
+    :func:`parse_graph` accepts.
+
+    A ``plain`` file has the layout :func:`parse_graph` reads whole: every
+    vertex line, then every edge line, one space between words, each line
+    ended by ``\n`` or ``\r\n`` (the last optionally).  Its bad groups go
+    where their kind of line goes, so most broken plain files stay plain."""
+    vertices = draw(st.lists(PLAIN_NAMES if plain else NAMES, max_size=5, unique=True))
     edges = []
     if vertices:
         ends = st.sampled_from(vertices)
-        names = draw(st.lists(NAMES, max_size=6, unique=True))
+        names = draw(st.lists(PLAIN_NAMES if plain else NAMES, max_size=6, unique=True))
         edges = [(name, draw(ends), draw(ends)) for name in names]
     lines = [["vertex", v] for v in draw(st.permutations(vertices))]
     for name, src, dst in edges:
         after = max(lines.index(["vertex", src]), lines.index(["vertex", dst])) + 1
-        lines.insert(draw(st.integers(after, len(lines))), ["edge", name, src, dst])
+        at = len(lines) if plain else draw(st.integers(after, len(lines)))
+        lines.insert(at, ["edge", name, src, dst])
     graph = DirectedGraph.of(
         [w[1] for w in lines if w[0] == "vertex"], [w[1:] for w in lines if w[0] == "edge"]
     )
     for _ in range(errors):
-        at = draw(st.integers(0, len(lines)))
-        lines[at:at] = _bad_lines(draw, vertices, edges)
-    for _ in range(draw(st.integers(0, 4))):
+        bad = _bad_lines(draw, vertices, edges)
+        low, high = 0, len(lines)
+        if plain:  # vertex groups among the vertex lines, edge groups after them
+            head = sum(w[0] == "vertex" for w in lines)
+            kinds = {w[0] for w in bad}
+            if kinds == {"vertex"}:
+                high = head
+            elif kinds == {"edge"}:
+                low = head
+        at = draw(st.integers(low, high))
+        lines[at:at] = bad
+    separators, line_ends = ((" ",), ("\n", "\r\n")) if plain else (SEPARATORS, LINE_ENDS)
+    for _ in range(0 if plain else draw(st.integers(0, 4))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILLERS)))
     text = ""
     for line in lines:
         if isinstance(line, list):
-            sep = st.sampled_from(SEPARATORS)
+            sep = st.sampled_from(separators)
             line = draw(sep).join(line)
-            if draw(st.booleans()):
+            if not plain and draw(st.booleans()):
                 line = draw(sep) + line + draw(sep)
-        text += line + draw(st.sampled_from(LINE_ENDS))
+        text += line + draw(st.sampled_from(line_ends))
     if draw(st.booleans()):
-        text = text.rstrip("".join(LINE_ENDS))
+        text = text.rstrip("".join(line_ends))
     return text, None if errors else graph
 
 
@@ -198,38 +222,83 @@ def _parsed(parse, text):
         return err.line_no, str(err)
 
 
-@settings(max_examples=300)
-@given(graph_files())
-def test_bulk_parse_agrees_with_the_line_pass_on_valid_files(file):
+@settings(max_examples=400)
+@given(st.one_of(graph_files(), graph_files(plain=True)))
+def test_whole_file_parse_agrees_with_the_line_pass_on_valid_files(file):
     text, graph = file
     assert parse_graph(text) == _parse_lines(text) == graph
 
 
-@settings(max_examples=300)
-@given(st.integers(1, 2).flatmap(lambda k: graph_files(errors=k)))
-def test_bulk_parse_names_the_first_error_of_the_line_pass(file):
+@settings(max_examples=400)
+@given(st.integers(1, 2).flatmap(lambda k: graph_files(errors=k) | graph_files(errors=k, plain=True)))
+def test_whole_file_parse_names_the_first_error_of_the_line_pass(file):
     text, _ = file
     reference = _parsed(_parse_lines, text)
     assert isinstance(reference, tuple)
     assert _parsed(parse_graph, text) == reference
 
 
-def test_valid_files_take_the_bulk_pass(monkeypatch):
-    def refused(text):
-        raise AssertionError("the line-by-line pass ran on a valid file")
-
-    monkeypatch.setattr(gislat.graph, "_parse_lines", refused)
+def _grid_and_ring():
     grid = [f"vertex v{r}_{c}" for r in range(30) for c in range(30)]
     grid += [f"edge r{r}_{c} v{r}_{c} v{r}_{c + 1}" for r in range(30) for c in range(29)]
     grid += [f"edge d{r}_{c} v{r}_{c} v{r + 1}_{c}" for r in range(29) for c in range(30)]
     ring = [f"vertex v{i}" for i in range(1200)]
     ring += [f"edge e{i} v{i} v{(i + 1) % 1200}" for i in range(1200)]
-    for text, n, m in (
-        ("\n".join(grid), 900, 1740),
-        ("\n".join(ring), 1200, 1200),
-    ):
+    return grid, ring
+
+
+def test_plain_files_take_the_whole_file_pass(monkeypatch):
+    def refused(text):
+        raise AssertionError("the line-by-line pass ran on a plain file")
+
+    grid, ring = _grid_and_ring()
+    files = [
+        (end.join(lines) + last, n, m)
+        for lines, n, m in ((grid, 900, 1740), (ring, 1200, 1200))
+        for end in ("\n", "\r\n")
+        for last in ("", end)
+    ]
+    files += [
+        ("", 0, 0),
+        ("vertex a\r\nvertex b\r\n", 2, 0),
+        ("vertex a\nvertex b", 2, 0),
+        # The directives' words as names: on a vertex line no space follows
+        # the name, so the first "edge " still starts the first edge line.
+        ("vertex edge\nvertex vertex\nedge vertex edge vertex\r\nedge edge vertex edge", 2, 2),
+    ]
+    expected = [_parse_lines(text) for text, _, _ in files]
+    monkeypatch.setattr(gislat.graph, "_parse_lines", refused)
+    for (text, n, m), graph in zip(files, expected):
         g = parse_graph(text)
-        assert (len(g.vertices), len(g.edges)) == (n, m)
+        assert g == graph and (len(g.vertices), len(g.edges)) == (n, m)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda text: "# header\n" + text,
+        lambda text: text.replace("\nedge ", "\n\nedge ", 1),
+        lambda text: text.replace(" ", "\t", 1),
+        lambda text: text.replace(" ", "  ", 1),
+        lambda text: text + "\nvertex late",
+    ],
+    ids=["header comment", "blank line", "tab", "two spaces", "late vertex"],
+)
+def test_other_layouts_take_the_line_pass(monkeypatch, change):
+    texts = ["\n".join(lines) for lines in _grid_and_ring()]
+    plains = [parse_graph(text) for text in texts]
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return _parse_lines(text)
+
+    monkeypatch.setattr(gislat.graph, "_parse_lines", counted)
+    for text, plain in zip(map(change, texts), plains):
+        late = ("late",) if text.endswith("late") else ()
+        assert parse_graph(text) == DirectedGraph(plain.vertices + late, plain.edges)
+        assert calls == [text]
+        calls.clear()
 
 
 def test_edge_is_a_named_triple():
@@ -240,8 +309,8 @@ def test_edge_is_a_named_triple():
     assert e == ("e", "a", "b") and tuple(e) == ("e", "a", "b")
     with pytest.raises(AttributeError):
         e.dst = "c"
-    # The bulk pass builds its edges without Edge.__new__, the line pass
-    # (a vertex declared after an edge) with it: Edge values either way.
+    # The whole-file pass builds its edges without Edge.__new__, the line
+    # pass (a vertex declared after an edge) with it: Edge values either way.
     for text in ("vertex a\nvertex b\nedge e a b", "vertex a\nvertex b\nedge e a b\nvertex c"):
         (parsed,) = parse_graph(text).edges
         assert type(parsed) is Edge and parsed == e and parsed.dst == "b"
