@@ -45,9 +45,7 @@ from .lattice import (
 )
 from .oracle import ORACLE_CAP, check_semigroup_size, congruence_lattice
 from .semigroup import finite_semigroup, render_element, semigroup_size
-from .triples import (
-    component_lattices, product_coordinates, render_ext, render_triple, triple_lattice
-)
+from .triples import component_lattices, product_coordinates, render_triple, triple_lattice
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -91,9 +89,12 @@ def _json(x, pad: str = "") -> str:
     """``json.dumps(x, indent=2, sort_keys=True)`` at indent ``pad``: the
     same bytes, but lists of ints or strings are joined at C speed, where an
     indent sends ``json`` to its pure-Python encoder item by item, and a list
-    of equal-length int lists fills one ``%`` template.  A callable gives
-    its own text at ``pad``."""
+    of equal-length int lists, or a 2-D int array, fills one ``%`` template.
+    A callable gives its own text at ``pad``."""
     t = type(x)
+    if t is np.ndarray:  # rows of ints: one template over the flattened cells
+        row = _listing(["%d"] * x.shape[1], pad + "  ")
+        return _listing([row] * len(x), pad) % tuple(x.ravel().tolist()) if x.size else "[]"
     if t is list or t is tuple:
         if not x:
             return "[]"
@@ -127,18 +128,6 @@ def _listing(items, pad: str) -> str:
     """A JSON list of the rendered ``items`` (at least one) at indent ``pad``."""
     inner = pad + "  "
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-
-
-def _triples_json(ts, pad: str) -> str:
-    """``_json([triple_to_json(t) for t in ts], pad)`` for a lattice's triples
-    (at least one): each from one template, each distinct H or W and each
-    cycle function object rendered once, f straight from its entries."""
-    key = pad + "    "
-    sets = {s: _json(sorted(s), key) for s in {s for t in ts for s in (t.H, t.W)}}
-    fs = {id(f): _json({".".join(c.edges): render_ext(v) for c, v in f.entries}, key)
-          for f in {id(t.f): t.f for t in ts}.values()}
-    row = f'{{\n{key}"H": %s,\n{key}"W": %s,\n{key}"f": %s\n{pad}  }}'
-    return _listing([row % (sets[t.H], sets[t.W], fs[id(t.f)]) for t in ts], pad)
 
 
 def _emit(args, payload, text) -> None:
@@ -177,23 +166,22 @@ def _graph_summary(g) -> dict:
 
 
 def _enumerated(g, bound, listed: bool = False):
-    """Size, probe flag, verdicts, witness, triples (``triple_lattice`` order;
-    a tuple when ``listed``, else rows that build only the triples a witness
-    reads) and cover pairs (when ``listed``)
-    of the triple lattice of ``g``, or a bounded probe of a cyclic graph's,
-    read off its weak components' factors (``bound`` is ignored if ``g`` is
-    acyclic)."""
+    """Size, probe flag, verdicts, witness, triples (``triple_lattice`` order,
+    as :class:`~gislat.triples.TripleRows`, which build only the triples read
+    from them) and cover pairs (when ``listed``) of the triple lattice of
+    ``g``, or a bounded probe of a cyclic graph's, read off its weak
+    components' factors (``bound`` is ignored if ``g`` is acyclic)."""
     factors = component_lattices(g, bound)
-    verdicts, labels, coords, covers = product_verdicts(factors), (), None, None
+    verdicts, rows, coords, covers = product_verdicts(factors), (), None, None
     distributive = verdicts["distributive"]
     if listed or not distributive:
-        labels, coords = product_coordinates(factors)
+        rows, coords = product_coordinates(factors)
     if listed:
-        labels, covers = tuple(labels), product_covers(factors, coords)
+        covers = product_covers(factors, coords)
     witness = product_witness(factors, coords, verdicts)
     if (witness is None) != distributive:
         raise _CliError(EXIT_INTERNAL, "inconsistent verdicts or witness (bug)")
-    return math.prod(len(f) for f in factors), not is_acyclic(g), verdicts, witness, labels, covers
+    return math.prod(len(f) for f in factors), not is_acyclic(g), verdicts, witness, rows, covers
 
 
 def _flags(d: dict) -> str:
@@ -255,25 +243,28 @@ def cmd_classify(args) -> int:
 
 def cmd_lattice(args) -> int:
     g = _load(args.graph_file)
-    size, bounded, verdicts, _, labels, covers = _enumerated(g, args.bound, listed=True)
+    size, bounded, verdicts, _, rows, covers = _enumerated(g, args.bound, listed=True)
+    labels = () if args.json and not args.dot else rows.render()  # render_triple's text
     if args.dot:
         try:
-            Path(args.dot).write_text(hasse_dot(labels, covers, render_triple), encoding="utf-8")
+            Path(args.dot).write_text(hasse_dot(labels, covers), encoding="utf-8")
         except OSError as err:
             raise _CliError(EXIT_INPUT, f"cannot write {args.dot}: {err}") from None
+    pairs = np.transpose(covers)  # [lower, upper], sorted
 
     def text():
         yield f"{size} elements:"
-        yield from (f"  [{i}] {render_triple(t)}" for i, t in enumerate(labels))
-        yield f"{len(covers[0])} cover pairs:"
-        yield from (f"  [{lo}] < [{up}]" for lo, up in zip(*(x.tolist() for x in covers)))
+        yield from map("  [%d] %s".__mod__, enumerate(labels))
+        # the count, then the pair lines from one template over the flattened pairs
+        lines = "".join(["\n  [%d] < [%d]"] * len(pairs)) % tuple(pairs.ravel().tolist())
+        yield f"{len(pairs)} cover pairs:" + lines
         yield f"verdicts: {_flags(verdicts)}" + (" (bounded probe)" if bounded else "")
         if args.dot:
             yield f"dot written to {args.dot}"
 
     _emit(args, lambda: {
-        "elements": lambda pad: _triples_json(labels, pad),
-        "covers": np.transpose(covers).tolist(),  # [lower, upper], sorted
+        "elements": lambda pad: _listing(rows.render(pad), pad),
+        "covers": pairs,
         "verdicts": verdicts, "bounded": bounded,
     }, text)
     return EXIT_OK

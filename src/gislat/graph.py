@@ -2,9 +2,10 @@
 
 Everything downstream (semigroup elements, congruence triples, the lattice
 cross-checks) is driven by a handful of graph-level notions implemented
-here: reachability, hereditary vertex sets, the index of a vertex relative
-to a vertex set, simple cycles up to rotation, forked vertices, and the
-usual connectivity predicates; :func:`parse_graph` reads graph files.
+here: reachability, hereditary vertex sets (int masks over the sorted
+vertex names), the index of a vertex relative to a vertex set, simple
+cycles up to rotation, forked vertices, and the usual connectivity
+predicates; :func:`parse_graph` reads graph files.
 
 All values are immutable after construction and iteration follows
 declaration order, so every operation is deterministic.  Derived data
@@ -330,22 +331,27 @@ def index_relative(g: DirectedGraph, v: str, H) -> int:
     return sum(1 for e in g.out_edges[v] if e.dst not in members)
 
 
-def hereditary_subsets(g: DirectedGraph, cap: int | None = None) -> tuple[frozenset[str], ...]:
-    """All hereditary vertex subsets, sorted by (size, sorted names); with
-    a ``cap``, only ``cap + 1`` of them once more than ``cap`` exist.
+def hereditary_subsets(g: DirectedGraph, cap: int | None = None) -> tuple[int, ...]:
+    """All hereditary vertex subsets as int masks over the sorted vertex
+    names, the first name on the top bit, sorted by (size, mask descending):
+    the order of (size, sorted names).  With a ``cap``, only ``cap + 1`` of
+    them once more than ``cap`` exist.
 
     The hereditary sets are the unions of the condensation's reach masks,
-    grown one distinct mask at a time: one union per set found and mask."""
+    each distinct one moved to the name bits first and then grown one at a
+    time: one union per set found and mask."""
     if len(g.vertices) > 20:
         raise LimitError("exhaustive hereditary enumeration capped at 20 vertices")
+    rank = {v: k for k, v in enumerate(sorted(g.vertices))}
+    bits = [1 << len(rank) - 1 - rank[v] for v in g.vertices]  # by vertex_index
     found = {0}
     for r in set(g.condensation[1]):
+        r = sum(b for i, b in enumerate(bits) if r >> i & 1)
         found |= {h | r for h in found}
         if cap is not None and len(found) > cap:
             found = set(islice(found, cap + 1))
             break
-    sets = (frozenset(v for v, i in g.vertex_index.items() if h >> i & 1) for h in found)
-    return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
+    return tuple(sorted(found, key=lambda h: (h.bit_count(), -h)))
 
 
 def is_acyclic(g: DirectedGraph) -> bool:

@@ -535,6 +535,8 @@ def hasse_dot(labels: Sequence, cover_pairs, render: Callable = str) -> str:
     upper): one node per element, one undirected-style edge per cover pair, drawn bottom-up."""
     names = (render(lab).replace("\\", "\\\\").replace('"', '\\"') for lab in labels)
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];", "  edge [dir=none];"]
-    lines += (f'  n{i} [label="{name}"];' for i, name in enumerate(names))
-    lines += (f"  n{lo} -> n{up};" for lo, up in zip(*(x.tolist() for x in cover_pairs)))
-    return "\n".join(lines) + "\n}\n"
+    lines += map('  n%d [label="%s"];'.__mod__, enumerate(names))
+    # edge lines from one template over the flattened pairs, apart from any label
+    pairs = np.transpose(cover_pairs).ravel().tolist()
+    edges = "".join(["\n  n%d -> n%d;"] * (len(pairs) // 2)) % tuple(pairs)
+    return "\n".join(lines) + edges + "\n}\n"

@@ -17,9 +17,10 @@ several components is the direct product of theirs:
 :func:`component_lattices` builds one small lattice per component, and
 :func:`product_coordinates` places each of the graph's triples in them.
 A graph's refusals, hereditary sets and free-cycle values are decided
-once, by :func:`_refusals`; :func:`_triples` only lists, as integer rows
-(:class:`TripleRows`), from which the order is computed and triple
-objects are built only where one is read.
+once, by :func:`_refusals`, the hereditary sets as int masks;
+:func:`_triples` only lists, as integer rows (:class:`TripleRows`), from
+which the order is computed and the ``lattice`` command's text and JSON
+rendered, and triple objects are built only where one is read.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress, islice, product
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -179,7 +181,8 @@ class TripleRows:
     sets of one size sort as ints in name order, descending) and, for each
     cycle of ``cycles`` (in :meth:`Cycle.sort_key` order), the index in
     ``values`` of its stored value, or -1 if the triple stores none.
-    Indexing or iterating builds :class:`CongruenceTriple` values."""
+    Indexing or iterating builds :class:`CongruenceTriple` values;
+    :meth:`render` gives their text or JSON with none built."""
 
     __slots__ = ("names", "values", "cycles", "h", "w", "codes")
 
@@ -206,11 +209,40 @@ class TripleRows:
             fs = [EMPTY_CYCLE_FUNCTION] * len(h)
         return map(CongruenceTriple, map(sets.__getitem__, h), map(sets.__getitem__, w), fs)
 
-    def _sets(self, masks: list[int]) -> dict[int, frozenset[str]]:
-        """Each mask's vertex set."""
+    def _sets(self, masks: list[int], names=None, make=frozenset) -> dict:
+        """Each mask's vertex set, or ``make`` of its members' entries in
+        ``names`` (one per vertex name)."""
         top = np.arange(len(self.names) - 1, -1, -1)
         member = np.array(masks, dtype=np.int64)[:, None] >> top & 1  # [k, i]: names[i] in it
-        return {m: frozenset(compress(self.names, row)) for m, row in zip(masks, member.tolist())}
+        names = self.names if names is None else names
+        return {m: make(compress(names, row)) for m, row in zip(masks, member.tolist())}
+
+    def render(self, pad: str | None = None) -> list[str]:
+        """Each row as :func:`render_triple` gives it or, at indent ``pad``, as
+        ``json.dumps(indent=2, sort_keys=True)`` renders it as an item of a
+        list: H and W as lists of sorted names, f as an object keyed by cycle
+        name.  Each distinct mask and code row is rendered once, and each row
+        then fills one ``%`` template."""
+        h, w, names = self.h.tolist(), self.w.tolist(), self.names
+        cycles, values = [".".join(c.edges) for c in self.cycles], [*map(render_ext, self.values)]
+        by, sep = range(len(cycles)), ","
+        if pad is None:  # f in cycle order
+            row, entry = "({%s},{%s},{%s})", "%s:%s"
+        else:  # f by cycle name, as sort_keys orders it; each name quoted once
+            key, sep = pad + "    ", ",\n" + pad + "      "
+            names, cycles, values = ([*map(_quote, x)] for x in (names, cycles, values))
+            row = f'{{\n{key}"H": %s,\n{key}"W": %s,\n{key}"f": %s\n{pad}  }}'
+            entry, by = "%s: %s", sorted(by, key=cycles.__getitem__)
+        sets = self._sets(list({*h, *w}), names, sep.join)
+        # each cycle's entry per value code, in ``by`` order; code -1 is None
+        table = [[entry % (cycles[i], v) for v in values] + [None] for i in by]
+        keys = list(map(tuple, self.codes[:, list(by)].tolist()))
+        fs = {k: sep.join(filter(None, map(list.__getitem__, table, k))) for k in set(keys)}
+        if pad is not None:  # the JSON list or object around the items, at indent key
+            sets = {m: f"[{sep[1:]}{s}\n{key}]" if s else "[]" for m, s in sets.items()}
+            fs = {k: f"{{{sep[1:]}{s}\n{key}}}" if s else "{}" for k, s in fs.items()}
+        return list(map(row.__mod__, zip(map(sets.__getitem__, h), map(sets.__getitem__, w),
+                                          map(fs.__getitem__, keys))))
 
     def _function(self, codes) -> CycleFunction:
         entries = tuple((c, self.values[k]) for c, k in zip(self.cycles, codes) if k >= 0)
@@ -334,7 +366,7 @@ def enumerate_triples(
 
 
 def _refusals(g: DirectedGraph, bound: int | None, cap: int | None):
-    """g's hereditary sets (past ``cap``, ``cap + 1`` of them) and its
+    """g's hereditary set masks (past ``cap``, ``cap + 1`` of them) and its
     free-cycle values, divisors(bound) ∪ {inf} if g is cyclic, once g passes
     its refusals in this order: a cyclic graph without a bound, the
     20-vertex cap, the bound cap and then more than ``cap`` hereditary sets,
@@ -356,7 +388,7 @@ def _refusals(g: DirectedGraph, bound: int | None, cap: int | None):
 
 
 def _triples(g: DirectedGraph, hereditary, values, names):
-    """The rows of the triples over the hereditary sets ``hereditary``, in
+    """The rows of the triples over the hereditary set masks ``hereditary``, in
     order, with free-cycle values from ``values`` (none if g is acyclic),
     as :func:`_refusals` gives them: (H mask, W mask, free cycles, value
     codes), masks over the bits of ``names`` (:class:`TripleRows`).  A
@@ -368,8 +400,7 @@ def _triples(g: DirectedGraph, hereditary, values, names):
         ends = [bit[e.dst] for e in g.out_edges[v]]
         exits.append((v, bit[v], sum(set(ends)), sum({d for d in ends if ends.count(d) > 1})))
     codes = range(len(values))
-    for h in hereditary:
-        inside = sum(map(bit.__getitem__, h))
+    for inside in hereditary:
         # index 1: one end outside H, reached by one edge
         index_one = [(v, b) for v, b, ends, twice in exits
                      if not (inside & b or twice & ~inside) and (ends & ~inside).bit_count() == 1]
@@ -436,8 +467,10 @@ def component_lattices(g: DirectedGraph, bound: int | None = None):
 
     hereditary, values = _refusals(g, bound, TRIPLE_CAP)
     names, parts, size = tuple(sorted(g.vertices)), [], 1
+    bit = _bits(names)
     for c in weak_component_subgraphs(g) or (g,):
-        own = [h for h in hereditary if h <= c.vertex_set]
+        outside = ~sum(map(bit.__getitem__, c.vertices))
+        own = [h for h in hereditary if not h & outside]
         # no cycle search if acyclic
         rows = _listed(c, own, () if is_acyclic(c) else values, names, TRIPLE_CAP // size)
         size *= len(rows)
@@ -477,11 +510,3 @@ def render_triple(t: CongruenceTriple) -> str:
         f"{'.'.join(c.edges)}:{render_ext(v)}" for c, v in t.f.entries
     )
     return "({%s},{%s},{%s})" % (hs, ws, fs)
-
-
-def triple_to_json(t: CongruenceTriple) -> dict:
-    return {
-        "H": sorted(t.H),
-        "W": sorted(t.W),
-        "f": {".".join(c.edges): render_ext(v) for c, v in t.f.entries},
-    }

@@ -54,6 +54,7 @@ from gislat.triples import (
     divisors,
     enumerate_triples,
     ext_divides,
+    render_ext,
 )
 
 POOL = "abcdef"
@@ -75,6 +76,25 @@ def brute_hereditary(g: DirectedGraph) -> set[frozenset[str]]:
         if all(e.dst in subset for e in g.edges if e.src in subset):
             out.add(subset)
     return out
+
+
+def hereditary_sets(g: DirectedGraph, cap: int | None = None) -> tuple[frozenset[str], ...]:
+    """``hereditary_subsets(g, cap)`` read as vertex sets, in its order: each
+    mask over the sorted vertex names, the first name on the top bit."""
+    names = sorted(g.vertices)
+    top = len(names) - 1
+    return tuple(frozenset(v for k, v in enumerate(names) if h >> top - k & 1)
+                 for h in hereditary_subsets(g, cap))
+
+
+def triple_to_json(t: CongruenceTriple) -> dict:
+    """The JSON reference for one triple: ``lattice --json`` writes
+    ``json.dumps(indent=2, sort_keys=True)`` of these for its elements."""
+    return {
+        "H": sorted(t.H),
+        "W": sorted(t.W),
+        "f": {".".join(c.edges): render_ext(v) for c, v in t.f.entries},
+    }
 
 
 def brute_reach_pairs(g: DirectedGraph) -> set[tuple[str, str]]:
@@ -645,7 +665,7 @@ def bounded_triple_count(g: DirectedGraph, bound: int) -> int:
     cycles = enumerate_cycles(g)
     nvals = len(divisors(bound)) + 1
     total = 0
-    for h in hereditary_subsets(g):
+    for h in hereditary_sets(g):
         index_one = [
             v for v in g.vertices if v not in h and index_relative(g, v, h) == 1
         ]
@@ -670,7 +690,7 @@ def reference_triples(g: DirectedGraph, bound: int | None = None) -> tuple[Congr
     cycles = enumerate_cycles(g)
     values = divisors(bound) + (INF,) if cycles else ()
     out = []
-    for h in hereditary_subsets(g):
+    for h in hereditary_sets(g):
         index_one = sorted(v for v in g.vertices if v not in h and index_relative(g, v, h) == 1)
         for size in range(len(index_one) + 1):
             for chosen in combinations(index_one, size):

@@ -15,7 +15,6 @@ from gislat.graph import (
     connectivity_report,
     enumerate_cycles,
     forked_vertices,
-    hereditary_subsets,
     index_relative,
     weak_component_subgraphs,
 )
@@ -46,6 +45,7 @@ from helpers import (
     brute_glb_index,
     brute_lub_index,
     cyclic_corpus,
+    hereditary_sets,
     key_tables,
     multi_component_corpus,
     outdeg_le1_corpus,
@@ -132,7 +132,7 @@ def test_criterion_03_gamma1(gamma1):
                 for v in gamma1.vertices
                 if v not in h and index_relative(gamma1, v, h) == 1
             )
-            for h in hereditary_subsets(gamma1)
+            for h in hereditary_sets(gamma1)
         )
         assert len(ts) == 7 == expected
         lat = triple_lattice(gamma1)

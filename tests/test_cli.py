@@ -19,10 +19,10 @@ import gislat
 from gislat.cli import build_parser, main, parse_args
 from gislat.graph import parse_graph
 from gislat.lattice import hasse_dot
-from gislat.triples import render_triple, triple_lattice, triple_to_json
+from gislat.triples import render_triple, triple_lattice
 
 from conftest import GAMMA1_TEXT, GAMMA2_TEXT, LOOP_TEXT
-from helpers import acyclic_corpus, cyclic_corpus, graph_text, lattice_verdicts
+from helpers import acyclic_corpus, cyclic_corpus, graph_text, lattice_verdicts, triple_to_json
 
 
 @pytest.fixture
@@ -651,10 +651,11 @@ UNION3_TEXT = "vertex u\nvertex a\nvertex b\nedge e u a\nedge f u b\n" + path_te
 def test_triples_are_built_only_for_a_witness(tmp_path, capsys, monkeypatch, text, bound, built):
     """classify --enumerate reads the order and the product's coordinates
     off integer rows: it constructs a CongruenceTriple only for each member
-    of its witness, none for a distributive lattice, and oracle none at
-    all.  classify --enumerate and lattice list the graph's hereditary sets
-    once, also on a graph of several weak components, whose product is
-    sorted from its factors' rows and not listed again."""
+    of its witness, none for a distributive lattice; lattice, which renders
+    its text, JSON and DOT from the rows, and oracle none at all.  classify
+    --enumerate and lattice list the graph's hereditary sets once, also on a
+    graph of several weak components, whose product is sorted from its
+    factors' rows and not listed again."""
     import gislat.triples
 
     built_now, listed = [], []
@@ -667,15 +668,15 @@ def test_triples_are_built_only_for_a_witness(tmp_path, capsys, monkeypatch, tex
     p = tmp_path / "g.graph"
     p.write_text(text)
     flags = ["--bound", str(bound)] if bound else []
+    dot = str(tmp_path / "hasse.dot")
     argvs = [["classify", "--enumerate"], ["classify", "--enumerate", "--json"], ["lattice"],
-             ["lattice", "--json"]]
+             ["lattice", "--json"], ["lattice", "--dot", dot], ["lattice", "--json", "--dot", dot]]
     for argv in argvs + ([] if bound else [["oracle"]]):
         built_now.clear()
         listed.clear()
         assert run(capsys, argv[0], str(p), *argv[1:], *flags)[0] == 0
         assert len(listed) == 1, argv
-        if argv[0] != "lattice":
-            assert len(built_now) == (built if argv[0] == "classify" else 0), argv
+        assert len(built_now) == (built if argv[0] == "classify" else 0), argv
 
 
 def test_product_route_refuses_before_building_a_lattice(tmp_path, capsys):
@@ -1007,6 +1008,27 @@ def test_lattice_json_elements_are_the_triples_json(tmp_path):
         assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n", graph_text(g)
         stored += any(t.f.entries for t in lat.labels)
     assert stored == 20  # the ten rich cyclic graphs under both bounds
+
+
+def test_lattice_f_entries_in_cycle_order_and_json_key_order(tmp_path, capsys):
+    """A loop z beside a 2-cycle on edges a and b, two weak components: the
+    cycles' sort_key order (z, a.b) is not their name order (a.b, z).  The
+    text lists f in cycle order, as render_triple does, and the JSON by
+    name, as json.dumps(sort_keys=True) does for triple_to_json."""
+    text = "vertex p\nvertex q\nvertex z\nedge z z z\nedge a p q\nedge b q p\n"
+    p = tmp_path / "zab.graph"
+    p.write_text(text)
+    lat = triple_lattice(parse_graph(text), 6)
+    assert "({},{p,q,z},{z:1,a.b:1})" in map(render_triple, lat.labels)
+    code, out, err = run(capsys, "lattice", str(p), "--bound", "6")
+    lines = out.splitlines()[1 : len(lat) + 1]
+    assert (code, err) == (0, "")
+    assert lines == [f"  [{i}] {render_triple(t)}" for i, t in enumerate(lat.labels)]
+    code, out, err = run(capsys, "lattice", str(p), "--bound", "6", "--json")
+    doc = {**json.loads(out), "elements": [triple_to_json(t) for t in lat.labels]}
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert '"a.b": "1",\n        "z": "1"' in out
 
 
 # ------------------------------------------------------------ usage

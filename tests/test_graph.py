@@ -37,6 +37,7 @@ from helpers import (
     definition_forked,
     definition_weak_components,
     graph_strategy,
+    hereditary_sets,
     is_hereditary,
     multi_component_corpus,
     outdeg_le1_corpus,
@@ -425,7 +426,7 @@ def test_index_relative_names_the_least_unknown_vertex():
 @settings(max_examples=40)
 @given(graph_strategy())
 def test_members_of_hereditary_sets_have_index_zero(g):
-    for h in hereditary_subsets(g):
+    for h in hereditary_sets(g):
         for v in h:
             assert index_relative(g, v, h) == 0
 
@@ -442,14 +443,14 @@ def test_is_hereditary_examples(gamma1, gamma2):
 
 
 def test_hereditary_subsets_frozen(gamma1, gamma2):
-    assert hereditary_subsets(gamma1) == (
+    assert hereditary_sets(gamma1) == (
         frozenset(),
         frozenset({"u1"}),
         frozenset({"w1"}),
         frozenset({"u1", "w1"}),
         frozenset({"u1", "v1", "w1"}),
     )
-    assert [sorted(s) for s in hereditary_subsets(gamma2)] == [
+    assert [sorted(s) for s in hereditary_sets(gamma2)] == [
         [],
         ["u2"],
         ["w2"],
@@ -457,19 +458,40 @@ def test_hereditary_subsets_frozen(gamma1, gamma2):
         ["u2", "v2", "w2"],
     ]
     single = parse_graph("vertex a")
-    assert hereditary_subsets(single) == (frozenset(), frozenset({"a"}))
+    assert hereditary_sets(single) == (frozenset(), frozenset({"a"}))
+    # masks over the sorted names, the first on the top bit: u1, v1, w1
+    assert hereditary_subsets(gamma1) == (0b000, 0b100, 0b001, 0b101, 0b111)
 
 
 @settings(max_examples=60)
 @given(graph_strategy())
 def test_hereditary_subsets_match_bruteforce(g):
-    assert set(hereditary_subsets(g)) == brute_hereditary(g)
+    assert set(hereditary_sets(g)) == brute_hereditary(g)
+
+
+@settings(max_examples=60)
+@given(graph_strategy(), st.integers(min_value=1, max_value=12))
+def test_hereditary_masks_are_ordered_and_name_the_sets(g, cap):
+    """The masks are strictly ordered by (size, mask descending), the order
+    of (size, sorted names), and name exactly the hereditary sets; under a
+    cap that some graph passes, ``cap + 1`` of them."""
+    brute = brute_hereditary(g)
+    for most in (None, cap):
+        masks, sets = hereditary_subsets(g, most), hereditary_sets(g, most)
+        keys = [(h.bit_count(), -h) for h in masks]
+        assert all(a < b for a, b in zip(keys, keys[1:])), masks
+        named = [(len(s), sorted(s)) for s in sets]
+        assert named == sorted(named)
+        if most is None or len(brute) <= most:
+            assert set(sets) == brute
+        else:
+            assert len(sets) == most + 1 and set(sets) <= brute
 
 
 @settings(max_examples=40)
 @given(graph_strategy())
 def test_hereditary_subsets_closed_under_union_and_intersection(g):
-    subsets = set(hereditary_subsets(g))
+    subsets = set(hereditary_sets(g))
     for a in subsets:
         for b in subsets:
             assert a | b in subsets

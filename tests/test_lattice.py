@@ -1166,7 +1166,11 @@ def test_hasse_dot_golden(gamma2):
 
 
 def test_hasse_dot_escapes_labels():
-    lat = from_poset(['say "hi"', "b\\c"], lambda a, b: a == b or a < b)
+    lat = from_poset(['say "hi"', "b\\c", "%", "%d", "%%"], lambda a, b: a == b or a < b)
     dot = hasse_dot(lat.labels, lat.cover_pairs)
     assert '\\"hi\\"' in dot
     assert "b\\\\c" in dot
+    # a label is never read as a format, whichever template fills the lines
+    assert dot.splitlines()[4:9] == ['  n0 [label="say \\"hi\\""];', '  n1 [label="b\\\\c"];',
+                                     '  n2 [label="%"];', '  n3 [label="%d"];', '  n4 [label="%%"];']
+    assert dot.splitlines()[9:] == ["  n1 -> n0;", "  n2 -> n4;", "  n3 -> n1;", "  n4 -> n3;", "}"]

@@ -12,7 +12,6 @@ from gislat.graph import (
     LimitError,
     UnknownVertexError,
     enumerate_cycles,
-    hereditary_subsets,
     index_relative,
     parse_graph,
     weak_component_subgraphs,
@@ -40,7 +39,6 @@ from gislat.triples import (
     render_triple,
     set_trace,
     triple_lattice,
-    triple_to_json,
 )
 
 from helpers import (
@@ -53,6 +51,7 @@ from helpers import (
     dag_census,
     definition_leq,
     graph_text,
+    hereditary_sets,
     interleaved_components,
     key_tables,
     multi_component_corpus,
@@ -60,6 +59,7 @@ from helpers import (
     product_corpus,
     reference_coordinates,
     reference_triples,
+    triple_to_json,
     validate_triple,
 )
 
@@ -357,7 +357,7 @@ def test_enumerate_single_loop_bound_12(loop_graph):
 def test_enumerate_counts_match_formula():
     for g in acyclic_corpus()[:60]:
         expected = 0
-        for h in hereditary_subsets(g):
+        for h in hereditary_sets(g):
             k = sum(
                 1 for v in g.vertices if v not in h and index_relative(g, v, h) == 1
             )
@@ -407,9 +407,9 @@ def test_hereditary_cap_keeps_the_check_order(monkeypatch):
     iso8 = parse_graph("".join(f"vertex v{i}\n" for i in range(8)))
     with pytest.raises(LatticeTooLargeError, match="triple lattice capped at 100 elements"):
         triple_lattice(iso8)
-    assert len(hereditary_subsets(iso8)) == len(enumerate_triples(iso8)) == 256
-    capped = hereditary_subsets(iso8, 100)
-    assert len(capped) == 101 and set(capped) <= set(hereditary_subsets(iso8))
+    assert len(hereditary_sets(iso8)) == len(enumerate_triples(iso8)) == 256
+    capped = hereditary_sets(iso8, 100)
+    assert len(capped) == 101 and set(capped) <= set(hereditary_sets(iso8))
     # Past both the bound cap and the triple cap, the bound cap is named.
     looped = parse_graph("".join(f"vertex v{i}\n" for i in range(8)) + "edge x v0 v0\n")
     with pytest.raises(LatticeTooLargeError, match="cycle-value bound capped"):
