@@ -61,7 +61,7 @@ def cases() -> list[tuple[str, list[str]]]:
         out += [(graph_text(g), ["oracle"]), (graph_text(g), ["semigroup", "--json"])]
     for text, argv, _ in REFUSALS:
         out += [(text, argv.split()), (text, [*argv.split(), "--json"])]
-    return out + scale_cases() + interleaved_cases() + two_word_cases()
+    return out + scale_cases() + interleaved_cases() + two_word_cases() + semigroup_text_cases()
 
 
 def _shape(n: int, pairs) -> str:
@@ -125,6 +125,14 @@ def two_word_cases() -> list[tuple[str, list[str]]]:
     take two key words."""
     argvs = (["classify", "--enumerate"], ["lattice"])
     return [(FORK_LOOPS, [*argv, "--bound", str(2**39), "--json"]) for argv in argvs]
+
+
+def semigroup_text_cases() -> list[tuple[str, list[str]]]:
+    """``semigroup`` in text, the Cayley table's rows included, on the small
+    semigroup corpus and the 13-vertex path, after the two-word lattices."""
+    graphs = [graph_text(g) for g in small_semigroup_corpus()]
+    graphs.append(_shape(13, [(i, i + 1) for i in range(12)]))
+    return [(g, ["semigroup"]) for g in graphs]
 
 
 def _run(argv: list[str]) -> tuple[int, bytes, bytes]:

@@ -6,7 +6,8 @@ import json
 
 import pytest
 from golden import (
-    MANIFEST, cases, first_difference, interleaved_cases, manifest_line, runs, scale_cases, two_word_cases
+    MANIFEST, cases, first_difference, interleaved_cases, manifest_line, runs, scale_cases,
+    semigroup_text_cases, two_word_cases,
 )
 
 READ = (0, 1, 2, 3, 4, 5, 11, 12, 13, 14, 15, 16, 18, 20, 21, 22)  # positions in scale_cases()
@@ -17,7 +18,7 @@ TWO_WORDS = len(scale_cases()) + len(interleaved_cases())  # the first of two_wo
 def recorded():
     """Every manifest line, and (exit code, stdout, stderr) of the READ
     scale cases by position, from one run of the manifest."""
-    first = len(cases()) - TWO_WORDS - len(two_word_cases())
+    first = len(cases()) - TWO_WORDS - len(two_word_cases()) - len(semigroup_text_cases())
     lines, kept = [], {}
     for k, run in enumerate(runs()):
         lines.append(manifest_line(*run))
