@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -70,10 +69,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str):
-    # Bytes decoded once, untranslated: parse_graph takes \r\n and \r as line ends.
+    # Bytes decoded once, untranslated: parse_graph takes \r\n and \r as
+    # line ends.  A leading byte order mark is dropped.
     try:
         with open(path, "rb") as f:
-            text = f.read().decode("utf-8")
+            text = f.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise _CliError(EXIT_INPUT, f"cannot read {path}: {err}") from None
     try:
@@ -88,9 +88,9 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 def _json(x, pad: str = "") -> str:
     """``json.dumps(x, indent=2, sort_keys=True)`` at indent ``pad``: the
     same bytes, but lists of ints or strings are joined at C speed, where an
-    indent sends ``json`` to its pure-Python encoder item by item, and a list
-    of equal-length int lists, or a 2-D int array, fills one ``%`` template.
-    A callable gives its own text at ``pad``."""
+    indent sends ``json`` to its pure-Python encoder item by item, and a 2-D
+    int array fills one ``%`` template.  A callable gives its own text at
+    ``pad``."""
     t = type(x)
     if t is np.ndarray:  # rows of ints: one template over the flattened cells
         row = _listing(["%d"] * x.shape[1], pad + "  ")
@@ -102,9 +102,6 @@ def _json(x, pad: str = "") -> str:
             return _listing(map(int.__repr__, x), pad)
         if all(type(v) is str for v in x):
             return _listing(map(_quote, x), pad)
-        rows = {*map(type, x)} <= {list, tuple} and len({*map(len, x)}) == 1 and tuple(chain(*x))
-        if rows and {*map(type, rows)} == {int}:  # equal-length rows of ints, not empty
-            return _listing([_listing(["%d"] * len(x[0]), pad + "  ")] * len(x), pad) % rows
         return _listing([_json(v, pad + "  ") for v in x], pad)
     if t is dict and all(type(k) is str for k in x):
         if not x:
@@ -282,7 +279,8 @@ def cmd_semigroup(args) -> int:
         yield f"{len(sem)} elements:"
         yield from (f"  [{i}] {name}" for i, name in enumerate(rendered))
         yield "cayley table (indices):"
-        yield from (f"  [{i}] " + " ".join(str(x) for x in row) for i, row in enumerate(sem.table))
+        row = "  [%d]" + " %d" * len(sem)  # the row's index, then its cells
+        yield from (row % (i, *cells.tolist()) for i, cells in enumerate(sem.table))
 
     _emit(args, lambda: {"elements": rendered, "table": sem.table}, text)
     return EXIT_OK

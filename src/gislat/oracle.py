@@ -35,35 +35,25 @@ class SemigroupTooLargeError(LimitError):
 
 @dataclass(frozen=True)
 class Congruence:
-    """A partition of element indices compatible with multiplication.
+    """A partition of element indices compatible with multiplication, as its
+    canonical labelling: ``labels[x]`` is the least element of x's block."""
 
-    ``blocks`` is canonical: each block sorted ascending, blocks sorted by
-    their element tuples.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
 
     @cached_property
-    def block_of(self) -> dict[int, int]:
-        return {x: b for b, blk in enumerate(self.blocks) for x in blk}
-
-    @cached_property
-    def labels(self) -> tuple[int, ...]:
-        """Each element's label: the least element of its block."""
-        return tuple(self.blocks[b][0] for _, b in sorted(self.block_of.items()))
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The classes of equal label, each ascending, in the order of their
+        least elements (so sorted by their element tuples)."""
+        blocks: dict[int, list[int]] = {}
+        for x, r in enumerate(self.labels):
+            blocks.setdefault(r, []).append(x)
+        return tuple(map(tuple, blocks.values()))
 
     def refines(self, other: "Congruence") -> bool:
-        """True iff every block of self lies inside one block of other."""
-        bo = other.block_of
-        return all(len({bo[x] for x in blk}) == 1 for blk in self.blocks)
-
-
-def _congruence(lab) -> Congruence:
-    """The partition into classes of equal label, in canonical order."""
-    blocks: dict[int, list[int]] = {}
-    for x, r in enumerate(lab):
-        blocks.setdefault(r, []).append(x)
-    return Congruence(tuple(map(tuple, blocks.values())))
+        """True iff every block of self lies inside one block of other: each
+        element has the same label under other as its label under self."""
+        lab = other.labels
+        return all(lab[x] == lab[r] for x, r in enumerate(self.labels))
 
 
 def _closure(table, n: int, seeds, gens) -> Congruence:
@@ -93,7 +83,8 @@ def _closure(table, n: int, seeds, gens) -> Congruence:
                 pending.append((row_s[rx], row_s[ry]))
             if row_x[s] != row_y[s]:
                 pending.append((row_x[s], row_y[s]))
-    return _congruence([find(x) for x in range(n)])
+    least: dict[int, int] = {}  # each root's least member, met first
+    return Congruence(tuple(least.setdefault(find(x), x) for x in range(n)))
 
 
 def _links(lab) -> list[tuple[int, int]]:
@@ -103,7 +94,7 @@ def _links(lab) -> list[tuple[int, int]]:
 def join_congruences(sem: FiniteSemigroup, c1: Congruence, c2: Congruence) -> Congruence:
     """Least congruence containing both, which is their join as
     equivalences."""
-    return _congruence(join_labels(c1.labels, _links(c2.labels)))
+    return Congruence(join_labels(c1.labels, _links(c2.labels)))
 
 
 def _refinement(labels: np.ndarray) -> np.ndarray:
@@ -128,7 +119,7 @@ def _principal_labels(sem: FiniteSemigroup) -> dict[tuple[int, ...], tuple[int, 
     generates it: one pass over the pair graph's strong components, sinks
     first, where components reaching the same congruences share one join."""
     n, gens = len(sem), list(sem.generators)
-    table = np.array(sem.table, dtype=np.intp).reshape(n, n)
+    table = sem.table.astype(np.intp)  # an int32 index pays a conversion per use
     lo, hi = np.triu_indices(n, 1)
     key = np.full((n, n), -1, dtype=np.intp)
     key[lo, hi] = key[hi, lo] = np.arange(len(lo))
@@ -176,7 +167,7 @@ def enumerate_congruences(sem: FiniteSemigroup, cap: int = ORACLE_CAP) -> tuple[
             if c[a] != c[b] and (joined := join_labels(c, links)) not in found:
                 found.add(joined)
                 queue.append(joined)
-    return tuple(sorted(map(_congruence, found), key=lambda c: c.blocks))
+    return tuple(sorted(map(Congruence, found), key=lambda c: c.blocks))
 
 
 def congruence_lattice(sem: FiniteSemigroup, cap: int = ORACLE_CAP) -> FiniteLattice:

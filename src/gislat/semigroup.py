@@ -187,17 +187,16 @@ def enumerate_elements(g: DirectedGraph) -> tuple[Element, ...]:
 class FiniteSemigroup:
     """Enumerated element list plus the full multiplication table.
 
-    ``table[i][j]`` is the index of the product of elements i and j.
+    ``table[i, j]`` is the index of the product of elements i and j: a
+    read-only, C-contiguous int32 array of shape (|S|, |S|).
     """
 
     def __init__(self, graph: DirectedGraph) -> None:
         self.graph = graph
         self.elements, paths, pairs = _listing(graph)
         self._index = {x: i for i, x in enumerate(self.elements)}
-        # Row by row, so only one row's list is alive beside the tuples.
-        self.table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(row.tolist()) for row in self._table(paths, pairs)
-        )
+        self.table = self._table(paths, pairs)
+        self.table.flags.writeable = False
 
     def _table(self, paths, pairs) -> np.ndarray:
         """:func:`multiply` on the indices of ``paths``, the nonzero elements

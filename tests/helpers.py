@@ -540,11 +540,10 @@ def oracle_verdicts(lat: FiniteLattice) -> dict[str, bool]:
     }
 
 
-def reference_table(sem: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
-    """The Cayley table one cell at a time: the index of ``multiply(x, y)``."""
-    return tuple(
-        tuple(sem.element_index(multiply(x, y)) for y in sem.elements) for x in sem.elements
-    )
+def reference_table(sem: FiniteSemigroup) -> list[list[int]]:
+    """The Cayley table one cell at a time, as rows of ints: the index of
+    ``multiply(x, y)``."""
+    return [[sem.element_index(multiply(x, y)) for y in sem.elements] for x in sem.elements]
 
 
 def verify_inverse_semigroup(g: DirectedGraph) -> bool:
@@ -552,7 +551,7 @@ def verify_inverse_semigroup(g: DirectedGraph) -> bool:
     set: associativity, x x' x = x for the path-swap inverse, and pairwise
     commuting idempotents."""
     sem = finite_semigroup(g)
-    t = sem.table
+    t = sem.table.tolist()
     n = len(sem)
     for i in range(n):
         ti = t[i]
@@ -576,11 +575,11 @@ def verify_inverse_semigroup(g: DirectedGraph) -> bool:
 
 def is_compatible(sem: FiniteSemigroup, c: Congruence) -> bool:
     """Full compatibility check of a partition against the table."""
-    t = sem.table
+    t = sem.table.tolist()
     n = len(sem)
     if sorted(x for blk in c.blocks for x in blk) != list(range(n)):
         return False
-    block = c.block_of
+    block = c.labels
     for blk in c.blocks:
         for x in blk:
             for y in blk:
@@ -596,6 +595,7 @@ def table_closure(table, n: int, seeds) -> Congruence:
     """Least congruence containing the seed pairs, by the definition:
     union-find that propagates every merge through all left and right
     products, generators or not."""
+    table = table.tolist()
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -617,11 +617,18 @@ def table_closure(table, n: int, seeds) -> Congruence:
     groups: dict[int, list[int]] = {}
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
-    return Congruence(tuple(sorted(tuple(sorted(b)) for b in groups.values())))
+    return from_blocks(groups.values())
+
+
+def from_blocks(blocks) -> Congruence:
+    """The congruence with these blocks, in any order: each element
+    labelled by the least element of its block."""
+    labels = {x: min(blk) for blk in blocks for x in blk}
+    return Congruence(tuple(labels[x] for x in range(len(labels))))
 
 
 def identity_congruence(n: int) -> Congruence:
-    return Congruence(tuple((i,) for i in range(n)))
+    return Congruence(tuple(range(n)))
 
 
 def reference_congruences(sem: FiniteSemigroup) -> tuple[Congruence, ...]:
@@ -630,7 +637,7 @@ def reference_congruences(sem: FiniteSemigroup) -> tuple[Congruence, ...]:
     congruence found is joined, by a closure of both partitions' pairs,
     with each distinct principal one until nothing new appears."""
     n = len(sem)
-    table, gens = sem.table, sem.generators
+    table, gens = sem.table.tolist(), sem.generators
     principals = {_closure(table, n, [(i, j)], gens) for i in range(n) for j in range(i + 1, n)}
     found = {identity_congruence(n)} | principals
     queue = list(principals)
@@ -648,9 +655,9 @@ def reference_congruences(sem: FiniteSemigroup) -> tuple[Congruence, ...]:
 def meet_congruences(c1: Congruence, c2: Congruence) -> Congruence:
     """Common refinement (intersection of the relations)."""
     groups: dict[tuple[int, int], list[int]] = {}
-    for x in c1.block_of:
-        groups.setdefault((c1.block_of[x], c2.block_of[x]), []).append(x)
-    return Congruence(tuple(sorted(tuple(sorted(b)) for b in groups.values())))
+    for x, pair in enumerate(zip(c1.labels, c2.labels)):
+        groups.setdefault(pair, []).append(x)
+    return from_blocks(groups.values())
 
 
 def congruence_to_json(sem: FiniteSemigroup, c: Congruence) -> list[list[str]]:
@@ -795,7 +802,7 @@ def principal_congruence(sem: FiniteSemigroup, a: Element, b: Element) -> Congru
     """The least congruence identifying a and b."""
     i = sem.element_index(a)
     j = sem.element_index(b)
-    return _closure(sem.table, len(sem), [(i, j)], sem.generators)
+    return _closure(sem.table.tolist(), len(sem), [(i, j)], sem.generators)
 
 
 # ----------------------------------------------------- random generators

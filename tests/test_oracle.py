@@ -12,8 +12,9 @@ from gislat.lattice import (
     order_isomorphic,
 )
 from gislat.oracle import (
+    Congruence,
     SemigroupTooLargeError,
-    _congruence,
+    _closure,
     _principal_labels,
     congruence_lattice,
     enumerate_congruences,
@@ -162,11 +163,32 @@ def test_principals_and_order_matrix_match_definitions(gamma1, gamma2):
     for g in (gamma1, gamma2, *small_semigroup_corpus(count=4), fan_graph(4)):
         sem = finite_semigroup(g)
         n = len(sem)
-        principals = {_congruence(lab) for lab in _principal_labels(sem)}
+        principals = set(map(Congruence, _principal_labels(sem)))
         assert principals == {table_closure(sem.table, n, [p]) for p in combinations(range(n), 2)}
         lat = congruence_lattice(sem)
         refines = [[a.refines(b) for b in lat.labels] for a in lat.labels]
         assert np.array_equal(lat.leq, np.array(refines, dtype=bool))
+
+
+def test_congruences_are_canonical_labellings(gamma1, gamma2):
+    """enumerate_congruences, _closure and join_congruences label each
+    element by the least element of its block; blocks and refines agree
+    with their definitions on blocks on every pair of congruences."""
+    for g in (gamma1, gamma2, *small_semigroup_corpus(count=4)):
+        sem = finite_semigroup(g)
+        n = len(sem)
+        congs = enumerate_congruences(sem)
+        closures = [_closure(sem.table, n, [p], sem.generators) for p in combinations(range(n), 2)]
+        joins = [join_congruences(sem, a, b) for a in congs for b in congs]
+        for c in (*congs, *closures, *joins):
+            lab = c.labels
+            classes = {tuple(y for y in range(n) if lab[y] == lab[x]) for x in range(n)}
+            assert type(lab) is tuple and all(lab[x] == min(b) for b in classes for x in b)
+            assert c.blocks == tuple(sorted(classes))
+        related = {c: {(x, y) for b in c.blocks for x in b for y in b} for c in congs}
+        for a in congs:
+            for b in congs:
+                assert a.refines(b) == (related[a] <= related[b])
 
 
 @pytest.mark.parametrize("text, size, count", [("", 1, 1), ("vertex a", 2, 2), ("vertex a\nvertex b", 3, 4)])
@@ -183,7 +205,7 @@ def test_pair_graph_components_share_and_join():
     components that join adds nothing to the congruences reached (the
     shared join is reused as is), and for others it does."""
     sem = finite_semigroup(parse_graph("vertex a\nvertex b\nedge e a b"))
-    n, t, gens = len(sem), sem.table, sem.generators
+    n, t, gens = len(sem), sem.table.tolist(), sem.generators
     pairs = list(combinations(range(n), 2))
 
     def moves(p):
@@ -199,13 +221,13 @@ def test_pair_graph_components_share_and_join():
             seen |= new
             todo += new
         reach[p] = seen
-    cg = {p: table_closure(t, n, [p]) for p in pairs}
+    cg = {p: table_closure(sem.table, n, [p]) for p in pairs}
     reused = set()
     for p in pairs:
         comp = {q for q in reach[p] if p in reach[q]}
         seeds = [(blk[0], x) for q in set().union(*map(moves, comp)) - comp for blk in cg[q].blocks for x in blk[1:]]
-        assert cg[p] == table_closure(t, n, seeds + sorted(comp))
-        reused.add(cg[p] == table_closure(t, n, seeds))
+        assert cg[p] == table_closure(sem.table, n, seeds + sorted(comp))
+        reused.add(cg[p] == table_closure(sem.table, n, seeds))
     assert max(len({q for q in reach[p] if p in reach[q]}) for p in pairs) == 4
     assert reused == {True, False}
     assert enumerate_congruences(sem) == reference_congruences(sem)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -206,7 +207,7 @@ def test_paths_are_listed_once_per_semigroup(gamma2, monkeypatch):
     for g in (gamma2, *small_semigroup_corpus()):
         calls.clear()
         sem = finite_semigroup(g)
-        assert calls == [g] and sem.table == reference_table(sem)
+        assert calls == [g] and sem.table.tolist() == reference_table(sem)
 
 
 def check_generator_indices(g):
@@ -222,7 +223,7 @@ def check_generator_indices(g):
     while frontier:
         x = frontier.pop()
         for s in sem.generators:
-            p = sem.table[x][s]
+            p = sem.table[x, s]
             if p not in reached:
                 reached.add(p)
                 frontier.append(p)
@@ -273,7 +274,7 @@ def test_idempotents_frozen(gamma1, gamma2):
 def test_idempotents_are_exactly_the_table_idempotents(gamma2):
     sem = finite_semigroup(gamma2)
     from_table = {
-        sem.elements[i] for i in range(len(sem)) if sem.table[i][i] == i
+        sem.elements[i] for i in range(len(sem)) if sem.table[i, i] == i
     }
     assert from_table == set(idempotents(gamma2))
 
@@ -313,7 +314,7 @@ def test_table_matches_multiply_cell_by_cell(gamma1, gamma2):
     corpus = acyclic_corpus() + multi_component_corpus() + small_semigroup_corpus(40)
     for g in corpus + (gamma1, gamma2, parallel):
         sem = finite_semigroup(g)
-        assert sem.table == reference_table(sem)
+        assert sem.table.tolist() == reference_table(sem)
 
 
 def test_table_of_a_13_vertex_path():
@@ -321,7 +322,20 @@ def test_table_of_a_13_vertex_path():
     g = DirectedGraph.of(names, [(f"e{i}", names[i], names[i + 1]) for i in range(12)])
     sem = finite_semigroup(g)
     assert len(sem) == 820
-    assert sem.table == reference_table(sem)
+    assert sem.table.tolist() == reference_table(sem)
+
+
+def test_table_is_a_read_only_int32_array(gamma2):
+    """The table is the C-contiguous (|S|, |S|) int32 array that the index
+    gathers build, not writable, and equal to multiply cell by cell."""
+    for g in (gamma2, *small_semigroup_corpus()):
+        sem = finite_semigroup(g)
+        t = sem.table
+        assert (type(t), t.dtype, t.shape) == (np.ndarray, np.int32, (len(sem), len(sem)))
+        assert t.flags.c_contiguous and not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 1
+        assert t.tolist() == reference_table(sem)
 
 
 # ------------------------------------------------------------ rendering
